@@ -6,7 +6,7 @@ classic example (4,3,1,1) has hooks {7,4,3,1,5,2,1,2,1}: it is a 6-core
 and a t-core for every t >= 8, but not a 5-core (there is a hook of 5).
 """
 
-from qcore import Partition, count_t_cores, gen_c5, is_t_core, partitions_of
+from qcore import Partition, count_t_cores, gen_c5, partitions_of
 
 p = Partition((4, 3, 1, 1))
 
@@ -17,7 +17,7 @@ for row in p.hook_numbers():
 print("\nconjugate partition:", p.conjugate().parts)
 print("t-core profile:")
 for t in range(2, 10):
-    print(f"   t={t}: {'yes' if is_t_core(p, t) else 'no'}")
+    print(f"   t={t}: {'yes' if p.is_t_core(t) else 'no'}")
 
 # Enumerate the 5-cores of 9 explicitly.
 print("\n5-cores of 9:")

@@ -7,15 +7,7 @@ residue-4 component.  The closed forms for the components involve the
 Rogers-Ramanujan quotient R(q); all four are verified here at N=300.
 """
 
-from qcore import (
-    dissect,
-    euler_f,
-    rr_quotient,
-    verify_f1_5dissection,
-    verify_inv_f1_5dissection,
-    verify_phi_5dissection,
-    verify_psi_5dissection,
-)
+from qcore import dissect, euler_f, rr_quotient, verify
 
 N = 300
 
@@ -31,9 +23,9 @@ print("  every one divisible by 5:",
 # The quotient R(q) drives the closed-form dissections.
 print("\nR(q) =", rr_quotient(1, 12))
 
-for verifier in (verify_f1_5dissection, verify_inv_f1_5dissection,
-                 verify_phi_5dissection, verify_psi_5dissection):
-    print(verifier(N).to_line())
+for record_id in ("dissection.f1_5", "dissection.inv_f1_5",
+                  "dissection.phi_5", "dissection.psi_5"):
+    print(verify(record_id, N).to_line())
 
 # The dissection is lossless: components reassemble the source exactly.
 reassembled = dissect(partition_gf, 5).reassemble(N)

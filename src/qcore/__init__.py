@@ -5,25 +5,19 @@ The building blocks:
 
 - ``series``: exact truncated power series over Python integers.
 - ``products``: Pochhammer/Euler products, theta functions, the
-  Rogers-Ramanujan quotient, and the three generating functions.
+  Rogers-Ramanujan quotient, the three generating functions, and the
+  evaluator for sums of theta quotients.
 - ``partitions``: hook-number oracle counting t-cores by enumeration.
-- ``dissection``: residue-class dissections and the four closed-form
-  5-dissections.
-- ``identities``: a declarative registry of every verified identity,
-  congruence and census claim, plus the uniform evaluator.
+- ``dissection``: residue-class dissections.
+- ``registry``: every verified identity, congruence and census claim as
+  data; series identities are sums of theta and Euler quotients.
+- ``identities``: the uniform evaluator over the registry.
 - ``bfile``: OEIS b-file import/export.
 - ``cli``: the ``qcore`` command.
 """
 
 from .bfile import BFile, BFileParseError, first_discrepancy, format_bfile, parse_bfile
-from .dissection import (
-    Dissection,
-    dissect,
-    verify_f1_5dissection,
-    verify_inv_f1_5dissection,
-    verify_phi_5dissection,
-    verify_psi_5dissection,
-)
+from .dissection import Dissection, dissect
 from .identities import (
     DEFAULT_KMAX,
     DEFAULT_ORDER,
@@ -45,10 +39,7 @@ from .identities import (
 from .partitions import (
     OracleScaleExceeded,
     Partition,
-    conjugate,
     count_t_cores,
-    hook_numbers,
-    is_t_core,
     partitions_of,
 )
 from .products import (
@@ -57,6 +48,7 @@ from .products import (
     ThetaSpec,
     chi,
     euler_f,
+    evaluate_side,
     expand_pochhammer,
     expand_qproduct,
     gen_a5bar,

@@ -60,6 +60,16 @@ def _env_default(default: int) -> int:
     return value
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
 _FACTOR_RE = re.compile(r"^(-?)(\d+)/(\d+)(?:\^(-?\d+))?$")
 
 
@@ -242,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="print coefficients 0..N of a named series")
     p_expand.add_argument("name", help="c5 | a5bar | b5bar | f[:J] | R[:J] | "
                                        "phi[:SIGN[:J]] | psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC")
-    p_expand.add_argument("positional_order", nargs="?", type=int, default=None,
+    p_expand.add_argument("positional_order", nargs="?", type=_at_least(0), default=None,
                           metavar="N", help="truncation order (default 100)")
-    p_expand.add_argument("-N", "--order", type=int, default=None)
+    p_expand.add_argument("-N", "--order", type=_at_least(0), default=None)
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
     p_expand.set_defaults(func=_cmd_expand)
 
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("selector", nargs="?", default=None,
                           help="identity id, 'core', 'extended', or 'all'")
     p_verify.add_argument("--tier", choices=("core", "extended", "all"), default=None)
-    p_verify.add_argument("-N", "--order", type=int, default=None)
+    p_verify.add_argument("-N", "--order", type=_at_least(0), default=None)
     p_verify.add_argument("--kmax", type=int, default=identities.DEFAULT_KMAX)
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel record verification (default 1)")
@@ -262,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="count t-cores of n by enumeration")
-    p_oracle.add_argument("n", type=int)
-    p_oracle.add_argument("t", type=int)
+    p_oracle.add_argument("n", type=_at_least(0))
+    p_oracle.add_argument("t", type=_at_least(1))
     p_oracle.add_argument("--ceiling", type=int, default=60,
                           help="largest n the oracle will enumerate")
     p_oracle.add_argument("--list", action="store_true", help="list the t-cores")
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="exact sign frequencies of a sequence")
     p_census.add_argument("name", help="c5 | a5bar | b5bar")
-    p_census.add_argument("-N", "--order", type=int, default=None)
+    p_census.add_argument("-N", "--order", type=_at_least(1), default=None)
     p_census.add_argument("--format", choices=("text", "json"), default="text")
     p_census.set_defaults(func=_cmd_census)
 
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bfile.add_argument("direction", choices=("export", "check"))
     p_bfile.add_argument("name")
     p_bfile.add_argument("path")
-    p_bfile.add_argument("-N", "--order", type=int, default=None)
+    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=None)
     p_bfile.set_defaults(func=_cmd_bfile)
 
     return parser

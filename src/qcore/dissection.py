@@ -1,4 +1,4 @@
-"""m-dissection mechanics and the four closed-form 5-dissections.
+"""m-dissection mechanics.
 
 A dissection splits a series into its m residue-class subseries, each
 re-indexed by q^m -> q; the split is lossless and the reassembly identity
@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .products import ThetaSpec, euler_f, phi, psi, rr_quotient, theta_general
-from .reports import EXACT_MATCH, MISMATCH, VerificationReport, stopwatch
-from .series import TruncatedSeries, first_mismatch
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -44,87 +42,3 @@ def dissect(a: TruncatedSeries, m: int) -> Dissection:
     if a.order < m - 1:
         raise ValueError("series order too small for every residue class")
     return Dissection(m, tuple(a.extract_ap(m, r) for r in range(m)))
-
-
-def _compare(record_id: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -> VerificationReport:
-    with stopwatch() as sw:
-        bad = first_mismatch(lhs, rhs)
-    shared = min(lhs.order, rhs.order)
-    if bad is None:
-        return VerificationReport(record_id, "series-equality", shared, EXACT_MATCH, elapsed=sw.elapsed)
-    n, lv, rv = bad
-    return VerificationReport(
-        record_id, "series-equality", shared, MISMATCH,
-        first_bad_index=n, lhs_value=lv, rhs_value=rv, elapsed=sw.elapsed,
-    )
-
-
-# -- the four closed-form 5-dissections --------------------------------------
-
-
-def f1_5dissection_sides(order: int):
-    """f1 against f25 * (1/R(q^5) - q - q^2 R(q^5))."""
-    lhs = euler_f(1, order)
-    r5 = rr_quotient(5, order)
-    combo = r5.invert().sub(TruncatedSeries.monomial(order, 1, 1)).sub(r5.shift(2))
-    return lhs, euler_f(25, order).mul(combo)
-
-
-def inv_f1_5dissection_sides(order: int):
-    """1/f1 against the nine-term expansion in powers of R(q^5).
-
-    The R(q^5) powers are built incrementally (R^k from R^(k-1)) so each
-    of the eight nontrivial powers costs one multiplication.
-    """
-    lhs = euler_f(1, order).invert()
-    r5 = rr_quotient(5, order)
-    r5inv = r5.invert()
-    powers = {0: TruncatedSeries.one(order)}
-    for k in range(1, 5):
-        powers[k] = powers[k - 1].mul(r5)
-        powers[-k] = powers[-(k - 1)].mul(r5inv)
-    front = euler_f(25, order).pow(5).div(euler_f(5, order).pow(6))
-    combo = TruncatedSeries.zero(order)
-    for i, (coeff, p) in enumerate(
-        [(1, -4), (1, -3), (2, -2), (3, -1), (5, 0), (-3, 1), (2, 2), (-1, 3), (1, 4)]
-    ):
-        combo = combo.add(powers[p].shift(i).scale(coeff))
-    return lhs, front.mul(combo)
-
-
-def phi_5dissection_sides(order: int):
-    """phi(q) against phi(q^25) + 2q f(q^15,q^35) + 2q^4 f(q^5,q^45)."""
-    lhs = phi(1, 1, order)
-    rhs = (
-        phi(1, 25, order)
-        .add(theta_general(ThetaSpec(1, 15, 1, 35), order).shift(1).scale(2))
-        .add(theta_general(ThetaSpec(1, 5, 1, 45), order).shift(4).scale(2))
-    )
-    return lhs, rhs
-
-
-def psi_5dissection_sides(order: int):
-    """psi(q) against f(q^10,q^15) + q f(q^5,q^20) + q^3 psi(q^25)."""
-    lhs = psi(1, 1, order)
-    rhs = (
-        theta_general(ThetaSpec(1, 10, 1, 15), order)
-        .add(theta_general(ThetaSpec(1, 5, 1, 20), order).shift(1))
-        .add(psi(1, 25, order).shift(3))
-    )
-    return lhs, rhs
-
-
-def verify_f1_5dissection(order: int) -> VerificationReport:
-    return _compare("dissection.f1_5", order, *f1_5dissection_sides(order))
-
-
-def verify_inv_f1_5dissection(order: int) -> VerificationReport:
-    return _compare("dissection.inv_f1_5", order, *inv_f1_5dissection_sides(order))
-
-
-def verify_phi_5dissection(order: int) -> VerificationReport:
-    return _compare("dissection.phi_5", order, *phi_5dissection_sides(order))
-
-
-def verify_psi_5dissection(order: int) -> VerificationReport:
-    return _compare("dissection.psi_5", order, *psi_5dissection_sides(order))

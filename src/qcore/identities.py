@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partitions import OracleScaleExceeded
-from .products import gen_a5bar, gen_b5bar, gen_c5
+from .products import SEQUENCES, evaluate_side
 from .registry import (
     CensusRecord,
     Congruence,
@@ -24,6 +24,7 @@ from .registry import (
     SeriesEquality,
     SubsequenceRelation,
     Term,
+    add_record,
     build_registry,
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport, stopwatch
@@ -31,8 +32,6 @@ from .series import TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 1000
 DEFAULT_KMAX = 3
-
-SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
 
 REGISTRY: Dict[str, Record] = build_registry()
 
@@ -47,9 +46,7 @@ class UnknownSequence(KeyError):
 
 def register(record: Record, replace: bool = False) -> None:
     """Add a record (used by self-tests to inject deliberate faults)."""
-    if not replace and record.id in REGISTRY:
-        raise ValueError(f"id {record.id} already registered")
-    REGISTRY[record.id] = record
+    add_record(REGISTRY, record, replace)
 
 
 def unregister(record_id: str) -> None:
@@ -159,7 +156,7 @@ def sign_census(seq_name: str, order: int) -> CensusResult:
 
 def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
     if isinstance(record, SeriesEquality):
-        sides = record.sides(order)
+        sides = [evaluate_side(side, order) for side in record.sides]
         reference = sides[0]
         for other in sides[1:]:
             bad = first_mismatch(reference, other)

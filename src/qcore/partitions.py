@@ -111,18 +111,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
             rest -= nxt
 
 
-def conjugate(p: Partition) -> Partition:
-    return p.conjugate()
-
-
-def hook_numbers(p: Partition) -> Tuple[Tuple[int, ...], ...]:
-    return p.hook_numbers()
-
-
-def is_t_core(p: Partition, t: int) -> bool:
-    return p.is_t_core(t)
-
-
 def count_t_cores(n: int, t: int, ceiling: int = DEFAULT_CEILING) -> int:
     """Number of t-core partitions of n, by exhaustive enumeration.
 

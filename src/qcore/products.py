@@ -247,22 +247,17 @@ def chi(sign: int, j: int, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def rr_quotient(j: int, order: int) -> TruncatedSeries:
-    """The Rogers-Ramanujan quotient R(q^j).
+    """The Rogers-Ramanujan quotient R(q^j) = f(-q^j, -q^4j) / f(-q^2j, -q^3j).
 
-    R(q) = (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5)); unit constant term, so
-    the integer powers needed by the 5-dissection formulas come from
-    pow/invert on the expansion.
+    By the triple product this is (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5))
+    at q -> q^j; unit constant term, so the integer powers needed by the
+    5-dissection formulas come from pow/invert on the expansion.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    sub = order // j
-    num = expand_qproduct(
-        QProductSpec((PochhammerFactor(1, 1, 5), PochhammerFactor(1, 4, 5))), sub
-    )
-    den = expand_qproduct(
-        QProductSpec((PochhammerFactor(1, 2, 5), PochhammerFactor(1, 3, 5))), sub
-    )
-    return num.div(den).inflate(j, order)
+    num = ("theta_general", ThetaSpec(-1, j, -1, 4 * j))
+    den = ("theta_general", ThetaSpec(-1, 2 * j, -1, 3 * j))
+    return evaluate_side(((1, 0, ((num, 1), (den, -1))),), order)
 
 
 # -- headline generating functions ------------------------------------------
@@ -284,6 +279,90 @@ def gen_a5bar(order: int) -> TruncatedSeries:
 def gen_b5bar(order: int) -> TruncatedSeries:
     """Generating function psi(-q^5)^5 / psi(-q)."""
     return psi(-1, 5, order).pow(5).div(psi(-1, 1, order))
+
+
+SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
+
+
+# -- theta quotients as data -------------------------------------------------
+#
+# A side of a series identity is a tuple of product terms
+# (coeff, shift, ((atom, exponent), ...)), meaning the sum of
+# coeff * q^shift * prod atom^exponent.  An atom names one series:
+#
+#   ("euler_f", j, sign)          f(sign*q^j)
+#   ("phi", sign, j)              phi(sign*q^j)
+#   ("psi", sign, j)              psi(sign*q^j)
+#   ("theta_general", spec)       f(a, b) for a ThetaSpec
+#   (name, m, r, s, k)            sum over n of name(m*n + r) * (s*q^k)^n,
+#                                 name a key of SEQUENCES, s = +1 or -1
+#
+# Exponents may be negative: an atom divided by has unit constant term.
+
+
+def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
+    """Expand one atom to the given order."""
+    head, *args = atom
+    if head == "euler_f":
+        j, sign = args
+        return euler_f(j, order, sign)
+    if head == "phi":
+        return phi(*args, order)
+    if head == "psi":
+        return psi(*args, order)
+    if head == "theta_general":
+        return theta_general(args[0], order)
+    m, r, s, k = args
+    inner = order // k
+    base = SEQUENCES[head](m * inner + r).extract_ap(m, r)
+    if s == -1:
+        base = base.alternate()
+    return base.inflate(k, order)
+
+
+def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
+    """Expand one side, a sum of coeff * q^shift * prod atom^e, to the order.
+
+    Each atom's lowest exponent over the terms (0 where a term lacks it) is
+    factored out of the sum: the terms are summed with nonnegative
+    exponents, the sum is multiplied by the atoms common to every term and
+    then divided by the common denominator one atom at a time, so that a
+    division costs the order times the nonzero terms of one theta or Euler
+    product rather than of their dense product.  Powers of an atom are
+    built once per side.  An atom appears at most once per term.
+    """
+    atoms = dict.fromkeys(atom for _, _, factors in side for atom, _ in factors)
+    low = {atom: min(dict(factors).get(atom, 0) for _, _, factors in side)
+           for atom in atoms}
+    powers = {}
+
+    def power(atom, e):
+        table = powers.get(atom)
+        if table is None:
+            table = powers[atom] = [None, _atom_series(atom, order)]
+        while len(table) <= e:
+            table.append(table[-1].mul(table[1]))
+        return table[e]
+
+    total = None
+    for coeff, shift, factors in side:
+        exponents = dict(factors)
+        product = None
+        for atom in atoms:
+            e = exponents.get(atom, 0) - low[atom]
+            if e:
+                factor = power(atom, e)
+                product = factor if product is None else product.mul(factor)
+        if product is None:
+            product = TruncatedSeries.one(order)
+        term = product.shift(shift).scale(coeff)
+        total = term if total is None else total.add(term)
+    for atom, e in low.items():
+        if e > 0:
+            total = total.mul(power(atom, e))
+        for _ in range(-e):
+            total = total.div(power(atom, 1))
+    return total
 
 
 # -- Jacobi triple product ---------------------------------------------------

@@ -3,9 +3,11 @@
 Each record states one claim about the sequences c5 (5-core counts),
 a5 (coefficients of phi(-q^5)^5/phi(-q)) and b5 (coefficients of
 psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
-Records are data: a recipe plus a human-readable statement.  The evaluator
-in ``identities`` dispatches purely on record type, so adding a claim here
-never touches the verification code.
+Records are data plus a human-readable statement: a series identity lists
+its sides as sums of theta and Euler quotients, which
+``products.evaluate_side`` expands, and the other kinds list subsequence
+terms.  The evaluator in ``identities`` dispatches purely on record type,
+so adding a claim here never touches the verification code.
 
 Record kinds
     SeriesEquality        all listed sides agree coefficient by coefficient
@@ -26,24 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
-from .dissection import (
-    f1_5dissection_sides,
-    inv_f1_5dissection_sides,
-    phi_5dissection_sides,
-    psi_5dissection_sides,
-)
-from .products import (
-    ThetaSpec,
-    chi,
-    euler_f,
-    gen_a5bar,
-    gen_b5bar,
-    gen_c5,
-    phi,
-    psi,
-    theta_general,
-)
-from .series import TruncatedSeries
+from .products import ThetaSpec
 
 CORE = "core"
 EXTENDED = "extended"
@@ -68,8 +53,11 @@ class SeriesEquality:
     id: str
     tier: str
     statement: str
-    sides: Callable[[int], Tuple[TruncatedSeries, ...]]
+    sides: Tuple[tuple, ...]
     kind: str = "series-equality"
+
+    def __post_init__(self):
+        object.__setattr__(self, "sides", tuple(tuple(side) for side in self.sides))
 
 
 @dataclass(frozen=True)
@@ -134,192 +122,63 @@ Record = Union[
 ]
 
 
-# -- recipe helpers ----------------------------------------------------------
+# -- series-equality sides ---------------------------------------------------
+#
+# A side is a tuple of product terms in the form ``products.evaluate_side``
+# reads; every side of a record must agree coefficient by coefficient.
 
 
-def _q(order: int, exponent: int = 1, coeff: int = 1) -> TruncatedSeries:
-    return TruncatedSeries.monomial(order, coeff, exponent)
+def F(j: int, sign: int = -1) -> tuple:
+    """The Euler product f(sign*q^j); f_j when sign = -1."""
+    return ("euler_f", j, sign)
 
 
-def _theta(s1, e1, s2, e2, order):
-    return theta_general(ThetaSpec(s1, e1, s2, e2), order)
+def PHI(sign: int, j: int) -> tuple:
+    return ("phi", sign, j)
 
 
-def _half(n: int) -> int:
-    return (n + 1) // 2
+def PSI(sign: int, j: int) -> tuple:
+    return ("psi", sign, j)
 
 
-# Series-equality recipes.  Each returns all sides of one identity at the
-# requested working order; the evaluator compares every side to the first.
+def THETA(s1: int, e1: int, s2: int, e2: int) -> tuple:
+    """f(s1*q^e1, s2*q^e2)."""
+    return ("theta_general", ThetaSpec(s1, e1, s2, e2))
 
 
-def _phimodeq(N):
-    lhs = (
-        phi(1, 5, N).pow(5).div(phi(1, 1, N))
-        + euler_f(5, N, 1).pow(5).div(euler_f(1, N, 1)).shift(1).scale(4)
-    )
-    return lhs, phi(1, 1, N).mul(phi(1, 5, N).pow(3))
+def SEQ(name: str, m: int = 1, r: int = 0, s: int = 1, k: int = 1) -> tuple:
+    """sum over n of name(m*n + r) * (s*q^k)^n."""
+    return (name, m, r, s, k)
 
 
-def _phimodeqfora5(N):
-    lhs = phi(1, 1, N).pow(2) - phi(1, 5, N).pow(2)
-    rhs = chi(1, 1, N).mul(euler_f(5, N)).mul(euler_f(20, N)).shift(1).scale(4)
-    return lhs, rhs
+def P(coeff: int, shift: int, *factors) -> tuple:
+    """coeff * q^shift * prod atom^e; a factor is (atom, e), or an atom for e = 1."""
+    pairs = tuple(f if isinstance(f[0], tuple) else (f, 1) for f in factors)
+    return (coeff, shift, tuple((atom, e) for atom, e in pairs if e))
 
 
-def _psimodeq(N):
-    lhs = psi(-1, 5, N).pow(5).div(psi(-1, 1, N)) - psi(1, 5, N).pow(5).div(psi(1, 1, N))
-    rhs = (
-        psi(1, 10, N).pow(5).div(psi(1, 2, N)).shift(3).scale(4)
-        + euler_f(20, N).pow(5).div(euler_f(4, N)).shift(1).scale(2)
-    )
-    return lhs, rhs
+# R(q^5) = f(-q^5, -q^20) / f(-q^10, -q^15), by the triple product.
+R5_NUM = THETA(-1, 5, -1, 20)
+R5_DEN = THETA(-1, 10, -1, 15)
 
 
-def _psimodeqforb5(N):
-    first = psi(1, 1, N).pow(2) - psi(1, 5, N).pow(2).shift(1)
-    second = euler_f(5, N).mul(phi(-1, 5, N)).div(chi(-1, 1, N))
-    third = _theta(1, 1, 1, 4, N).mul(_theta(1, 2, 1, 3, N))
-    return first, second, third
+def R5(p: int) -> tuple:
+    """The factors of R(q^5)^p."""
+    return ((R5_NUM, p), (R5_DEN, -p))
 
 
-def _f5modeg(N):
-    lhs = (
-        euler_f(5, N).pow(5).div(euler_f(1, N))
-        - euler_f(20, N).pow(5).div(euler_f(4, N)).shift(3).scale(4)
-    )
-    rhs = (
-        euler_f(5, N, 1).pow(5).div(euler_f(1, N, 1))
-        + euler_f(10, N).pow(5).div(euler_f(2, N)).shift(1).scale(2)
-    )
-    return lhs, rhs
-
-
-def _a4b(N):
-    lhs = euler_f(2, N).pow(2).div(euler_f(1, N).pow(4))
-    rhs = euler_f(10, N).pow(2).div(euler_f(5, N).pow(4)) + (
-        euler_f(2, N)
-        .mul(euler_f(10, N).pow(5))
-        .div(euler_f(1, N).pow(3).mul(euler_f(5, N).pow(5)))
-        .shift(1)
-        .scale(4)
-    )
-    return lhs, rhs
-
-
-def _a5_quotient_split(N):
-    rhs = euler_f(5, N).pow(5).div(euler_f(1, N)).shift(1).scale(4) + phi(-1, 1, N).mul(
-        phi(-1, 5, N).pow(3)
-    )
-    return phi(-1, 5, N).pow(5).div(phi(-1, 1, N)), rhs
-
-
-def _a5_split_dissected(N):
-    bracket = (
-        phi(-1, 25, N)
-        - _theta(-1, 15, -1, 35, N).shift(1).scale(2)
-        + _theta(-1, 5, -1, 45, N).shift(4).scale(2)
-    )
-    rhs = gen_c5(N).shift(1).scale(4) + phi(-1, 5, N).pow(3).mul(bracket)
-    return gen_a5bar(N), rhs
-
-
-def _abc_i(N):
-    lhs = gen_a5bar(N) - gen_b5bar(N).shift(3).scale(4)
-    rhs = gen_a5bar(_half(N)).inflate(2) + gen_c5(N).shift(1).scale(2)
-    return lhs, rhs
-
-
-def _b4n_i(N):
-    lhs = gen_b5bar(N) - gen_b5bar(N).alternate()
-    rhs = (
-        gen_b5bar(_half(N)).alternate().inflate(2).shift(3).scale(4)
-        + gen_c5((N + 3) // 4).inflate(4).shift(1).scale(2)
-    )
-    return lhs, rhs
-
-
-def _a5_rec_main_1(N):
-    rhs = euler_f(5, N).pow(5).div(euler_f(1, N)).shift(1).scale(4) + phi(-1, 1, N).mul(
-        phi(-1, 5, N).pow(3)
-    )
-    return gen_a5bar(N), rhs
-
-
-def _a5_rec_main_2(N):
-    lhs = gen_a5bar(5 * N).extract_ap(5, 0)
-    rhs = euler_f(5, N).pow(5).div(euler_f(1, N)).shift(1).scale(20) + phi(-1, 1, N).pow(
-        3
-    ).mul(phi(-1, 5, N))
-    return lhs, rhs
-
-
-def _a5_eliminate_1(N):
-    lhs = gen_a5bar(5 * N).extract_ap(5, 0) - gen_a5bar(N)
-    rhs = euler_f(5, N).pow(5).div(euler_f(1, N)).shift(1).scale(16) + (
-        phi(-1, 1, N)
-        .mul(phi(-1, 5, N))
-        .mul(phi(-1, 1, N).pow(2) - phi(-1, 5, N).pow(2))
-    )
-    return lhs, rhs
-
-
-def _b5_rec_start(N):
-    rhs = euler_f(10, N).pow(5).div(euler_f(2, N)) - psi(-1, 1, N).mul(psi(-1, 5, N).pow(3))
-    return gen_b5bar(N).shift(1), rhs
-
-
-def _b5_rec_main_2(N):
-    lhs = gen_b5bar(5 * N + 2).extract_ap(5, 2)
-    rhs = euler_f(10, N).pow(5).div(euler_f(2, N)).shift(1).scale(5) + psi(-1, 1, N).pow(
-        3
-    ).mul(psi(-1, 5, N))
-    return lhs, rhs
-
-
-def _b5_eliminate_1(N):
-    lhs = gen_b5bar(5 * N + 2).extract_ap(5, 2) - gen_b5bar(N).shift(2)
-    rhs = euler_f(10, N).pow(5).div(euler_f(2, N)).shift(1).scale(4) + (
-        psi(-1, 1, N)
-        .mul(psi(-1, 5, N))
-        .mul(psi(-1, 1, N).pow(2) + psi(-1, 5, N).pow(2).shift(1))
-    )
-    return lhs, rhs
-
-
-def _b5_before_last(N):
-    lhs = gen_b5bar(25 * N + 22).extract_ap(25, 22) - gen_b5bar(5 * N + 2).extract_ap(5, 2)
-    bracket = (
-        psi(-1, 5, N).mul(_theta(1, 2, -1, 3, N)).mul(_theta(-1, 1, 1, 4, N)).scale(6)
-        - psi(-1, 5, N).pow(3).shift(1)
-    )
-    rhs = (
-        euler_f(10, N).pow(5).div(euler_f(2, N)).shift(1).scale(20)
-        + psi(-1, 1, N).mul(bracket)
-        - psi(-1, 1, N).pow(3).mul(psi(-1, 5, N))
-    )
-    return lhs, rhs
-
-
-def _b5_eliminate_2(N):
-    lhs = gen_b5bar(25 * N + 22).extract_ap(25, 22) - gen_b5bar(5 * N + 2).extract_ap(5, 2)
-    rhs = euler_f(10, N).pow(5).div(euler_f(2, N)).shift(1).scale(20) + (
-        psi(-1, 1, N)
-        .mul(psi(-1, 5, N))
-        .mul(psi(-1, 1, N).pow(2) + psi(-1, 5, N).pow(2).shift(1))
-        .scale(5)
-    )
-    return lhs, rhs
-
-
-def _b5_rec_main_1(N):
-    bracket = (
-        _theta(1, 10, -1, 15, N)
-        - _theta(-1, 5, 1, 20, N).shift(1)
-        - psi(-1, 25, N).shift(3)
-    )
-    rhs = gen_c5(_half(N)).inflate(2) - psi(-1, 5, N).pow(3).mul(bracket)
-    return gen_b5bar(N).shift(1), rhs
+def add_record(registry: Dict[str, "Record"], record: "Record", replace: bool = False) -> None:
+    """Insert a record, refusing a taken id or a series equality whose sides
+    repeat another record's, which would check nothing new."""
+    if not replace and record.id in registry:
+        raise ValueError(f"duplicate identity id {record.id}")
+    if isinstance(record, SeriesEquality):
+        sides = frozenset(record.sides)
+        for other in registry.values():
+            if (isinstance(other, SeriesEquality) and other.id != record.id
+                    and frozenset(other.sides) == sides):
+                raise ValueError(f"{record.id} repeats the sides of {other.id}")
+    registry[record.id] = record
 
 
 # -- the registry ------------------------------------------------------------
@@ -328,7 +187,7 @@ def _b5_rec_main_1(N):
 def build_registry() -> Dict[str, Record]:
     records = []
 
-    def eq(rid, tier, statement, sides):
+    def eq(rid, tier, statement, *sides):
         records.append(SeriesEquality(rid, tier, statement, sides))
 
     def rel(rid, tier, statement, lhs, *rhs):
@@ -336,19 +195,30 @@ def build_registry() -> Dict[str, Record]:
 
     # six theta-product identities
     eq("lemma.phimodeq", CORE,
-       "phi(q^5)^5/phi(q) + 4q f(q^5)^5/f(q) = phi(q) phi(q^5)^3", _phimodeq)
+       "phi(q^5)^5/phi(q) + 4q f(q^5)^5/f(q) = phi(q) phi(q^5)^3",
+       [P(1, 0, (PHI(1, 5), 5), (PHI(1, 1), -1)), P(4, 1, (F(5, 1), 5), (F(1, 1), -1))],
+       [P(1, 0, PHI(1, 1), (PHI(1, 5), 3))])
     eq("lemma.phimodeqfora5", CORE,
-       "phi(q)^2 - phi(q^5)^2 = 4q chi(q) f5 f20", _phimodeqfora5)
+       "phi(q)^2 - phi(q^5)^2 = 4q chi(q) f5 f20",
+       [P(1, 0, (PHI(1, 1), 2)), P(-1, 0, (PHI(1, 5), 2))],
+       [P(4, 1, F(1, 1), (F(2), -1), F(5), F(20))])  # chi(q) = f(q)/f2
     eq("lemma.psimodeq", CORE,
        "psi(-q^5)^5/psi(-q) - psi(q^5)^5/psi(q) = 4q^3 psi(q^10)^5/psi(q^2) + 2q f20^5/f4",
-       _psimodeq)
+       [P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)), P(-1, 0, (PSI(1, 5), 5), (PSI(1, 1), -1))],
+       [P(4, 3, (PSI(1, 10), 5), (PSI(1, 2), -1)), P(2, 1, (F(20), 5), (F(4), -1))])
     eq("lemma.psimodeqforb5", CORE,
        "psi(q)^2 - q psi(q^5)^2 = f(-q^5) phi(-q^5)/chi(-q) = f(q,q^4) f(q^2,q^3)",
-       _psimodeqforb5)
+       [P(1, 0, (PSI(1, 1), 2)), P(-1, 1, (PSI(1, 5), 2))],
+       [P(1, 0, F(5), PHI(-1, 5), F(2), (F(1), -1))],  # chi(-q) = f1/f2
+       [P(1, 0, THETA(1, 1, 1, 4), THETA(1, 2, 1, 3))])
     eq("lemma.f5modeg", CORE,
-       "f5^5/f1 - 4q^3 f20^5/f4 = f(q^5)^5/f(q) + 2q f10^5/f2", _f5modeg)
+       "f5^5/f1 - 4q^3 f20^5/f4 = f(q^5)^5/f(q) + 2q f10^5/f2",
+       [P(1, 0, (F(5), 5), (F(1), -1)), P(-4, 3, (F(20), 5), (F(4), -1))],
+       [P(1, 0, (F(5, 1), 5), (F(1, 1), -1)), P(2, 1, (F(10), 5), (F(2), -1))])
     eq("lemma.A4B", CORE,
-       "f2^2/f1^4 = f10^2/f5^4 + 4q f2 f10^5/(f1^3 f5^5)", _a4b)
+       "f2^2/f1^4 = f10^2/f5^4 + 4q f2 f10^5/(f1^3 f5^5)",
+       [P(1, 0, (F(2), 2), (F(1), -4))],
+       [P(1, 0, (F(10), 2), (F(5), -4)), P(4, 1, F(2), (F(10), 5), (F(1), -3), (F(5), -5))])
 
     # two 5-core subsequence identities
     rel("lemma.c4n1", CORE, "c5(4n+1) = c5(2n)", T("c5", 4, 1), T("c5", 2, 0))
@@ -356,15 +226,23 @@ def build_registry() -> Dict[str, Record]:
 
     # the four closed-form 5-dissections
     eq("dissection.f1_5", CORE,
-       "f1 = f25 (1/R(q^5) - q - q^2 R(q^5))", f1_5dissection_sides)
+       "f1 = f25 (1/R(q^5) - q - q^2 R(q^5))",
+       [P(1, 0, F(1))],
+       [P(1, 0, F(25), *R5(-1)), P(-1, 1, F(25)), P(-1, 2, F(25), *R5(1))])
     eq("dissection.inv_f1_5", CORE,
        "1/f1 = f25^5/f5^6 * (R^-4 + q R^-3 + 2q^2 R^-2 + 3q^3 R^-1 + 5q^4"
        " - 3q^5 R + 2q^6 R^2 - q^7 R^3 + q^8 R^4), R = R(q^5)",
-       inv_f1_5dissection_sides)
+       [P(1, 0, (F(1), -1))],
+       [P(c, i, (F(25), 5), (F(5), -6), *R5(p)) for i, (c, p) in enumerate(
+           [(1, -4), (1, -3), (2, -2), (3, -1), (5, 0), (-3, 1), (2, 2), (-1, 3), (1, 4)])])
     eq("dissection.phi_5", CORE,
-       "phi(q) = phi(q^25) + 2q f(q^15,q^35) + 2q^4 f(q^5,q^45)", phi_5dissection_sides)
+       "phi(q) = phi(q^25) + 2q f(q^15,q^35) + 2q^4 f(q^5,q^45)",
+       [P(1, 0, PHI(1, 1))],
+       [P(1, 0, PHI(1, 25)), P(2, 1, THETA(1, 15, 1, 35)), P(2, 4, THETA(1, 5, 1, 45))])
     eq("dissection.psi_5", CORE,
-       "psi(q) = f(q^10,q^15) + q f(q^5,q^20) + q^3 psi(q^25)", psi_5dissection_sides)
+       "psi(q) = f(q^10,q^15) + q f(q^5,q^20) + q^3 psi(q^25)",
+       [P(1, 0, PSI(1, 1))],
+       [P(1, 0, THETA(1, 10, 1, 15)), P(1, 1, THETA(1, 5, 1, 20)), P(1, 3, PSI(1, 25))])
 
     # a5 subsequence relations
     rel("thm1.a5n2", CORE, "a5(5n+2) = 4 c5(5n+1)", T("a5", 5, 2), T("c5", 5, 1, 4))
@@ -469,12 +347,20 @@ def build_registry() -> Dict[str, Record]:
 
     # proof-internal identities, verified at coefficient level
     eq("ext.a5.start", EXTENDED,
-       "phi(-q^5)^5/phi(-q) = 4q f5^5/f1 + phi(-q) phi(-q^5)^3", _a5_quotient_split)
+       "phi(-q^5)^5/phi(-q) = 4q f5^5/f1 + phi(-q) phi(-q^5)^3",
+       [P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1))],
+       [P(4, 1, (F(5), 5), (F(1), -1)), P(1, 0, PHI(-1, 1), (PHI(-1, 5), 3))])
     eq("ext.a5.start2", EXTENDED,
        "gen a5 = 4q gen c5 + phi(-q^5)^3 (phi(-q^25) - 2q f(-q^15,-q^35)"
-       " + 2q^4 f(-q^5,-q^45))", _a5_split_dissected)
+       " + 2q^4 f(-q^5,-q^45))",
+       [P(1, 0, SEQ("a5"))],
+       [P(4, 1, SEQ("c5")), P(1, 0, (PHI(-1, 5), 3), PHI(-1, 25)),
+        P(-2, 1, (PHI(-1, 5), 3), THETA(-1, 15, -1, 35)),
+        P(2, 4, (PHI(-1, 5), 3), THETA(-1, 5, -1, 45))])
     eq("ext.abc_i", EXTENDED,
-       "gen a5 - 4q^3 gen b5 = gen a5(q^2) + 2q gen c5", _abc_i)
+       "gen a5 - 4q^3 gen b5 = gen a5(q^2) + 2q gen c5",
+       [P(1, 0, SEQ("a5")), P(-4, 3, SEQ("b5"))],
+       [P(1, 0, SEQ("a5", k=2)), P(2, 1, SEQ("c5"))])
     rel("ext.a2n1", EXTENDED, "a5(2n+1) - 4 b5(2n-2) = 2 c5(2n)",
         T("a5", 2, 1), T("b5", 2, -2, 4), T("c5", 2, 0, 2))
     rel("ext.a2n", EXTENDED, "a5(2n) - 4 b5(2n-3) = a5(n) + 2 c5(2n-1)",
@@ -488,7 +374,9 @@ def build_registry() -> Dict[str, Record]:
     rel("ext.a4n3", EXTENDED, "a5(4n+3) - 4 b5(4n) = 2 c5(4n+2)",
         T("a5", 4, 3), T("b5", 4, 0, 4), T("c5", 4, 2, 2))
     eq("ext.b4n_i", EXTENDED,
-       "gen b5 - gen b5(-q) = 4q^3 gen b5(-q^2) + 2q gen c5(q^4)", _b4n_i)
+       "gen b5 - gen b5(-q) = 4q^3 gen b5(-q^2) + 2q gen c5(q^4)",
+       [P(1, 0, SEQ("b5")), P(-1, 0, SEQ("b5", s=-1))],
+       [P(4, 3, SEQ("b5", s=-1, k=2)), P(2, 1, SEQ("c5", k=4))])
     rel("ext.a4n2_v2", EXTENDED, "a5(4n+2) = 3 a5(2n+1) - 2 c5(2n)",
         T("a5", 4, 2), T("a5", 2, 1, 3), T("c5", 2, 0, -2))
     rel("ext.a10n3", EXTENDED, "a5(10n+3) = 4 c5(10n+2)",
@@ -498,36 +386,61 @@ def build_registry() -> Dict[str, Record]:
     rel("ext.a20n14_pre", EXTENDED, "a5(20n+14) = 3 a5(10n+7) - 2 c5(10n+6)",
         T("a5", 20, 14), T("a5", 10, 7, 3), T("c5", 10, 6, -2))
     eq("ext.a5.rec_main_1", EXTENDED,
-       "gen a5 = 4q f5^5/f1 + phi(-q) phi(-q^5)^3", _a5_rec_main_1)
+       "gen a5 = 4q f5^5/f1 + phi(-q) phi(-q^5)^3",
+       [P(1, 0, SEQ("a5"))],
+       [P(4, 1, (F(5), 5), (F(1), -1)), P(1, 0, PHI(-1, 1), (PHI(-1, 5), 3))])
     eq("ext.a5.rec_main_2", EXTENDED,
-       "sum a5(5n) q^n = 20q f5^5/f1 + phi(-q)^3 phi(-q^5)", _a5_rec_main_2)
+       "sum a5(5n) q^n = 20q f5^5/f1 + phi(-q)^3 phi(-q^5)",
+       [P(1, 0, SEQ("a5", 5))],
+       [P(20, 1, (F(5), 5), (F(1), -1)), P(1, 0, (PHI(-1, 1), 3), PHI(-1, 5))])
     eq("ext.a5.eliminate_1", EXTENDED,
        "sum a5(5n) q^n - gen a5 = 16q f5^5/f1"
-       " + phi(-q) phi(-q^5) (phi(-q)^2 - phi(-q^5)^2)", _a5_eliminate_1)
+       " + phi(-q) phi(-q^5) (phi(-q)^2 - phi(-q^5)^2)",
+       [P(1, 0, SEQ("a5", 5)), P(-1, 0, SEQ("a5"))],
+       [P(16, 1, (F(5), 5), (F(1), -1)), P(1, 0, (PHI(-1, 1), 3), PHI(-1, 5)),
+        P(-1, 0, PHI(-1, 1), (PHI(-1, 5), 3))])
     rel("ext.a25n", EXTENDED, "a5(25n) = 6 a5(5n) - 5 a5(n)",
         T("a5", 25, 0), T("a5", 5, 0, 6), T("a5", 1, 0, -5))
     eq("ext.b5.rec_start", EXTENDED,
-       "q psi(-q^5)^5/psi(-q) = f10^5/f2 - psi(-q) psi(-q^5)^3", _b5_rec_start)
+       "q psi(-q^5)^5/psi(-q) = f10^5/f2 - psi(-q) psi(-q^5)^3",
+       [P(1, 1, (PSI(-1, 5), 5), (PSI(-1, 1), -1))],
+       [P(1, 0, (F(10), 5), (F(2), -1)), P(-1, 0, PSI(-1, 1), (PSI(-1, 5), 3))])
     eq("ext.b5.rec_new1", EXTENDED,
-       "sum b5(n) q^(n+1) = f10^5/f2 - psi(-q) psi(-q^5)^3", _b5_rec_start)
+       "sum b5(n) q^(n+1) = f10^5/f2 - psi(-q) psi(-q^5)^3",
+       [P(1, 1, SEQ("b5"))],
+       [P(1, 0, (F(10), 5), (F(2), -1)), P(-1, 0, PSI(-1, 1), (PSI(-1, 5), 3))])
     eq("ext.b5.rec_main_2", EXTENDED,
-       "sum b5(5n+2) q^n = 5q f10^5/f2 + psi(-q)^3 psi(-q^5)", _b5_rec_main_2)
+       "sum b5(5n+2) q^n = 5q f10^5/f2 + psi(-q)^3 psi(-q^5)",
+       [P(1, 0, SEQ("b5", 5, 2))],
+       [P(5, 1, (F(10), 5), (F(2), -1)), P(1, 0, (PSI(-1, 1), 3), PSI(-1, 5))])
     eq("ext.b5.eliminate_1", EXTENDED,
        "sum b5(5n+2) q^n - q^2 gen b5 = 4q f10^5/f2"
-       " + psi(-q) psi(-q^5) (psi(-q)^2 + q psi(-q^5)^2)", _b5_eliminate_1)
+       " + psi(-q) psi(-q^5) (psi(-q)^2 + q psi(-q^5)^2)",
+       [P(1, 0, SEQ("b5", 5, 2)), P(-1, 2, SEQ("b5"))],
+       [P(4, 1, (F(10), 5), (F(2), -1)), P(1, 0, (PSI(-1, 1), 3), PSI(-1, 5)),
+        P(1, 1, PSI(-1, 1), (PSI(-1, 5), 3))])
     eq("ext.b5.before_last", EXTENDED,
        "sum b5(25n+22) q^n - sum b5(5n+2) q^n = 20q f10^5/f2"
        " + psi(-q)(6 psi(-q^5) f(q^2,-q^3) f(-q,q^4) - q psi(-q^5)^3)"
-       " - psi(-q)^3 psi(-q^5)", _b5_before_last)
+       " - psi(-q)^3 psi(-q^5)",
+       [P(1, 0, SEQ("b5", 25, 22)), P(-1, 0, SEQ("b5", 5, 2))],
+       [P(20, 1, (F(10), 5), (F(2), -1)),
+        P(6, 0, PSI(-1, 1), PSI(-1, 5), THETA(1, 2, -1, 3), THETA(-1, 1, 1, 4)),
+        P(-1, 1, PSI(-1, 1), (PSI(-1, 5), 3)), P(-1, 0, (PSI(-1, 1), 3), PSI(-1, 5))])
     eq("ext.b5.eliminate_2", EXTENDED,
        "sum b5(25n+22) q^n - sum b5(5n+2) q^n = 20q f10^5/f2"
-       " + 5 psi(-q) psi(-q^5) (psi(-q)^2 + q psi(-q^5)^2)", _b5_eliminate_2)
+       " + 5 psi(-q) psi(-q^5) (psi(-q)^2 + q psi(-q^5)^2)",
+       [P(1, 0, SEQ("b5", 25, 22)), P(-1, 0, SEQ("b5", 5, 2))],
+       [P(20, 1, (F(10), 5), (F(2), -1)), P(5, 0, (PSI(-1, 1), 3), PSI(-1, 5)),
+        P(5, 1, PSI(-1, 1), (PSI(-1, 5), 3))])
     rel("ext.b25n72", EXTENDED, "b5(25n+72) = 6 b5(5n+12) - 5 b5(n)",
         T("b5", 25, 72), T("b5", 5, 12, 6), T("b5", 1, 0, -5))
     eq("ext.b5.rec_main_1", EXTENDED,
        "sum b5(n) q^(n+1) = sum c5(n) q^(2n)"
        " - psi(-q^5)^3 (f(q^10,-q^15) - q f(-q^5,q^20) - q^3 psi(-q^25))",
-       _b5_rec_main_1)
+       [P(1, 1, SEQ("b5"))],
+       [P(1, 0, SEQ("c5", k=2)), P(-1, 0, (PSI(-1, 5), 3), THETA(1, 10, -1, 15)),
+        P(1, 1, (PSI(-1, 5), 3), THETA(-1, 5, 1, 20)), P(1, 3, (PSI(-1, 5), 3), PSI(-1, 25))])
     rel("ext.b5.start_10n", EXTENDED, "4 b5(2n) = a5(2n+3) - 2 c5(2n+2)",
         T("b5", 2, 0, 4), T("a5", 2, 3), T("c5", 2, 2, -2))
     rel("ext.a10n5", EXTENDED, "a5(10n+5) = a5(2n+1) + 12 c5(2n)",
@@ -535,7 +448,5 @@ def build_registry() -> Dict[str, Record]:
 
     registry = {}
     for record in records:
-        if record.id in registry:
-            raise ValueError(f"duplicate identity id {record.id}")
-        registry[record.id] = record
+        add_record(registry, record)
     return registry

@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass lines and timings.  Census and congruence sweeps run at N=10000, the
-identity tiers at their stated orders; expect the whole module to take a
-couple of minutes single-threaded.
+identity tiers at their stated orders; the module takes a few seconds.
 """
 
 import random
@@ -31,13 +30,9 @@ from qcore import (
     unregister,
     verify,
     verify_all,
-    verify_f1_5dissection,
-    verify_inv_f1_5dissection,
-    verify_phi_5dissection,
-    verify_psi_5dissection,
 )
 from qcore.cli import EXIT_MISMATCH, main as cli_main
-from qcore.registry import SeriesEquality
+from qcore.registry import SEQ, P, SeriesEquality
 
 
 def _passed(number, message):
@@ -79,9 +74,9 @@ def test_criterion_3_lemma_suite():
 
 
 def test_criterion_4_dissection_suite():
-    for verifier in (verify_f1_5dissection, verify_inv_f1_5dissection,
-                     verify_phi_5dissection, verify_psi_5dissection):
-        report = verifier(1000)
+    for rid in ("dissection.f1_5", "dissection.inv_f1_5",
+                "dissection.phi_5", "dissection.psi_5"):
+        report = verify(rid, 1000)
         assert report.ok, report.to_line()
     _passed(4, "all four 5-dissection formulas exact at N=1000")
 
@@ -171,8 +166,7 @@ def test_criterion_9_extended_tier():
 def test_criterion_10_fault_injection(capsys):
     register(SeriesEquality(
         "selftest.acceptance.corrupt", "selftest", "rhs perturbed at q^12",
-        lambda order: (gen_c5(order),
-                       gen_c5(order) + TruncatedSeries.monomial(order, 1, 12)),
+        ((P(1, 0, SEQ("c5")),), (P(1, 0, SEQ("c5")), P(1, 12))),
     ))
     try:
         code = cli_main(["verify", "selftest.acceptance.corrupt", "--order", "100"])

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from qcore import TruncatedSeries, register, unregister
+from qcore import register, unregister
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from qcore.registry import SeriesEquality
+from qcore.registry import P, SeriesEquality
 
 
 def run_cli(capsys, *argv):
@@ -113,8 +113,7 @@ def test_verify_json_format(capsys):
 def test_verify_corrupt_record_exits_nonzero(capsys):
     register(SeriesEquality(
         "selftest.cli.bad", "selftest", "deliberately corrupted",
-        lambda order: (TruncatedSeries.one(order),
-                       TruncatedSeries.one(order) + TruncatedSeries.monomial(order, 1, 5)),
+        ((P(1, 0),), (P(1, 0), P(1, 5))),
     ))
     try:
         code, out, _ = run_cli(capsys, "verify", "selftest.cli.bad", "--order", "50")
@@ -203,3 +202,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing series name
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    "expand a5bar -N -5",
+    "expand phi -N -5",
+    "expand prod:1/5,4/5 -N -5",
+    "expand c5 -5",
+    "verify lemma.A4B -N -5",
+    "oracle 5 0",
+    "oracle -1 5",
+    "census b5bar -N 0",
+    "bfile export c5 unused.txt -N -1",
+])
+def test_malformed_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err

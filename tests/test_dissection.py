@@ -9,17 +9,19 @@ from conftest import series_strategy
 from qcore import (
     TruncatedSeries,
     dissect,
+    evaluate_side,
     first_mismatch,
     gen_a5bar,
     gen_b5bar,
     gen_c5,
-    verify_f1_5dissection,
-    verify_inv_f1_5dissection,
-    verify_phi_5dissection,
-    verify_psi_5dissection,
+    verify,
 )
-from qcore.dissection import f1_5dissection_sides, inv_f1_5dissection_sides
+from qcore.identities import REGISTRY
 from qcore.products import euler_f
+
+
+def sides(record_id, order):
+    return [evaluate_side(side, order) for side in REGISTRY[record_id].sides]
 
 
 def test_dissect_identity_modulus():
@@ -80,24 +82,24 @@ def test_component_orthogonality():
 # -- the four closed-form verifications ------------------------------------------
 
 
-@pytest.mark.parametrize("verifier", [
-    verify_f1_5dissection,
-    verify_inv_f1_5dissection,
-    verify_phi_5dissection,
-    verify_psi_5dissection,
+@pytest.mark.parametrize("record_id", [
+    "dissection.f1_5",
+    "dissection.inv_f1_5",
+    "dissection.phi_5",
+    "dissection.psi_5",
 ])
-def test_closed_form_dissections_match(verifier):
-    report = verifier(300)
+def test_closed_form_dissections_match(record_id):
+    report = verify(record_id, 300)
     assert report.ok, report.to_line()
 
 
 def test_dissections_match_at_order_zero():
-    assert verify_f1_5dissection(0).ok
-    assert verify_inv_f1_5dissection(0).ok
+    assert verify("dissection.f1_5", 0).ok
+    assert verify("dissection.inv_f1_5", 0).ok
 
 
 def test_corrupted_rhs_reports_first_bad_index():
-    lhs, rhs = f1_5dissection_sides(50)
+    lhs, rhs = sides("dissection.f1_5", 50)
     corrupted = rhs + TruncatedSeries.monomial(50, 1, 3)
     assert first_mismatch(lhs, corrupted) == (3, lhs[3], lhs[3] + 1)
 
@@ -107,20 +109,16 @@ def test_inv_f1_components_show_multiples_of_five():
     inv = euler_f(1, 400).invert()
     comp = dissect(inv, 5).components[4]
     assert all(c % 5 == 0 for c in comp.coeffs)
-    lhs, rhs = inv_f1_5dissection_sides(120)
+    lhs, rhs = sides("dissection.inv_f1_5", 120)
     assert first_mismatch(lhs, rhs) is None
 
 
 def test_phi_dissection_alternate_form():
     # the q -> -q orientation used alongside the positive one
-    from qcore.dissection import phi_5dissection_sides
-
-    lhs, rhs = phi_5dissection_sides(240)
+    lhs, rhs = sides("dissection.phi_5", 240)
     assert first_mismatch(lhs.alternate(), rhs.alternate()) is None
 
 
 def test_psi_dissection_alternate_form():
-    from qcore.dissection import psi_5dissection_sides
-
-    lhs, rhs = psi_5dissection_sides(240)
+    lhs, rhs = sides("dissection.psi_5", 240)
     assert first_mismatch(lhs.alternate(), rhs.alternate()) is None

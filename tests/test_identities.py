@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qcore import (
-    TruncatedSeries,
     UnknownIdentity,
+    evaluate_side,
     UnknownSequence,
     check_congruence,
     check_recurrence_a5,
@@ -19,7 +19,9 @@ from qcore import (
     verify_all,
 )
 from qcore.identities import REGISTRY
-from qcore.registry import SeriesEquality, SubsequenceRelation, T
+from qcore.registry import P, SeriesEquality, SubsequenceRelation, T
+
+SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
 
 
 def test_registry_shape():
@@ -63,14 +65,9 @@ def test_perturbed_relation_mismatch_at_zero():
 
 
 def test_corrupted_series_recipe_names_first_index():
-    base = REGISTRY["lemma.phimodeq"]
-
-    def corrupted(order):
-        lhs, rhs = base.sides(order)
-        return lhs, rhs + TruncatedSeries.monomial(order, 1, 7)
-
+    lhs, rhs = REGISTRY["lemma.phimodeq"].sides
     register(SeriesEquality("selftest.phimodeq.bad", "selftest",
-                            "phimodeq with rhs bumped at q^7", corrupted))
+                            "phimodeq with rhs bumped at q^7", (lhs, rhs + (P(1, 7),))))
     try:
         report = verify("selftest.phimodeq.bad", 60)
         assert not report.ok
@@ -96,6 +93,26 @@ def test_negative_index_case_is_not_clamped():
 def test_register_rejects_duplicates():
     with pytest.raises(ValueError):
         register(REGISTRY["thm1.a5n2"])
+
+
+def test_register_rejects_repeated_sides():
+    # the same sides under a new id would check nothing new
+    base = REGISTRY["ext.b5.rec_start"]
+    with pytest.raises(ValueError):
+        register(SeriesEquality("selftest.rec_start.copy", "selftest", base.statement,
+                                base.sides))
+    assert "selftest.rec_start.copy" not in REGISTRY
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 61])
+def test_series_equalities_at_small_orders(order):
+    # odd orders and orders not divisible by 4 move the inner order of the
+    # sequence atoms substituted at q^2 and q^4
+    for rid in SERIES_EQUALITIES:
+        sides = [evaluate_side(side, order) for side in REGISTRY[rid].sides]
+        assert [s.order for s in sides] == [order] * len(sides), rid
+        report = verify(rid, order)
+        assert report.status == "exact-match", report.to_line()
 
 
 def test_check_congruence_families():

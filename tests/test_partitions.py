@@ -6,11 +6,8 @@ import _brute as brute
 from qcore import (
     OracleScaleExceeded,
     Partition,
-    conjugate,
     count_t_cores,
     gen_c5,
-    hook_numbers,
-    is_t_core,
     partitions_of,
 )
 
@@ -48,39 +45,39 @@ def test_partitions_of_nine_include_example():
 
 
 def test_conjugate_example():
-    assert conjugate(Partition((4, 3, 1, 1))) == Partition((4, 2, 2, 1))
+    assert Partition((4, 3, 1, 1)).conjugate() == Partition((4, 2, 2, 1))
 
 
 def test_conjugate_involution_and_row():
     for n in range(9):
         for p in partitions_of(n):
-            assert conjugate(conjugate(p)) == p
-    assert conjugate(Partition((6,))) == Partition((1,) * 6)
+            assert p.conjugate().conjugate() == p
+    assert Partition((6,)).conjugate() == Partition((1,) * 6)
 
 
 def test_hook_numbers_example():
     assert flat_hooks(Partition((4, 3, 1, 1))) == [7, 4, 3, 1, 5, 2, 1, 2, 1]
     assert flat_hooks(Partition((1,))) == [1]
     assert flat_hooks(Partition((2, 1))) == [3, 1, 1]
-    assert hook_numbers(Partition(())) == ()
+    assert Partition(()).hook_numbers() == ()
 
 
 def test_example_partition_core_profile():
     l = Partition((4, 3, 1, 1))
-    assert is_t_core(l, 6)
-    assert all(is_t_core(l, t) for t in range(8, 15))
-    assert not any(is_t_core(l, t) for t in (1, 2, 3, 4, 5, 7))
+    assert l.is_t_core(6)
+    assert all(l.is_t_core(t) for t in range(8, 15))
+    assert not any(l.is_t_core(t) for t in (1, 2, 3, 4, 5, 7))
 
 
 def test_empty_partition_is_every_core():
-    assert is_t_core(Partition(()), 1)
-    assert is_t_core(Partition(()), 7)
+    assert Partition(()).is_t_core(1)
+    assert Partition(()).is_t_core(7)
 
 
 def test_conjugation_preserves_hook_multiset():
     for n in range(13):
         for p in partitions_of(n):
-            assert sorted(flat_hooks(p)) == sorted(flat_hooks(conjugate(p)))
+            assert sorted(flat_hooks(p)) == sorted(flat_hooks(p.conjugate()))
 
 
 def test_count_t_cores_small_values():
