@@ -25,8 +25,6 @@ from .identities import (
     UnknownIdentity,
     UnknownSequence,
     check_congruence,
-    check_recurrence_a5,
-    check_recurrence_b5,
     record_ids,
     register,
     sequence,

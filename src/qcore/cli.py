@@ -30,7 +30,6 @@ from .products import (
     psi,
     rr_quotient,
 )
-from .reports import MISMATCH
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -47,16 +46,17 @@ class UsageError(Exception):
     pass
 
 
-def _env_default(default: int) -> int:
+def _env_default(default: int, minimum: int = 0) -> int:
+    """QCORE_DEFAULT_ORDER if set, held to the minimum the subcommand's -N takes."""
     raw = os.environ.get("QCORE_DEFAULT_ORDER")
     if raw is None:
         return default
     try:
         value = int(raw)
-        if value < 0:
+        if value < minimum:
             raise ValueError
     except ValueError:
-        raise UsageError(f"QCORE_DEFAULT_ORDER must be a non-negative integer, got {raw!r}")
+        raise UsageError(f"QCORE_DEFAULT_ORDER must be an integer >= {minimum}, got {raw!r}")
     return value
 
 
@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else _env_default(DEFAULT_VERIFY_ORDER)
     selector = args.selector or (args.tier or "all")
     if selector in ("all", "core", "extended"):
-        reports = identities.verify_all(selector, order, args.kmax, jobs=args.jobs)
+        reports = identities.verify_all(selector, order, args.kmax)
     else:
         try:
             reports = [identities.verify(selector, order, args.kmax)]
@@ -188,7 +188,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    order = args.order if args.order is not None else _env_default(10000)
+    order = args.order if args.order is not None else _env_default(10000, minimum=1)
     seq = _SEQ_ALIASES.get(args.name)
     if seq is None:
         raise UsageError(f"unknown sequence {args.name!r}; choose from "
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="identity id, 'core', 'extended', or 'all'")
     p_verify.add_argument("--tier", choices=("core", "extended", "all"), default=None)
     p_verify.add_argument("-N", "--order", type=_at_least(0), default=None)
-    p_verify.add_argument("--kmax", type=int, default=identities.DEFAULT_KMAX)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="parallel record verification (default 1)")
+    p_verify.add_argument("--kmax", type=_at_least(2), default=identities.DEFAULT_KMAX)
+    p_verify.add_argument("--jobs", type=int, choices=[1], default=1,
+                          help="records are verified serially; only 1 is accepted")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--timing", action="store_true",
                           help="include elapsed seconds in the report")

@@ -8,7 +8,7 @@ including the census frequencies.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,12 +17,10 @@ from .partitions import OracleScaleExceeded
 from .products import SEQUENCES, evaluate_side
 from .registry import (
     CensusRecord,
-    Congruence,
-    CongruenceFamily,
+    Family,
     Record,
-    RecurrenceFamily,
+    Relation,
     SeriesEquality,
-    SubsequenceRelation,
     Term,
     add_record,
     build_registry,
@@ -73,40 +71,33 @@ def _coverage(terms: Sequence[Term], order: int) -> int:
     return min((order - t.offset) // t.stride for t in terms)
 
 
-def _term_value(term: Term, n: int, cache: Dict[str, TruncatedSeries]) -> Fraction:
-    idx = term.stride * n + term.offset
-    if idx < 0:
-        return Fraction(0)
-    return term.scale * cache[term.seq][idx]
-
-
-def _plain(value: Fraction):
+def _plain(num: int, den: int):
+    value = Fraction(num, den)
     return value.numerator if value.denominator == 1 else value
 
 
-def _check_linear(lhs: Term, rhs: Tuple[Term, ...], order: int,
-                  cache: Dict[str, TruncatedSeries]) -> Optional[Tuple[int, object, object]]:
-    n_max = _coverage((lhs,) + rhs, order)
-    for n in range(n_max + 1):
-        lv = _term_value(lhs, n, cache)
-        rv = sum((_term_value(t, n, cache) for t in rhs), Fraction(0))
-        if lv != rv:
-            return n, _plain(lv), _plain(rv)
+def _check(lhs: Tuple[Term, ...], rhs: Tuple[Term, ...], modulus: int,
+           order: int) -> Optional[Tuple[int, object, object]]:
+    """The first covered n where sum(lhs) != sum(rhs), or, with a modulus,
+    where sum(lhs) - sum(rhs) is not a multiple of it; None if there is none.
+
+    Both sums are taken times the common denominator of the scales, so the
+    loop runs on integers."""
+    den = math.lcm(*(t.scale.denominator for t in lhs + rhs))
+    cache = {name: sequence(name, order) for name in {t.seq for t in lhs + rhs}}
+
+    def total(terms, n):
+        return sum(t.scale.numerator * (den // t.scale.denominator) * cache[t.seq][i]
+                   for t in terms if (i := t.stride * n + t.offset) >= 0)
+
+    for n in range(_coverage(lhs + rhs, order) + 1):
+        lv, rv = total(lhs, n), total(rhs, n)
+        if modulus:
+            if (lv - rv) % (den * modulus):
+                return n, _plain(lv - rv, den), f"0 (mod {modulus})"
+        elif lv != rv:
+            return n, _plain(lv, den), _plain(rv, den)
     return None
-
-
-def _check_divisibility(terms: Tuple[Term, ...], modulus: int, order: int,
-                        cache: Dict[str, TruncatedSeries]) -> Optional[Tuple[int, object, object]]:
-    n_max = _coverage(terms, order)
-    for n in range(n_max + 1):
-        v = sum((_term_value(t, n, cache) for t in terms), Fraction(0))
-        if v.denominator != 1 or v.numerator % modulus:
-            return n, _plain(v), f"0 (mod {modulus})"
-    return None
-
-
-def _cache_for(terms, order) -> Dict[str, TruncatedSeries]:
-    return {name: sequence(name, order) for name in {t.seq for t in terms}}
 
 
 # -- census -------------------------------------------------------------------
@@ -154,66 +145,39 @@ def sign_census(seq_name: str, order: int) -> CensusResult:
 # -- verification dispatch -----------------------------------------------------
 
 
+def _mismatch(record: Record, order: int, bad: Optional[Tuple[int, object, object]],
+              detail: str = "") -> VerificationReport:
+    n, lhs, rhs = bad or (None, None, None)
+    return VerificationReport(record.id, record.kind, order, MISMATCH, first_bad_index=n,
+                              lhs_value=lhs, rhs_value=rhs, detail=detail)
+
+
 def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
     if isinstance(record, SeriesEquality):
-        sides = [evaluate_side(side, order) for side in record.sides]
-        reference = sides[0]
-        for other in sides[1:]:
+        reference, *others = [evaluate_side(side, order) for side in record.sides]
+        for other in others:
             bad = first_mismatch(reference, other)
             if bad is not None:
-                n, lv, rv = bad
-                return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                          first_bad_index=n, lhs_value=lv, rhs_value=rv)
+                return _mismatch(record, order, bad)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
-    if isinstance(record, SubsequenceRelation):
-        cache = _cache_for((record.lhs,) + record.rhs, order)
-        bad = _check_linear(record.lhs, record.rhs, order, cache)
+    if isinstance(record, Relation):
+        bad = _check(record.lhs, record.rhs, record.modulus, order)
         if bad is not None:
-            n, lv, rv = bad
-            return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                      first_bad_index=n, lhs_value=lv, rhs_value=rv)
+            return _mismatch(record, order, bad)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
-    if isinstance(record, RecurrenceFamily):
+    if isinstance(record, Family):
+        if kmax < 2:
+            raise ValueError("kmax must be >= 2")
         checked = []
         for k in range(2, kmax + 1):
-            lhs, rhs = record.lhs_for(k), record.rhs_for(k)
-            cache = _cache_for((lhs,) + rhs, order)
-            if _coverage((lhs,) + rhs, order) < 0:
+            lhs, rhs, modulus = record.at(k)
+            if _coverage(lhs + rhs, order) < 0:
                 continue
-            bad = _check_linear(lhs, rhs, order, cache)
+            bad = _check(lhs, rhs, modulus, order)
             if bad is not None:
-                n, lv, rv = bad
-                return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                          first_bad_index=n, lhs_value=lv, rhs_value=rv,
-                                          detail=f"k={k}")
-            checked.append(k)
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                  detail=f"k in {checked}")
-
-    if isinstance(record, Congruence):
-        cache = _cache_for(record.terms, order)
-        bad = _check_divisibility(record.terms, record.modulus, order, cache)
-        if bad is not None:
-            n, lv, rv = bad
-            return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                      first_bad_index=n, lhs_value=lv, rhs_value=rv)
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
-
-    if isinstance(record, CongruenceFamily):
-        checked = []
-        for k in range(2, kmax + 1):
-            terms, modulus = record.terms_for(k), record.modulus_for(k)
-            cache = _cache_for(terms, order)
-            if _coverage(terms, order) < 0:
-                continue
-            bad = _check_divisibility(terms, modulus, order, cache)
-            if bad is not None:
-                n, lv, rv = bad
-                return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                          first_bad_index=n, lhs_value=lv, rhs_value=rv,
-                                          detail=f"k={k}")
+                return _mismatch(record, order, bad, f"k={k}")
             checked.append(k)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
                                   detail=f"k in {checked}")
@@ -235,8 +199,7 @@ def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
             if got < bound
         ]
         if failures:
-            return VerificationReport(record.id, record.kind, order, MISMATCH,
-                                      detail=f"{detail}; below bound: {failures}")
+            return _mismatch(record, order, None, f"{detail}; below bound: {failures}")
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
                                   detail=detail)
 
@@ -261,17 +224,9 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
-               kmax: int = DEFAULT_KMAX, jobs: int = 1) -> List[VerificationReport]:
-    """Verify every record of a tier, in registration order.
-
-    With jobs > 1 the records are evaluated concurrently; the returned
-    list (and therefore any printed report) keeps the registry order.
-    """
-    ids = record_ids(tier)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda rid: verify(rid, order, kmax), ids))
-    return [verify(rid, order, kmax) for rid in ids]
+               kmax: int = DEFAULT_KMAX) -> List[VerificationReport]:
+    """Verify every record of a tier, one after another, in registration order."""
+    return [verify(rid, order, kmax) for rid in record_ids(tier)]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> str:
@@ -290,28 +245,12 @@ def check_congruence(seq_name: str, modulus: int, ap: Tuple[int, int],
                      order: int = DEFAULT_ORDER) -> VerificationReport:
     """Check seq(m*n + r) == 0 (mod modulus) for all indices up to order."""
     m, r = ap
-    record = Congruence(
+    record = Relation(
         f"congruence.{seq_name}.{m}n+{r}.mod{modulus}", "adhoc",
         f"{seq_name}({m}n+{r}) == 0 (mod {modulus})",
-        (Term(seq_name, m, r),), modulus,
+        (Term(seq_name, m, r),), modulus=modulus,
     )
     with stopwatch() as sw:
         report = _verify_record(record, order, DEFAULT_KMAX)
     report.elapsed = sw.elapsed
     return report
-
-
-def check_recurrence_a5(kmax: int = DEFAULT_KMAX,
-                        order: int = 3000) -> VerificationReport:
-    """The a5 three-term recurrence over 2 <= k <= kmax."""
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    return verify("thm1.recurrence", order, kmax)
-
-
-def check_recurrence_b5(kmax: int = DEFAULT_KMAX,
-                        order: int = 3000) -> VerificationReport:
-    """The b5 three-term recurrence over 2 <= k <= kmax."""
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    return verify("thm2.recurrence", order, kmax)

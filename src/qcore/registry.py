@@ -3,20 +3,14 @@
 Each record states one claim about the sequences c5 (5-core counts),
 a5 (coefficients of phi(-q^5)^5/phi(-q)) and b5 (coefficients of
 psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
-Records are data plus a human-readable statement: a series identity lists
-its sides as sums of theta and Euler quotients, which
-``products.evaluate_side`` expands, and the other kinds list subsequence
-terms.  The evaluator in ``identities`` dispatches purely on record type,
-so adding a claim here never touches the verification code.
-
-Record kinds
-    SeriesEquality        all listed sides agree coefficient by coefficient
-    SubsequenceRelation   seq(stride*n + offset) equals a linear combination
-                          of other subsequence terms, for every n in range
-    RecurrenceFamily      a SubsequenceRelation shape parameterized by k
-    Congruence            a linear combination is divisible by a fixed modulus
-    CongruenceFamily      same, with stride/offset/modulus depending on k
-    CensusRecord          sign-frequency lower bounds over indices 1..N
+Records are data plus a human-readable statement: a SeriesEquality lists
+sides that agree coefficient by coefficient, each a sum of theta and Euler
+quotients that ``products.evaluate_side`` expands; a Relation says
+sum(lhs) = sum(rhs) over subsequence terms at every covered n (or, with a
+modulus m, sum(lhs) - sum(rhs) == 0 (mod m)); a Family is a Relation for
+each k >= 2; a CensusRecord bounds sign frequencies.  The evaluator in
+``identities`` dispatches purely on record type, so adding a claim here
+never touches the verification code.
 
 Terms use the convention that a sequence read at a negative index is 0,
 so relations like b5(4n+1) = c5(n) - 2 b5(2n-1) include their n = 0 case.
@@ -61,43 +55,34 @@ class SeriesEquality:
 
 
 @dataclass(frozen=True)
-class SubsequenceRelation:
+class Relation:
+    """sum(lhs) = sum(rhs) at every covered n; with a modulus m,
+    sum(lhs) - sum(rhs) == 0 (mod m) instead."""
+
     id: str
     tier: str
     statement: str
-    lhs: Term
-    rhs: Tuple[Term, ...]
-    kind: str = "subsequence-relation"
+    lhs: Tuple[Term, ...]
+    rhs: Tuple[Term, ...] = ()
+    modulus: int = 0
+
+    @property
+    def kind(self) -> str:
+        return "congruence" if self.modulus else "subsequence-relation"
 
 
 @dataclass(frozen=True)
-class RecurrenceFamily:
+class Family:
+    """A Relation for every k >= 2: ``at(k)`` returns its (lhs, rhs, modulus)."""
+
     id: str
     tier: str
     statement: str
-    lhs_for: Callable[[int], Term]
-    rhs_for: Callable[[int], Tuple[Term, ...]]
-    kind: str = "recurrence-family"
+    at: Callable[[int], Tuple[Tuple[Term, ...], Tuple[Term, ...], int]]
 
-
-@dataclass(frozen=True)
-class Congruence:
-    id: str
-    tier: str
-    statement: str
-    terms: Tuple[Term, ...]
-    modulus: int
-    kind: str = "congruence-family"
-
-
-@dataclass(frozen=True)
-class CongruenceFamily:
-    id: str
-    tier: str
-    statement: str
-    terms_for: Callable[[int], Tuple[Term, ...]]
-    modulus_for: Callable[[int], int]
-    kind: str = "congruence-family"
+    @property
+    def kind(self) -> str:
+        return "congruence-family" if self.at(2)[2] else "recurrence-family"
 
 
 @dataclass(frozen=True)
@@ -112,14 +97,7 @@ class CensusRecord:
     kind: str = "census"
 
 
-Record = Union[
-    SeriesEquality,
-    SubsequenceRelation,
-    RecurrenceFamily,
-    Congruence,
-    CongruenceFamily,
-    CensusRecord,
-]
+Record = Union[SeriesEquality, Relation, Family, CensusRecord]
 
 
 # -- series-equality sides ---------------------------------------------------
@@ -191,7 +169,10 @@ def build_registry() -> Dict[str, Record]:
         records.append(SeriesEquality(rid, tier, statement, sides))
 
     def rel(rid, tier, statement, lhs, *rhs):
-        records.append(SubsequenceRelation(rid, tier, statement, lhs, tuple(rhs)))
+        records.append(Relation(rid, tier, statement, (lhs,), rhs))
+
+    def fam(rid, tier, statement, at):
+        records.append(Family(rid, tier, statement, at))
 
     # six theta-product identities
     eq("lemma.phimodeq", CORE,
@@ -252,33 +233,26 @@ def build_registry() -> Dict[str, Record]:
     rel("thm1.a20n6", CORE, "a5(20n+6) = 10 c5(10n+2)", T("a5", 20, 6), T("c5", 10, 2, 10))
     rel("thm1.a20n14", CORE, "a5(20n+14) = 10 c5(10n+6)",
         T("a5", 20, 14), T("c5", 10, 6, 10))
-    records.append(RecurrenceFamily(
-        "thm1.recurrence", CORE,
+    fam("thm1.recurrence", CORE,
         "a5(5^k n) = (5^k-1)/4 * a5(5n) - (5^k-5)/4 * a5(n), k >= 2",
-        lambda k: T("a5", 5 ** k, 0),
-        lambda k: (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4))),
-    ))
+        lambda k: ((T("a5", 5 ** k, 0),),
+                   (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4))), 0))
 
     # a5 congruences
-    records.append(Congruence(
-        "cor1.mod10a", CORE, "a5(20n+6) == 0 (mod 10)", (T("a5", 20, 6),), 10))
-    records.append(Congruence(
-        "cor1.mod10b", CORE, "a5(20n+14) == 0 (mod 10)", (T("a5", 20, 14),), 10))
-    records.append(CongruenceFamily(
-        "cor1.mod5k", CORE,
+    records.append(Relation(
+        "cor1.mod10a", CORE, "a5(20n+6) == 0 (mod 10)", (T("a5", 20, 6),), modulus=10))
+    records.append(Relation(
+        "cor1.mod10b", CORE, "a5(20n+14) == 0 (mod 10)", (T("a5", 20, 14),), modulus=10))
+    fam("cor1.mod5k", CORE,
         "4 a5(5^k n) == 5 a5(n) - a5(5n) (mod 5^k), k >= 2",
-        lambda k: (T("a5", 5 ** k, 0, 4), T("a5", 1, 0, -5), T("a5", 5, 0, 1)),
-        lambda k: 5 ** k,
-    ))
+        lambda k: ((T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** k))
 
     # b5 recurrences
     rel("thm2.b4n3", CORE, "b5(4n+3) = 2 b5(2n)", T("b5", 4, 3), T("b5", 2, 0, 2))
-    records.append(RecurrenceFamily(
-        "thm2.recurrence", CORE,
+    fam("thm2.recurrence", CORE,
         "b5(5^k(n+3)-3) = (5^k-1)/4 * b5(5n+12) - (5^k-5)/4 * b5(n), k >= 2",
-        lambda k: T("b5", 5 ** k, 3 * 5 ** k - 3),
-        lambda k: (T("b5", 5, 12, (5 ** k - 1) // 4), T("b5", 1, 0, -((5 ** k - 5) // 4))),
-    ))
+        lambda k: ((T("b5", 5 ** k, 3 * 5 ** k - 3),),
+                   (T("b5", 5, 12, (5 ** k - 1) // 4), T("b5", 1, 0, -((5 ** k - 5) // 4))), 0))
 
     # b5 subsequence relations
     rel("thm3.b5_4n_1", CORE, "b5(4n+1) = c5(n) - 2 b5(2n-1)",
@@ -310,36 +284,24 @@ def build_registry() -> Dict[str, Record]:
         T("a5", 20, 6), T("b5", 10, 0, 20))
     rel("cor.a5b5.a20n14", CORE, "a5(20n+14) = 20 b5(10n+4)",
         T("a5", 20, 14), T("b5", 10, 4, 20))
-    records.append(CongruenceFamily(
-        "cor.b5.mod5k.rec", CORE,
+    fam("cor.b5.mod5k.rec", CORE,
         "4 b5(5^k(n+3)-3) == 5 b5(n) - b5(5n+12) (mod 5^k), k >= 2",
-        lambda k: (T("b5", 5 ** k, 3 * 5 ** k - 3, 4), T("b5", 1, 0, -5), T("b5", 5, 12, 1)),
-        lambda k: 5 ** k,
-    ))
-    records.append(CongruenceFamily(
-        "cor.b5.mod5k.n18", CORE,
+        lambda k: ((T("b5", 5 ** k, 3 * 5 ** k - 3, 4),),
+                   (T("b5", 1, 0, 5), T("b5", 5, 12, -1)), 5 ** k))
+    fam("cor.b5.mod5k.n18", CORE,
         "b5(5^k(20n+18)-3) == 0 (mod (5^k-1)/4), k >= 2",
-        lambda k: (T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),),
-        lambda k: (5 ** k - 1) // 4,
-    ))
-    records.append(CongruenceFamily(
-        "cor.b5.mod5k.n22", CORE,
+        lambda k: ((T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),), (), (5 ** k - 1) // 4))
+    fam("cor.b5.mod5k.n22", CORE,
         "b5(5^k(20n+22)-3) == 0 (mod (5^k-1)/4), k >= 2",
-        lambda k: (T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),),
-        lambda k: (5 ** k - 1) // 4,
-    ))
-    records.append(RecurrenceFamily(
-        "cor.b5.exact.n87", CORE,
+        lambda k: ((T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),), (), (5 ** k - 1) // 4))
+    fam("cor.b5.exact.n87", CORE,
         "b5(5^k(20n+18)-3) = (5^k-1)/4 * b5(100n+87), k >= 2",
-        lambda k: T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),
-        lambda k: (T("b5", 100, 87, (5 ** k - 1) // 4),),
-    ))
-    records.append(RecurrenceFamily(
-        "cor.b5.exact.n107", CORE,
+        lambda k: ((T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),),
+                   (T("b5", 100, 87, (5 ** k - 1) // 4),), 0))
+    fam("cor.b5.exact.n107", CORE,
         "b5(5^k(20n+22)-3) = (5^k-1)/4 * b5(100n+107), k >= 2",
-        lambda k: T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),
-        lambda k: (T("b5", 100, 107, (5 ** k - 1) // 4),),
-    ))
+        lambda k: ((T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),),
+                   (T("b5", 100, 107, (5 ** k - 1) // 4),), 0))
 
     # cross-check tying thm1.a20n6, cor.a5b5.a20n6 and thm3.b5_10n together
     rel("derived.triangle", CORE, "10 c5(10n+2) = 20 b5(10n)",

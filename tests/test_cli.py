@@ -65,6 +65,13 @@ def test_expand_env_default(capsys, monkeypatch):
     assert out.strip() == "1 1 2 3 5 2"
 
 
+def test_census_env_default_below_minimum(capsys, monkeypatch):
+    monkeypatch.setenv("QCORE_DEFAULT_ORDER", "0")
+    code, _, err = run_cli(capsys, "census", "b5bar")
+    assert code == EXIT_USAGE
+    assert "QCORE_DEFAULT_ORDER" in err and "Traceback" not in err
+
+
 def test_expand_json_format(capsys):
     code, out, _ = run_cli(capsys, "expand", "c5", "4", "--format", "json")
     assert code == EXIT_OK
@@ -97,16 +104,21 @@ def test_verify_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_json_format(capsys):
-    code, out, _ = run_cli(capsys, "verify", "lemma.c5n4", "--order", "200",
-                           "--format", "json")
+@pytest.mark.parametrize("rid, kind, extra", [
+    ("lemma.c5n4", "subsequence-relation", {}),
+    ("cor1.mod10a", "congruence", {}),
+    ("cor1.mod5k", "congruence-family", {"detail": "k in [2, 3]"}),
+], ids=["lemma.c5n4", "cor1.mod10a", "cor1.mod5k"])
+def test_verify_json_format(capsys, rid, kind, extra):
+    code, out, _ = run_cli(capsys, "verify", rid, "--order", "200", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload == [{
-        "id": "lemma.c5n4",
-        "kind": "subsequence-relation",
+        "id": rid,
+        "kind": kind,
         "order": 200,
         "status": "exact-match",
+        **extra,
     }]
 
 
@@ -214,6 +226,9 @@ def test_usage_error_exit_code():
     "oracle -1 5",
     "census b5bar -N 0",
     "bfile export c5 unused.txt -N -1",
+    "verify thm1.recurrence --kmax -3 -N 10",
+    "verify thm1.recurrence --kmax 1 -N 10",
+    "verify all --jobs 2 -N 1",
 ])
 def test_malformed_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -7,8 +7,6 @@ from qcore import (
     evaluate_side,
     UnknownSequence,
     check_congruence,
-    check_recurrence_a5,
-    check_recurrence_b5,
     record_ids,
     register,
     sequence,
@@ -19,7 +17,7 @@ from qcore import (
     verify_all,
 )
 from qcore.identities import REGISTRY
-from qcore.registry import P, SeriesEquality, SubsequenceRelation, T
+from qcore.registry import Family, P, Relation, SeriesEquality, T
 
 SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
 
@@ -50,9 +48,9 @@ def test_verify_unknown_identity():
 
 def test_perturbed_relation_mismatch_at_zero():
     # same relation with the factor 4 replaced by 3
-    register(SubsequenceRelation(
+    register(Relation(
         "selftest.a5n2.bad", "selftest", "a5(5n+2) = 3 c5(5n+1)",
-        T("a5", 5, 2), (T("c5", 5, 1, 3),),
+        (T("a5", 5, 2),), (T("c5", 5, 1, 3),),
     ))
     try:
         report = verify("selftest.a5n2.bad", 200)
@@ -78,9 +76,9 @@ def test_corrupted_series_recipe_names_first_index():
 
 def test_negative_index_case_is_not_clamped():
     # differs from a true relation only at n = 0, where an index is negative
-    register(SubsequenceRelation(
+    register(Relation(
         "selftest.neg_index", "selftest", "b5(4n+1) = 3 c5(n) - 2 b5(2n-1)",
-        T("b5", 4, 1), (T("c5", 1, 0, 3), T("b5", 2, -1, -2)),
+        (T("b5", 4, 1),), (T("c5", 1, 0, 3), T("b5", 2, -1, -2)),
     ))
     try:
         report = verify("selftest.neg_index", 200)
@@ -123,10 +121,46 @@ def test_check_congruence_families():
 
 
 def test_recurrence_checks():
-    assert check_recurrence_a5(3, 1500).ok
-    assert check_recurrence_b5(3, 1500).ok
+    assert verify("thm1.recurrence", 1500, kmax=3).ok
+    assert verify("thm2.recurrence", 1500, kmax=3).ok
     with pytest.raises(ValueError):
-        check_recurrence_a5(1, 100)
+        verify("thm1.recurrence", 100, kmax=1)
+
+
+def _off_by_one_at_k3(k):
+    # thm1.recurrence with the a5(n) coefficient lowered by one at k = 3 only
+    return ((T("a5", 5 ** k, 0),),
+            (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4) - (k == 3))), 0)
+
+
+def _mod_5k1_at_k3(k):
+    # cor1.mod5k with the modulus raised to 5^(k+1) at k = 3 only
+    return ((T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** (k + (k == 3)))
+
+
+@pytest.mark.parametrize("record, line", [
+    (Relation("selftest.rel", "selftest", "b5(10n+1) = 5/6 c5(5n+1)",
+              (T("b5", 10, 1),), (T("c5", 5, 1, Fraction(5, 6)),)),
+     "selftest.rel mismatch N=800 index=0 lhs=1 rhs=5/6"),
+    (Relation("selftest.cong", "selftest", "b5(80n+80)/2 == 0 (mod 10)",
+              (T("b5", 80, 80, Fraction(1, 2)),), modulus=10),
+     "selftest.cong mismatch N=800 index=0 lhs=41/2 rhs=0 (mod 10)"),
+    # a fractional scale with an integral sum: 1 is not a multiple of 2
+    (Relation("selftest.half", "selftest", "c5(10n+2)/2 == 0 (mod 2)",
+              (T("c5", 10, 2, Fraction(1, 2)),), modulus=2),
+     "selftest.half mismatch N=800 index=0 lhs=1 rhs=0 (mod 2)"),
+    (Family("selftest.rec", "selftest", "thm1.recurrence, off by one at k=3", _off_by_one_at_k3),
+     "selftest.rec mismatch N=800 index=0 lhs=1 rhs=0 [k=3]"),
+    (Family("selftest.cfam", "selftest", "cor1.mod5k, mod 5^(k+1) at k=3", _mod_5k1_at_k3),
+     "selftest.cfam mismatch N=800 index=1 lhs=1500 rhs=0 (mod 625) [k=3]"),
+], ids=["relation", "congruence", "congruence-integral", "recurrence-family",
+        "congruence-family"])
+def test_mismatch_report_shapes(record, line):
+    register(record)
+    try:
+        assert verify(record.id, 800).to_line() == line
+    finally:
+        unregister(record.id)
 
 
 def test_recurrence_spot_values():
@@ -167,12 +201,6 @@ def test_verify_all_core_small_order():
     reports = verify_all("core", 200)
     assert all(r.ok for r in reports)
     assert summarize(reports).startswith("46 records: 46 exact-match")
-
-
-def test_verify_all_parallel_matches_serial():
-    serial = [r.to_line() for r in verify_all("core", 120)]
-    parallel = [r.to_line() for r in verify_all("core", 120, jobs=4)]
-    assert serial == parallel
 
 
 def test_consistency_triangle():
