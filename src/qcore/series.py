@@ -8,11 +8,15 @@ never approximates it.
 
 from __future__ import annotations
 
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
 # Multiplication strategy: when one factor has at most this many nonzero
-# terms, convolve over just those terms; otherwise pack both factors into
-# big integers and let CPython's integer multiply do the convolution.
+# terms, or the order is at most _SMALL_ORDER, convolve over just the
+# nonzero terms; otherwise pack both factors into big integers and let
+# CPython's integer multiply do the convolution.  The order compared is the
+# deflated one: factors in q^g are multiplied as series in q at order // g.
 _SPARSE_LIMIT = 64
 _SMALL_ORDER = 128
 
@@ -136,62 +140,58 @@ class TruncatedSeries:
         return TruncatedSeries([k * c for c in self.coeffs], self.order)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Exact product, truncated to the smaller order.
+
+        When every nonzero exponent of both factors is a multiple of some
+        g > 1, the product is a series in q^g: the kernel multiplies
+        ``coeffs[::g]`` at order ``order // g`` and the result is spread
+        back over every g-th slot.  The skipped slots are zero, so this is
+        exact.
+        """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
         b = other.coeffs[: order + 1]
-        nza = sum(1 for c in a if c)
-        nzb = sum(1 for c in b if c)
-        if nza == 0 or nzb == 0:
+        ia = _support(a)
+        ib = _support(b)
+        if not ia or not ib:
             return TruncatedSeries.zero(order)
-        if min(nza, nzb) <= _SPARSE_LIMIT or order <= _SMALL_ORDER:
-            if nzb < nza:
+        g = gcd(*ia, *ib)
+        sub = order
+        if g > 1:
+            a, b, sub = a[::g], b[::g], order // g
+        if min(len(ia), len(ib)) <= _SPARSE_LIMIT or sub <= _SMALL_ORDER:
+            if len(ib) < len(ia):
                 a, b = b, a
-            return TruncatedSeries(_convolve_sparse(a, b, order), order)
-        return TruncatedSeries(_convolve_packed(a, b, order), order)
+            out = _convolve_sparse(a, b, sub)
+        else:
+            out = _convolve_packed(a, b, sub)
+        return TruncatedSeries(_spread(out, g, order), order)
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse, by the exact quadratic recurrence.
-
-        The recurrence solves a_0 b_n = -sum_{k>=1} a_k b_{n-k}; zero terms
-        of a contribute nothing, so the inner sum runs over the nonzero
-        coefficients only.
-        """
-        a = self.coeffs
-        a0 = a[0]
-        if a0 not in (1, -1):
-            raise NonUnitConstantTerm(f"constant term is {a0}, need +1 or -1")
-        order = self.order
-        pairs = [(k, a[k]) for k in range(1, order + 1) if a[k]]
-        out = [0] * (order + 1)
-        out[0] = a0
-        for n in range(1, order + 1):
-            s = 0
-            for k, c in pairs:
-                if k > n:
-                    break
-                s += c * out[n - k]
-            if s:
-                out[n] = -s if a0 == 1 else s
-        return TruncatedSeries(out, order)
+        """Multiplicative inverse: 1 divided by this series."""
+        return TruncatedSeries.one(self.order).div(self)
 
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact long division; ``other`` must have unit constant term."""
+        """Exact long division; ``other`` must have unit constant term.
+
+        The quotient solves b_0 out_n = a_n - sum_{k>=1} b_k out_{n-k}.  The
+        numerator's nonzero exponents and the denominator's nonzero
+        exponents k >= 1 share a gcd g; when g > 1 the recurrence runs on
+        every g-th coefficient, as in ``mul``.  The sum over k is gathered
+        per distinct coefficient value of b (see ``_divide``).
+        """
         b = other.coeffs
         b0 = b[0]
         if b0 not in (1, -1):
             raise NonUnitConstantTerm(f"constant term is {b0}, need +1 or -1")
         order = min(self.order, other.order)
-        a = self.coeffs
-        pairs = [(k, b[k]) for k in range(1, order + 1) if b[k]]
-        out = [0] * (order + 1)
-        for n in range(order + 1):
-            s = a[n]
-            for k, c in pairs:
-                if k > n:
-                    break
-                s -= c * out[n - k]
-            out[n] = s if b0 == 1 else -s
-        return TruncatedSeries(out, order)
+        a = self.coeffs[: order + 1]
+        b = b[: order + 1]
+        g = gcd(*_support(a), *_support(b)[1:])
+        sub = order
+        if g > 1:
+            a, b, sub = a[::g], b[::g], order // g
+        return TruncatedSeries(_spread(_divide(a, b, sub), g, order), order)
 
     def pow(self, k: int) -> "TruncatedSeries":
         """k-th power by repeated exact multiplication (k >= 0)."""
@@ -223,13 +223,7 @@ class TruncatedSeries:
             raise ValueError("requested order exceeds what the source determines exactly")
         if m == 1 and order == self.order:
             return self
-        out = [0] * (order + 1)
-        for i, c in enumerate(self.coeffs):
-            pos = i * m
-            if pos > order:
-                break
-            out[pos] = c
-        return TruncatedSeries(out, order)
+        return TruncatedSeries(_spread(list(self.coeffs[: order // m + 1]), m, order), order)
 
     def extract_ap(self, m: int, r: int) -> "TruncatedSeries":
         """Coefficients along the arithmetic progression mn + r, re-indexed to q^n."""
@@ -309,7 +303,63 @@ def first_mismatch(
     return None
 
 
-# -- multiplication kernels ------------------------------------------------
+# -- kernels -----------------------------------------------------------------
+
+
+def _support(coeffs) -> list:
+    """Indices of the nonzero coefficients, ascending."""
+    return [i for i, c in enumerate(coeffs) if c]
+
+
+def _spread(vals: list, g: int, order: int) -> list:
+    """Put vals[i] at index g*i of a zero list of order + 1 slots (g <= 1: vals)."""
+    if g <= 1:
+        return vals
+    out = [0] * (order + 1)
+    out[::g] = vals
+    return out
+
+
+def _divide(a, b, order):
+    """a / b to the given order, for b[0] = +1 or -1.
+
+    ``out`` grows by one coefficient per step, so out[n-k] is out[-k].  The
+    denominator's terms are grouped by coefficient value, and each group
+    keeps one itemgetter over the negative indices of its k <= n, so that
+    a step costs one C-level gather and sum per distinct value rather than
+    a bytecode loop over the terms.  A getter is rebuilt only when its
+    group gains a k.  Theta and Euler denominators have at most the values
+    +-1 and +-2.
+    """
+    b0 = b[0]
+    terms = [(k, b[k]) for k in _support(b) if k]
+    groups = {}      # coefficient value -> negative indices of its k <= n
+    gathers = []     # (value, getter, single index) per group, first-seen order
+    slot = {}        # coefficient value -> its position in gathers
+    out = []
+    t = 0
+    next_k = terms[0][0] if terms else order + 1
+    for n in range(order + 1):
+        while next_k <= n:
+            c = terms[t][1]
+            idx = groups.setdefault(c, [])
+            idx.append(-next_k)
+            # itemgetter of one index returns the value, not a tuple
+            entry = (c, itemgetter(*idx), len(idx) == 1)
+            if c in slot:
+                gathers[slot[c]] = entry
+            else:
+                slot[c] = len(gathers)
+                gathers.append(entry)
+            t += 1
+            next_k = terms[t][0] if t < len(terms) else order + 1
+        s = a[n]
+        for c, get, single in gathers:
+            s -= c * (get(out) if single else sum(get(out)))
+        out.append(s if b0 == 1 else -s)
+    return out
+
+
 
 
 def _convolve_sparse(a, b, order):

@@ -163,6 +163,13 @@ def test_chi_product_pairing():
     assert chi(-1, 1, n) == euler_f(1, n).div(euler_f(2, n))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_chi_matches_pochhammer_route(sign, j):
+    # chi is an Euler-product quotient; (-sign*q^j; q^2j)_inf is its product form
+    assert chi(sign, j, 300) == expand_pochhammer(PochhammerFactor(-sign, j, 2 * j), 300)
+
+
 def test_rr_quotient_expansion():
     assert list(rr_quotient(1, 16).coeffs) == R_OF_Q_16
 

@@ -256,6 +256,102 @@ def test_dense_mul_uses_packed_path_correctly():
     assert list(a.mul(b).coeffs) == expected
 
 
+# -- deflated operands and the gathered division agree with the naive helpers ---
+#
+# Operands in q^g are multiplied and divided on every g-th coefficient; the
+# division recurrence sums the denominator's terms per coefficient value.
+
+STEPS = [2, 3, 5, 10]
+
+
+def _in_q_to(x, g, extra):
+    """x(q^g) at an order 1..g-1 past a multiple of g (x itself when g = 1)."""
+    return x.inflate(g, x.order * g + (extra % (g - 1) + 1 if g > 1 else 0))
+
+
+def _denominators(values, max_order=40):
+    """Series with constant term +-1 and other coefficients drawn from values or 0."""
+    return st.tuples(
+        st.sampled_from((1, -1)),
+        st.lists(st.sampled_from((0,) + values), max_size=max_order),
+    ).map(lambda t: TruncatedSeries((t[0],) + tuple(t[1])))
+
+
+def _distinct_denominators(max_order=40):
+    """Dense series: every coefficient past q^0 nonzero and all of them distinct."""
+    return st.tuples(
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool),
+                 unique=True, max_size=max_order),
+    ).map(lambda t: TruncatedSeries((t[0],) + tuple(t[1])))
+
+
+def _brute_div(a, b):
+    order = min(a.order, b.order)
+    inverse = brute.invert(list(b.coeffs[: order + 1]), order)
+    return brute.convolve(list(a.coeffs), inverse, order)
+
+
+@given(series_strategy(max_order=25), series_strategy(max_order=25),
+       st.sampled_from([1] + STEPS), st.sampled_from([1] + STEPS), st.integers(0, 8))
+def test_mul_of_inflated_operands_matches_brute(x, y, g, h, extra):
+    a, b = _in_q_to(x, g, extra), _in_q_to(y, h, extra + 1)
+    order = min(a.order, b.order)
+    assert list(a.mul(b).coeffs) == brute.convolve(list(a.coeffs), list(b.coeffs), order)
+
+
+@given(series_strategy(max_order=12, max_coeff=6), st.sampled_from(STEPS),
+       st.integers(0, 8), st.integers(0, 5))
+def test_pow_of_inflated_series_matches_brute(x, g, extra, k):
+    a = _in_q_to(x, g, extra)
+    assert list(a.pow(k).coeffs) == brute.power(list(a.coeffs), k, a.order)
+
+
+def test_packed_mul_of_inflated_dense_series():
+    # past the sparse limit and the small order after deflation
+    x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(300)])
+    y = TruncatedSeries([n % 7 - 3 for n in range(300)])
+    for g in STEPS:
+        a, b = _in_q_to(x, g, 0), _in_q_to(y, g, g)
+        order = min(a.order, b.order)
+        assert list(a.mul(b).coeffs) == brute.convolve(list(a.coeffs), list(b.coeffs), order)
+        assert list(a.mul(y).coeffs) == brute.convolve(list(a.coeffs), list(y.coeffs), y.order)
+
+
+@pytest.mark.parametrize("denominators", [
+    _denominators((1, -1)),
+    _denominators((1, -1, 2, -2)),
+    _distinct_denominators(),
+], ids=["values-1", "values-1-2", "dense-distinct"])
+def test_div_and_invert_match_brute(denominators):
+    @given(series_strategy(max_order=40), denominators,
+           st.sampled_from([1] + STEPS), st.sampled_from([1] + STEPS), st.integers(0, 8))
+    def check(x, y, g, h, extra):
+        a, b = _in_q_to(x, g, extra), _in_q_to(y, h, extra)
+        assert list(a.div(b).coeffs) == _brute_div(a, b)
+        assert list(b.invert().coeffs) == brute.invert(list(b.coeffs), b.order)
+
+    check()
+
+
+@pytest.mark.parametrize("b0", [1, -1])
+@pytest.mark.parametrize("k, c", [(1, -1), (1, 3), (3, 2), (4, -7), (30, 1)])
+def test_div_by_one_term_past_constant(b0, k, c):
+    order = 30
+    b = TruncatedSeries.monomial(order, b0) + TruncatedSeries.monomial(order, c, k)
+    a = TruncatedSeries([n * n - 5 for n in range(order + 1)])
+    assert list(a.div(b).coeffs) == _brute_div(a, b)
+    assert list(b.invert().coeffs) == brute.invert(list(b.coeffs), order)
+
+
+def test_constant_and_zero_operands():
+    assert S(3, 0, 0).mul(S(-2, 0, 0)).coeffs == (-6, 0, 0)
+    assert S(2, 0, 0).div(S(-1, 0, 0)).coeffs == (-2, 0, 0)
+    assert S(-1, 0, 0).invert().coeffs == (-1, 0, 0)
+    assert TruncatedSeries.zero(5).div(S(1, 0, 1, 0, 0, 0)) == TruncatedSeries.zero(5)
+    assert TruncatedSeries.zero(4).mul(S(1, 0, 1, 0, 0)) == TruncatedSeries.zero(4)
+
+
 def test_first_mismatch():
     a = S(1, 2, 3, 4)
     b = S(1, 2, 7, 4)
