@@ -194,7 +194,10 @@ class TruncatedSeries:
         return TruncatedSeries(_spread(_divide(a, b, sub), g, order), order)
 
     def pow(self, k: int) -> "TruncatedSeries":
-        """k-th power by repeated exact multiplication (k >= 0)."""
+        """k-th power by repeated exact multiplication (k >= 0).
+
+        A series in q^g is raised at order N/g, through ``mul``.
+        """
         if k < 0:
             raise ValueError("negative powers: use invert() then pow()")
         if k == 0:
@@ -334,8 +337,7 @@ def _divide(a, b, order):
     b0 = b[0]
     terms = [(k, b[k]) for k in _support(b) if k]
     groups = {}      # coefficient value -> negative indices of its k <= n
-    gathers = []     # (value, getter, single index) per group, first-seen order
-    slot = {}        # coefficient value -> its position in gathers
+    gathers = {}     # coefficient value -> (value, getter, single index)
     out = []
     t = 0
     next_k = terms[0][0] if terms else order + 1
@@ -345,16 +347,11 @@ def _divide(a, b, order):
             idx = groups.setdefault(c, [])
             idx.append(-next_k)
             # itemgetter of one index returns the value, not a tuple
-            entry = (c, itemgetter(*idx), len(idx) == 1)
-            if c in slot:
-                gathers[slot[c]] = entry
-            else:
-                slot[c] = len(gathers)
-                gathers.append(entry)
+            gathers[c] = (c, itemgetter(*idx), len(idx) == 1)
             t += 1
             next_k = terms[t][0] if t < len(terms) else order + 1
         s = a[n]
-        for c, get, single in gathers:
+        for c, get, single in gathers.values():
             s -= c * (get(out) if single else sum(get(out)))
         out.append(s if b0 == 1 else -s)
     return out
