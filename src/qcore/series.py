@@ -357,8 +357,6 @@ def _divide(a, b, order):
     return out
 
 
-
-
 def _convolve_sparse(a, b, order):
     """Cauchy convolution driven by the nonzero terms of a (the sparser factor)."""
     out = [0] * (order + 1)
