@@ -228,8 +228,13 @@ def _cmd_bfile(args) -> int:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
     parsed = bfile_mod.parse_bfile(text)
+    last = parsed.entries[-1][0]
+    if parsed.first_index > order:
+        print(f"nothing checked: the file holds indices {parsed.first_index}..{last}, "
+              f"the series 0..{order}")
+        return EXIT_MISMATCH
     bad = bfile_mod.first_discrepancy(parsed, series.coeffs)
-    overlap = min(parsed.entries[-1][0], order)
+    overlap = min(last, order)
     if bad is None:
         print(f"no discrepancies over indices {parsed.first_index}..{overlap}")
         return EXIT_OK

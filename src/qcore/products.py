@@ -9,7 +9,7 @@ truncation order; there are no heuristic cutoffs.  ``phi``, ``psi`` and
 test suite compares against the sums coefficient by coefficient.
 
 All constructors are pure and memoized on their full argument tuple;
-results are immutable, so sharing across callers (or threads) is safe.
+results are immutable, so sharing across callers is safe.
 """
 
 from __future__ import annotations

@@ -8,15 +8,18 @@ never approximates it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import compress
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
 # Multiplication strategy: when one factor has at most this many nonzero
 # terms, or the order is at most _SMALL_ORDER, convolve over just the
-# nonzero terms; otherwise pack both factors into big integers and let
-# CPython's integer multiply do the convolution.  The order compared is the
-# deflated one: factors in q^g are multiplied as series in q at order // g.
+# nonzero terms (nnz_a * nnz_b products, rows cut off at the order);
+# otherwise pack both factors into big integers and let CPython's integer
+# multiply do the convolution.  The order compared is the deflated one:
+# factors in q^g are multiplied as series in q at order // g.
 _SPARSE_LIMIT = 64
 _SMALL_ORDER = 128
 
@@ -146,23 +149,23 @@ class TruncatedSeries:
         g > 1, the product is a series in q^g: the kernel multiplies
         ``coeffs[::g]`` at order ``order // g`` and the result is spread
         back over every g-th slot.  The skipped slots are zero, so this is
-        exact.
+        exact.  ``x.mul(x)`` takes the squaring path of the packed kernel.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
-        b = other.coeffs[: order + 1]
+        b = a if other is self else other.coeffs[: order + 1]
         ia = _support(a)
-        ib = _support(b)
+        ib = ia if b is a else _support(b)
         if not ia or not ib:
             return TruncatedSeries.zero(order)
         g = gcd(*ia, *ib)
         sub = order
         if g > 1:
-            a, b, sub = a[::g], b[::g], order // g
+            square = b is a
+            a, ia, sub = a[::g], [i // g for i in ia], order // g
+            b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
         if min(len(ia), len(ib)) <= _SPARSE_LIMIT or sub <= _SMALL_ORDER:
-            if len(ib) < len(ia):
-                a, b = b, a
-            out = _convolve_sparse(a, b, sub)
+            out = _convolve_sparse(a, ia, b, ib, sub)
         else:
             out = _convolve_packed(a, b, sub)
         return TruncatedSeries(_spread(out, g, order), order)
@@ -194,17 +197,21 @@ class TruncatedSeries:
         return TruncatedSeries(_spread(_divide(a, b, sub), g, order), order)
 
     def pow(self, k: int) -> "TruncatedSeries":
-        """k-th power by repeated exact multiplication (k >= 0).
+        """k-th power by binary powering (k >= 0): square, and multiply by
+        this series at each 1 bit of k below the leading one.
 
-        A series in q^g is raised at order N/g, through ``mul``.
+        Every product goes through ``mul``, so a series in q^g is raised at
+        order N/g and the squarings pack their operand once.
         """
         if k < 0:
             raise ValueError("negative powers: use invert() then pow()")
         if k == 0:
             return TruncatedSeries.one(self.order)
         result = self
-        for _ in range(k - 1):
-            result = result.mul(self)
+        for bit in bin(k)[3:]:
+            result = result.mul(result)
+            if bit == "1":
+                result = result.mul(self)
         return result
 
     # -- substitutions and index surgery --------------------------------
@@ -311,7 +318,7 @@ def first_mismatch(
 
 def _support(coeffs) -> list:
     """Indices of the nonzero coefficients, ascending."""
-    return [i for i, c in enumerate(coeffs) if c]
+    return list(compress(range(len(coeffs)), coeffs))
 
 
 def _spread(vals: list, g: int, order: int) -> list:
@@ -357,75 +364,47 @@ def _divide(a, b, order):
     return out
 
 
-def _convolve_sparse(a, b, order):
-    """Cauchy convolution driven by the nonzero terms of a (the sparser factor)."""
+def _convolve_sparse(a, ia, b, ib, order):
+    """Cauchy convolution over the nonzero terms: a[i] * b[j] for i in ia,
+    j in ib, i + j <= order (ia, ib ascending).  The sparser factor drives
+    the outer loop, and each row stops at the order by bisection."""
+    if len(ib) < len(ia):
+        a, ia, b, ib = b, ib, a, ia
     out = [0] * (order + 1)
-    for i, c in enumerate(a):
-        if not c:
-            continue
-        top = order - i
-        if c == 1:
-            for j in range(min(top, len(b) - 1) + 1):
-                d = b[j]
-                if d:
-                    out[i + j] += d
-        elif c == -1:
-            for j in range(min(top, len(b) - 1) + 1):
-                d = b[j]
-                if d:
-                    out[i + j] -= d
-        else:
-            for j in range(min(top, len(b) - 1) + 1):
-                d = b[j]
-                if d:
-                    out[i + j] += c * d
+    for i in ia:
+        c = a[i]
+        for j in ib[: bisect_right(ib, order - i)]:
+            out[i + j] += c * b[j]
     return out
 
 
-def _pack(vals, width):
-    buf = bytearray(len(vals) * width)
-    off = 0
-    for v in vals:
-        if v:
-            buf[off : off + width] = v.to_bytes(width, "little")
-        off += width
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(n, count, width):
-    total = count * width
-    raw = n.to_bytes(max(total, (n.bit_length() + 7) // 8), "little")[:total]
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(count)
-    ]
-
-
 def _convolve_packed(a, b, order):
-    """Exact convolution via big-integer multiplication (Kronecker substitution).
+    """Exact convolution by one big-integer multiply (signed Kronecker
+    substitution), for a and b of order + 1 coefficients each.
 
-    Signed coefficients are split into positive and negative parts; the
-    digit width is chosen so no packed digit can overflow, which keeps the
-    digitwise reading of the products exact.
+    An operand is packed as the integer T = sum c_k 2^(Wk), W = 8 * width:
+    the slots of its bytes hold each c_k in two's complement, and
+    (T ^ H) - H, with H holding 2^(W-1) in every slot, subtracts 2^W for
+    each negative slot.  A digit of the product has |p_k| <= (order + 1)
+    max|a| max|b| < 2^(W-1), so the low order + 1 slots of P + H are
+    p_k + 2^(W-1) exactly, and xor with H leaves each p_k in two's
+    complement.  A square packs its operand once.
     """
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    bits = max_a.bit_length() + max_b.bit_length() + (order + 1).bit_length() + 2
-    width = (bits + 7) // 8
     count = order + 1
+    max_a = max(max(a), -min(a))
+    max_b = max_a if b is a else max(max(b), -min(b))
+    bits = max_a.bit_length() + max_b.bit_length() + count.bit_length() + 1
+    width = (bits + 7) // 8
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
-    if all(c >= 0 for c in a) and all(c >= 0 for c in b):
-        return _unpack(_pack(a, width) * _pack(b, width), count, width)
+    def pack(vals):
+        t = int.from_bytes(b"".join([v.to_bytes(width, "little", signed=True) for v in vals]),
+                           "little")
+        return (t ^ half) - half
 
-    a_pos = [c if c > 0 else 0 for c in a]
-    a_neg = [-c if c < 0 else 0 for c in a]
-    b_pos = [c if c > 0 else 0 for c in b]
-    b_neg = [-c if c < 0 else 0 for c in b]
-    ap, an = _pack(a_pos, width), _pack(a_neg, width)
-    bp, bn = _pack(b_pos, width), _pack(b_neg, width)
-    # same-sign and mixed-sign convolutions are both digitwise nonnegative,
-    # and mixed >= 0 digit by digit, so the integer subtraction is exact.
-    same = ap * bp + an * bn
-    mixed = (ap + an) * (bp + bn) - same
-    ps = _unpack(same, count, width)
-    ms = _unpack(mixed, count, width)
-    return [p - m for p, m in zip(ps, ms)]
+    pa = pack(a)
+    p = pa * (pa if b is a else pack(b))
+    total = width * count
+    raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
+    return [int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, total, width)]

@@ -196,6 +196,16 @@ def test_bfile_check_detects_forgery(tmp_path, capsys):
     assert "expected 20" in out
 
 
+def test_bfile_check_without_common_indices_fails(tmp_path, capsys):
+    path = tmp_path / "far.txt"
+    path.write_text("10 -4\n11 16\n")
+    code, out, _ = run_cli(capsys, "bfile", "check", "c5", str(path), "-N", "5")
+    assert code == EXIT_MISMATCH
+    assert out == "nothing checked: the file holds indices 10..11, the series 0..5\n"
+    code, out, _ = run_cli(capsys, "bfile", "check", "c5", str(path), "-N", "10")
+    assert out.startswith("discrepancy at index 10")
+
+
 def test_bfile_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bfile", "check", "a5bar",
                            str(tmp_path / "absent.txt"))

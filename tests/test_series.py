@@ -7,7 +7,7 @@ from conftest import series_strategy, unit_series_strategy
 import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 from qcore.products import euler_f, phi
-from qcore.series import _convolve_packed, _convolve_sparse
+from qcore.series import _SPARSE_LIMIT, _convolve_packed, _convolve_sparse
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -245,7 +245,9 @@ def test_mul_matches_brute_convolution(a, b):
 def test_packed_kernel_matches_sparse_kernel(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
-    assert _convolve_packed(a, b, order) == _convolve_sparse(a, b, order)
+    ia = [i for i, c in enumerate(a) if c]
+    ib = [j for j, c in enumerate(b) if c]
+    assert _convolve_packed(a, b, order) == _convolve_sparse(a, ia, b, ib, order)
 
 
 def test_dense_mul_uses_packed_path_correctly():
@@ -254,6 +256,105 @@ def test_dense_mul_uses_packed_path_correctly():
     b = TruncatedSeries([((-1) ** (n // 2)) * (2 * n + 1) for n in range(400)])
     expected = brute.convolve(list(a.coeffs), list(b.coeffs), 399)
     assert list(a.mul(b).coeffs) == expected
+
+
+# -- the signed packed kernel, the sparse kernel and binary powering -------------
+#
+# The packed kernel reads each product digit back as a signed slot of
+# bits(max|a|) + bits(max|b|) + bits(order + 1) + 1 bits, rounded up to whole
+# bytes.  Constant operands of the largest magnitude for their bit lengths put
+# the top digit within a factor 2 of the slot's range.
+
+
+def _support(c):
+    return [i for i, x in enumerate(c) if x]
+
+
+def _extremal_pairs(ma, mb, count):
+    a, b = [ma] * count, [mb] * count
+    alt = [ma * (-1) ** k for k in range(count)]
+    return [
+        (a, b),
+        ([-x for x in a], [-x for x in b]),   # all-negative operands
+        (a, [-x for x in b]),                 # every digit negative
+        (alt, b),
+        (alt, [-x for x in alt]),
+    ]
+
+
+@pytest.mark.parametrize("count", [3, 7, 40])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-boundary", "past-boundary"])
+@pytest.mark.parametrize("width", range(1, 11))
+def test_packed_kernel_at_byte_boundaries(width, extra, count):
+    room = 8 * width + extra - 1 - count.bit_length()   # bits(max|a|) + bits(max|b|)
+    ma, mb = 2 ** (room // 2) - 1, 2 ** (room - room // 2) - 1
+    for a, b in _extremal_pairs(ma, mb, count):
+        assert _convolve_packed(a, b, count - 1) == brute.convolve(a, b, count - 1)
+
+
+def test_packed_kernel_with_negative_top_digit():
+    # the packed product is a negative integer whenever its top digit is
+    for a, b in [([5, -1], [1, 1]), ([0, -1], [0, 1]), ([-3, 0, 0], [0, 0, 1])]:
+        order = len(a) - 1
+        assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
+
+
+@pytest.mark.parametrize("x, y", [(0, 0), (1, -1), (-1, -1), (-(2 ** 70), 3), (2 ** 64, 2 ** 64 + 1)])
+def test_kernels_at_order_zero(x, y):
+    assert _convolve_packed([x], [y], 0) == [x * y]
+    assert _convolve_sparse([x], _support([x]), [y], _support([y]), 0) == [x * y]
+    assert S(x).mul(S(y)).coeffs == (x * y,)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(min_value=-2 ** 200, max_value=2 ** 200), min_size=1, max_size=60),
+       st.lists(st.integers(min_value=-2 ** 200, max_value=2 ** 200), min_size=1, max_size=60),
+       st.integers(min_value=65, max_value=200))
+def test_packed_kernel_above_64_bits(la, lb, shift):
+    order = min(len(la), len(lb)) - 1
+    a = [c + (2 ** shift if c > 0 else -(2 ** shift) if c < 0 else 0) for c in la[: order + 1]]
+    b = lb[: order + 1]
+    assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
+    assert _convolve_packed(a, a, order) == brute.convolve(a, a, order)
+
+
+def test_packed_kernel_squaring_path():
+    for a in ([2 ** 65 - 1] * 9, [(-1) ** k * (k * k + 1) for k in range(50)], [-7] * 33):
+        order = len(a) - 1
+        assert _convolve_packed(a, a, order) == brute.convolve(a, a, order)
+    x = TruncatedSeries([((-1) ** (n // 3)) * (n % 11 + 1) for n in range(300)])
+    square = brute.convolve(list(x.coeffs), list(x.coeffs), 299)
+    assert list(x.mul(x).coeffs) == square
+    assert list(x.pow(2).coeffs) == square
+    y = x.inflate(3)   # squared after deflation to every third coefficient
+    assert list(y.mul(y).coeffs) == brute.convolve(list(y.coeffs), list(y.coeffs), y.order)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_pow_matches_repeated_mul_past_sparse_limit(k):
+    x = TruncatedSeries([((-1) ** n) * (n % 5 + 1) for n in range(4 * _SPARSE_LIMIT)])
+    expected = TruncatedSeries.one(x.order)
+    for _ in range(k):
+        expected = expected.mul(x)
+    assert x.pow(k) == expected
+    if k <= 3:
+        assert list(expected.coeffs) == brute.power(list(x.coeffs), k, x.order)
+
+
+@given(st.lists(st.sampled_from((0,) * 6 + (1, -1, 3, -2 ** 70)), min_size=1, max_size=80),
+       st.lists(st.sampled_from((0,) * 6 + (1, -1, 5, 2 ** 66)), min_size=1, max_size=80))
+def test_sparse_kernel_on_sparse_operands(la, lb):
+    order = min(len(la), len(lb)) - 1
+    a, b = la[: order + 1], lb[: order + 1]
+    expected = brute.convolve(a, b, order)
+    assert _convolve_sparse(a, _support(a), b, _support(b), order) == expected
+    assert _convolve_sparse(b, _support(b), a, _support(a), order) == expected
+
+
+def test_sparse_kernel_rows_end_at_the_order():
+    a, b = [1, 2, 0, 5], [3, 0, 1, 4]
+    assert _convolve_sparse(a, [0, 1, 3], b, [0, 2, 3], 3) == [3, 6, 1, 21]
+    assert _convolve_sparse(a, [0, 1, 3], b[:1], [0], 0) == [3]
 
 
 # -- deflated operands and the gathered division agree with the naive helpers ---
