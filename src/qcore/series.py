@@ -149,7 +149,7 @@ class TruncatedSeries:
         g > 1, the product is a series in q^g: the kernel multiplies
         ``coeffs[::g]`` at order ``order // g`` and the result is spread
         back over every g-th slot.  The skipped slots are zero, so this is
-        exact.  ``x.mul(x)`` takes the squaring path of the packed kernel.
+        exact.  A square, ``x.mul(x)``, packs its operand once.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
@@ -382,13 +382,13 @@ def _convolve_packed(a, b, order):
     """Exact convolution by one big-integer multiply (signed Kronecker
     substitution), for a and b of order + 1 coefficients each.
 
-    An operand is packed as the integer T = sum c_k 2^(Wk), W = 8 * width:
-    the slots of its bytes hold each c_k in two's complement, and
-    (T ^ H) - H, with H holding 2^(W-1) in every slot, subtracts 2^W for
-    each negative slot.  A digit of the product has |p_k| <= (order + 1)
-    max|a| max|b| < 2^(W-1), so the low order + 1 slots of P + H are
-    p_k + 2^(W-1) exactly, and xor with H leaves each p_k in two's
-    complement.  A square packs its operand once.
+    An operand is packed as the integer sum c_k 2^(Wk), W = 8 * width:
+    T, read from the bytes of each c_k in two's complement, counts a
+    negative c_k as c_k + 2^W, and (T ^ H) - H, with H holding 2^(W-1) in
+    every slot, takes that 2^W back.  A digit of the product has
+    |p_k| <= (order + 1) max|a| max|b| < 2^(W-1), so the low order + 1
+    slots of P + H are p_k + 2^(W-1) exactly, and xor with H leaves each
+    p_k in two's complement.  A square packs its operand once.
     """
     count = order + 1
     max_a = max(max(a), -min(a))

@@ -20,6 +20,11 @@ def S(*coeffs):
     return TruncatedSeries(coeffs)
 
 
+def _support(c):
+    """Indices of the nonzero entries, as the sparse kernel takes them."""
+    return [i for i, x in enumerate(c) if x]
+
+
 # -- construction and access -------------------------------------------------
 
 
@@ -245,9 +250,7 @@ def test_mul_matches_brute_convolution(a, b):
 def test_packed_kernel_matches_sparse_kernel(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
-    ia = [i for i, c in enumerate(a) if c]
-    ib = [j for j, c in enumerate(b) if c]
-    assert _convolve_packed(a, b, order) == _convolve_sparse(a, ia, b, ib, order)
+    assert _convolve_packed(a, b, order) == _convolve_sparse(a, _support(a), b, _support(b), order)
 
 
 def test_dense_mul_uses_packed_path_correctly():
@@ -264,10 +267,6 @@ def test_dense_mul_uses_packed_path_correctly():
 # bits(max|a|) + bits(max|b|) + bits(order + 1) + 1 bits, rounded up to whole
 # bytes.  Constant operands of the largest magnitude for their bit lengths put
 # the top digit within a factor 2 of the slot's range.
-
-
-def _support(c):
-    return [i for i, x in enumerate(c) if x]
 
 
 def _extremal_pairs(ma, mb, count):
