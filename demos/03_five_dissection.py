@@ -7,7 +7,8 @@ residue-4 component.  The closed forms for the components involve the
 Rogers-Ramanujan quotient R(q); all four are verified here at N=300.
 """
 
-from qcore import dissect, euler_f, rr_quotient, verify
+from qcore import dissect, euler_f, evaluate_side, verify
+from qcore.registry import P, R
 
 N = 300
 
@@ -20,8 +21,9 @@ print("  ", " ".join(str(components[4][n]) for n in range(10)))
 print("  every one divisible by 5:",
       all(c % 5 == 0 for c in components[4].coeffs))
 
-# The quotient R(q) drives the closed-form dissections.
-print("\nR(q) =", rr_quotient(1, 12))
+# The quotient R(q) = f(-q,-q^4)/f(-q^2,-q^3) drives the closed-form
+# dissections; R(1) gives its factors, and a one-term side expands them.
+print("\nR(q) =", evaluate_side((P(1, 0, *R(1)),), 12))
 
 for record_id in ("dissection.f1_5", "dissection.inv_f1_5",
                   "dissection.phi_5", "dissection.psi_5"):

@@ -4,9 +4,9 @@
 The building blocks:
 
 - ``series``: exact truncated power series over Python integers.
-- ``products``: Pochhammer/Euler products, theta functions, the
-  Rogers-Ramanujan quotient, the three generating functions, and the
-  evaluator for sums of theta quotients.
+- ``products``: Pochhammer/Euler products, theta functions, the three
+  generating functions, and the evaluator for sums of theta quotients,
+  through which chi and the Rogers-Ramanujan quotient are expanded.
 - ``partitions``: hook-number oracle counting t-cores by enumeration.
 - ``dissection``: residue-class dissections.
 - ``registry``: every verified identity, congruence and census claim as
@@ -44,7 +44,6 @@ from .products import (
     PochhammerFactor,
     QProductSpec,
     ThetaSpec,
-    chi,
     euler_f,
     evaluate_side,
     expand_pochhammer,
@@ -54,7 +53,6 @@ from .products import (
     gen_c5,
     phi,
     psi,
-    rr_quotient,
     theta_general,
     triple_product,
 )

@@ -18,17 +18,18 @@ from . import bfile as bfile_mod
 from . import identities
 from .partitions import OracleScaleExceeded, count_t_cores, partitions_of
 from .products import (
+    CHI,
+    PHI,
+    PSI,
+    SEQ,
+    F,
+    P,
     PochhammerFactor,
     QProductSpec,
-    chi,
-    euler_f,
+    R,
+    evaluate_side,
     expand_qproduct,
-    gen_a5bar,
-    gen_b5bar,
     gen_c5,
-    phi,
-    psi,
-    rr_quotient,
 )
 
 EXIT_OK = 0
@@ -36,8 +37,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-DEFAULT_VERIFY_ORDER = 1000
 DEFAULT_EXPAND_ORDER = 100
+DEFAULT_CENSUS_ORDER = 10000
 
 _SEQ_ALIASES = {"c5": "c5", "a5bar": "a5", "b5bar": "b5"}
 
@@ -104,33 +105,37 @@ def _parse_sign(token: str) -> int:
     raise UsageError(f"sign must be '+' or '-', got {token!r}")
 
 
+# Every series name but prod:SPEC is one side: its head maps to the most
+# ':'-separated fields it takes and to the factors those fields give.
+_SIDE_NAMES = {
+    "c5": (0, lambda: (SEQ("c5"),)),
+    "a5bar": (0, lambda: (SEQ("a5"),)),
+    "b5bar": (0, lambda: (SEQ("b5"),)),
+    "f": (1, lambda j="1": (F(int(j)),)),
+    "R": (1, lambda j="1": R(int(j))),
+    "phi": (2, lambda s="-", j="1": (PHI(_parse_sign(s), int(j)),)),
+    "psi": (2, lambda s="-", j="1": (PSI(_parse_sign(s), int(j)),)),
+    "chi": (2, lambda s="-", j="1": CHI(_parse_sign(s), int(j))),
+}
+
+
 def resolve_series(name: str, order: int):
     """Map a CLI series name to its expansion.
 
     Names: c5 | a5bar | b5bar | f[:J] | R[:J] | phi[:SIGN[:J]] |
     psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC (inline Pochhammer product).
+    A Pochhammer factor is not an atom of a side, so prod:SPEC is expanded
+    as a q-product.
     """
     if name.startswith("prod:"):
         return expand_qproduct(_parse_product_spec(name[5:]), order)
     head, *rest = name.split(":")
+    if head not in _SIDE_NAMES or len(rest) > _SIDE_NAMES[head][0]:
+        raise UsageError(f"unknown series {name!r}")
     try:
-        if head == "c5" and not rest:
-            return gen_c5(order)
-        if head == "a5bar" and not rest:
-            return gen_a5bar(order)
-        if head == "b5bar" and not rest:
-            return gen_b5bar(order)
-        if head == "f" and len(rest) <= 1:
-            return euler_f(int(rest[0]) if rest else 1, order)
-        if head == "R" and len(rest) <= 1:
-            return rr_quotient(int(rest[0]) if rest else 1, order)
-        if head in ("phi", "psi", "chi") and len(rest) <= 2:
-            sign = _parse_sign(rest[0]) if rest else -1
-            j = int(rest[1]) if len(rest) > 1 else 1
-            return {"phi": phi, "psi": psi, "chi": chi}[head](sign, j, order)
+        return evaluate_side((P(1, 0, *_SIDE_NAMES[head][1](*rest)),), order)
     except (ValueError, UsageError) as exc:
         raise UsageError(f"cannot expand {name!r}: {exc}") from None
-    raise UsageError(f"unknown series {name!r}")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -151,7 +156,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = args.order if args.order is not None else _env_default(DEFAULT_VERIFY_ORDER)
+    order = args.order if args.order is not None else _env_default(identities.DEFAULT_ORDER)
     selector = args.selector or (args.tier or "all")
     if selector in ("all", "core", "extended"):
         reports = identities.verify_all(selector, order, args.kmax)
@@ -188,7 +193,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    order = args.order if args.order is not None else _env_default(10000, minimum=1)
+    order = args.order if args.order is not None else _env_default(DEFAULT_CENSUS_ORDER, minimum=1)
     seq = _SEQ_ALIASES.get(args.name)
     if seq is None:
         raise UsageError(f"unknown sequence {args.name!r}; choose from "
@@ -210,7 +215,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
-    order = args.order if args.order is not None else _env_default(DEFAULT_VERIFY_ORDER)
+    order = args.order if args.order is not None else _env_default(identities.DEFAULT_ORDER)
     series = resolve_series(args.name, order)
     if args.direction == "export":
         try:

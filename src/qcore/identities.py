@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .partitions import OracleScaleExceeded
 from .products import SEQUENCES, evaluate_side
 from .registry import (
     CensusRecord,
@@ -213,12 +212,13 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
         record = REGISTRY[record_id]
     except KeyError:
         raise UnknownIdentity(record_id) from None
+    return _timed(record, order, kmax)
+
+
+def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
+    """``_verify_record`` with its elapsed seconds on the report."""
     with stopwatch() as sw:
-        try:
-            report = _verify_record(record, order, kmax)
-        except OracleScaleExceeded as exc:
-            report = VerificationReport(record.id, record.kind, order, SKIPPED,
-                                        detail=str(exc))
+        report = _verify_record(record, order, kmax)
     report.elapsed = sw.elapsed
     return report
 
@@ -250,7 +250,4 @@ def check_congruence(seq_name: str, modulus: int, ap: Tuple[int, int],
         f"{seq_name}({m}n+{r}) == 0 (mod {modulus})",
         (Term(seq_name, m, r),), modulus=modulus,
     )
-    with stopwatch() as sw:
-        report = _verify_record(record, order, DEFAULT_KMAX)
-    report.elapsed = sw.elapsed
-    return report
+    return _timed(record, order, DEFAULT_KMAX)

@@ -1,15 +1,19 @@
 """Constructors for the named series: Pochhammer products, Euler products,
-theta functions, the Rogers-Ramanujan quotient, and the three headline
-generating functions (5-core counts and their two theta-quotient analogs).
+theta functions, the three headline generating functions (5-core counts and
+their two theta-quotient analogs), and the evaluator for sums of their
+quotients.
 
 Sum-style constructors (``euler_f``, ``theta_general``, ``phi``, ``psi``)
 iterate over exactly the integer window whose exponents fit under the
-truncation order; there are no heuristic cutoffs.  ``phi``, ``psi`` and
-``euler_f`` can also be expanded through their q-product forms, which the
-test suite compares against the sums coefficient by coefficient.
+truncation order; there are no heuristic cutoffs.
 
-All constructors are pure and memoized on their full argument tuple;
-results are immutable, so sharing across callers is safe.
+Every named series is a side: a sum of product terms over atoms, which
+``evaluate_side`` expands.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
+``SEQ``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
+Rogers-Ramanujan quotient R are quotients of atoms, not atoms.
+
+Only the three sequence generating functions are memoized, on their order;
+their results are immutable, so sharing them across callers is safe.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ def _binomial_product(sign: int, offset: int, modulus: int, order: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
 def expand_pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
     """Exact expansion of a single Pochhammer factor, any integer exponent."""
     base = TruncatedSeries(
@@ -107,7 +110,6 @@ def expand_qproduct(spec: QProductSpec, order: int) -> TruncatedSeries:
 # -- bilateral sums ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def theta_general(spec: ThetaSpec, order: int) -> TruncatedSeries:
     """f(a, b) = sum over all integers n of a^(n(n+1)/2) * b^(n(n-1)/2).
 
@@ -137,7 +139,6 @@ def theta_general(spec: ThetaSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
-@lru_cache(maxsize=None)
 def euler_f(j: int, order: int, sign: int = -1) -> TruncatedSeries:
     """The Euler product f(sign*q^j) via the pentagonal-number sum.
 
@@ -175,30 +176,12 @@ def euler_f(j: int, order: int, sign: int = -1) -> TruncatedSeries:
 # -- named theta specializations --------------------------------------------
 
 
-def _from_unit_series(base: TruncatedSeries, sign: int, j: int, order: int) -> TruncatedSeries:
-    """Substitute q -> sign*q^j into a series known at order floor(order/j)."""
-    if sign == 1:
-        base = base.alternate()
-    return base.inflate(j, order)
-
-
-@lru_cache(maxsize=None)
-def phi(sign: int, j: int, order: int, form: str = "sum") -> TruncatedSeries:
-    """phi(sign*q^j) = sum over n of (sign*q^j)^(n^2).
-
-    form="sum" uses the square-number sum; form="product" expands the
-    q-product f1^2/f2 and substitutes, giving the independent route.
-    """
+def phi(sign: int, j: int, order: int) -> TruncatedSeries:
+    """phi(sign*q^j) = sum over n of (sign*q^j)^(n^2)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if form == "product":
-        sub = order // j
-        base = euler_f(1, sub).pow(2).div(euler_f(2, sub))
-        return _from_unit_series(base, sign, j, order)
-    if form != "sum":
-        raise ValueError("form must be 'sum' or 'product'")
     out = [0] * (order + 1)
     out[0] = 1
     n = 1
@@ -208,22 +191,12 @@ def phi(sign: int, j: int, order: int, form: str = "sum") -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
-@lru_cache(maxsize=None)
-def psi(sign: int, j: int, order: int, form: str = "sum") -> TruncatedSeries:
-    """psi(sign*q^j) = sum over n >= 0 of (sign*q^j)^(n(n+1)/2).
-
-    The product route expands f1*f4/f2 and substitutes.
-    """
+def psi(sign: int, j: int, order: int) -> TruncatedSeries:
+    """psi(sign*q^j) = sum over n >= 0 of (sign*q^j)^(n(n+1)/2)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if form == "product":
-        sub = order // j
-        base = euler_f(1, sub).mul(euler_f(4, sub)).div(euler_f(2, sub))
-        return _from_unit_series(base, sign, j, order)
-    if form != "sum":
-        raise ValueError("form must be 'sum' or 'product'")
     out = [0] * (order + 1)
     n = 0
     while True:
@@ -235,63 +208,7 @@ def psi(sign: int, j: int, order: int, form: str = "sum") -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
-@lru_cache(maxsize=None)
-def chi(sign: int, j: int, order: int) -> TruncatedSeries:
-    """chi(sign*q^j): chi(-q) = (q; q^2)_inf and chi(q) = (-q; q^2)_inf.
-
-    Expanded as the quotient f(sign*q^j) / f(-q^2j): the odd factors of
-    (-sign*q^j; -sign*q^j)_inf are chi's, its even ones are f(-q^2j).  This
-    is one division by a sparse Euler product, O(order^1.5), where the
-    Pochhammer product costs O(order^2 / j).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return evaluate_side(
-        ((1, 0, ((("euler_f", j, sign), 1), (("euler_f", 2 * j, -1), -1))),), order)
-
-
-@lru_cache(maxsize=None)
-def rr_quotient(j: int, order: int) -> TruncatedSeries:
-    """The Rogers-Ramanujan quotient R(q^j) = f(-q^j, -q^4j) / f(-q^2j, -q^3j).
-
-    By the triple product this is (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5))
-    at q -> q^j; unit constant term, so the integer powers needed by the
-    5-dissection formulas come from pow/invert on the expansion.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    num = ("theta_general", ThetaSpec(-1, j, -1, 4 * j))
-    den = ("theta_general", ThetaSpec(-1, 2 * j, -1, 3 * j))
-    return evaluate_side(((1, 0, ((num, 1), (den, -1))),), order)
-
-
-# -- headline generating functions ------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def gen_c5(order: int) -> TruncatedSeries:
-    """Generating function of 5-core partition counts: f5^5 / f1."""
-    return euler_f(5, order).pow(5).div(euler_f(1, order))
-
-
-@lru_cache(maxsize=None)
-def gen_a5bar(order: int) -> TruncatedSeries:
-    """Generating function phi(-q^5)^5 / phi(-q)."""
-    return phi(-1, 5, order).pow(5).div(phi(-1, 1, order))
-
-
-@lru_cache(maxsize=None)
-def gen_b5bar(order: int) -> TruncatedSeries:
-    """Generating function psi(-q^5)^5 / psi(-q)."""
-    return psi(-1, 5, order).pow(5).div(psi(-1, 1, order))
-
-
-SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
-
-
-# -- theta quotients as data -------------------------------------------------
+# -- sides: sums of theta quotients as data -----------------------------------
 #
 # A side of a series identity is a tuple of product terms
 # (coeff, shift, ((atom, exponent), ...)), meaning the sum of
@@ -305,6 +222,55 @@ SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
 #                                 name a key of SEQUENCES, s = +1 or -1
 #
 # Exponents may be negative: an atom divided by has unit constant term.
+
+
+def F(j: int, sign: int = -1) -> tuple:
+    """The Euler product f(sign*q^j); f_j when sign = -1."""
+    return ("euler_f", j, sign)
+
+
+def PHI(sign: int, j: int) -> tuple:
+    return ("phi", sign, j)
+
+
+def PSI(sign: int, j: int) -> tuple:
+    return ("psi", sign, j)
+
+
+def THETA(s1: int, e1: int, s2: int, e2: int) -> tuple:
+    """f(s1*q^e1, s2*q^e2)."""
+    return ("theta_general", ThetaSpec(s1, e1, s2, e2))
+
+
+def SEQ(name: str, m: int = 1, r: int = 0, s: int = 1, k: int = 1) -> tuple:
+    """sum over n of name(m*n + r) * (s*q^k)^n."""
+    return (name, m, r, s, k)
+
+
+def CHI(sign: int, j: int) -> tuple:
+    """The factors of chi(sign*q^j) = f(sign*q^j) / f(-q^2j).
+
+    chi(-q) = (q; q^2)_inf and chi(q) = (-q; q^2)_inf: the odd factors of
+    (-sign*q^j; -sign*q^j)_inf are chi's, its even ones are f(-q^2j).  The
+    quotient costs one division by a sparse Euler product, O(order^1.5),
+    where the Pochhammer product costs O(order^2 / j).
+    """
+    return ((F(j, sign), 1), (F(2 * j), -1))
+
+
+def R(j: int, p: int = 1) -> tuple:
+    """The factors of R(q^j)^p, R(q) = f(-q, -q^4) / f(-q^2, -q^3) the
+    Rogers-Ramanujan quotient; by the triple product R(q) is
+    (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5))."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    return ((THETA(-1, j, -1, 4 * j), p), (THETA(-1, 2 * j, -1, 3 * j), -p))
+
+
+def P(coeff: int, shift: int, *factors) -> tuple:
+    """coeff * q^shift * prod atom^e; a factor is (atom, e), or an atom for e = 1."""
+    pairs = tuple(f if isinstance(f[0], tuple) else (f, 1) for f in factors)
+    return (coeff, shift, tuple((atom, e) for atom, e in pairs if e))
 
 
 def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
@@ -335,8 +301,10 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     exponents, the sum is multiplied by the atoms common to every term and
     then divided by the common denominator one atom at a time, so that a
     division costs the order times the nonzero terms of one theta or Euler
-    product rather than of their dense product.  Powers of an atom are
-    built once per side.  An atom appears at most once per term.
+    product rather than of their dense product.  An atom appears at most
+    once per term.  Powers of an atom are built once per side by squaring:
+    x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone term 1 * q^0 leaves the
+    sum as the unit series, which is never multiplied by.
     """
     atoms = dict.fromkeys(atom for _, _, factors in side for atom, _ in factors)
     low = {atom: min(dict(factors).get(atom, 0) for _, _, factors in side)
@@ -346,12 +314,16 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     def power(atom, e):
         table = powers.get(atom)
         if table is None:
-            table = powers[atom] = [None, _atom_series(atom, order)]
-        while len(table) <= e:
-            table.append(table[-1].mul(table[1]))
+            table = powers[atom] = {1: _atom_series(atom, order)}
+        if e not in table:
+            if e % 2:
+                table[e] = power(atom, e - 1).mul(table[1])
+            else:
+                half = power(atom, e // 2)
+                table[e] = half.mul(half)
         return table[e]
 
-    total = None
+    total = None    # the sum so far; None while it is the unit series
     for coeff, shift, factors in side:
         exponents = dict(factors)
         product = None
@@ -361,15 +333,45 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
                 factor = power(atom, e)
                 product = factor if product is None else product.mul(factor)
         if product is None:
+            if len(side) == 1 and coeff == 1 and shift == 0:
+                continue
             product = TruncatedSeries.one(order)
         term = product.shift(shift).scale(coeff)
         total = term if total is None else total.add(term)
     for atom, e in low.items():
         if e > 0:
-            total = total.mul(power(atom, e))
+            total = power(atom, e) if total is None else total.mul(power(atom, e))
         for _ in range(-e):
-            total = total.div(power(atom, 1))
-    return total
+            total = (power(atom, 1).invert() if total is None
+                     else total.div(power(atom, 1)))
+        # the atom's powers are garbage from here on; x^2 and x^4 of a lone
+        # x^5 need not stay alive through the divisions that follow
+        powers.pop(atom, None)
+    return TruncatedSeries.one(order) if total is None else total
+
+
+# -- headline generating functions ------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def gen_c5(order: int) -> TruncatedSeries:
+    """Generating function of 5-core partition counts: f5^5 / f1."""
+    return evaluate_side((P(1, 0, (F(5), 5), (F(1), -1)),), order)
+
+
+@lru_cache(maxsize=None)
+def gen_a5bar(order: int) -> TruncatedSeries:
+    """Generating function phi(-q^5)^5 / phi(-q)."""
+    return evaluate_side((P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1)),), order)
+
+
+@lru_cache(maxsize=None)
+def gen_b5bar(order: int) -> TruncatedSeries:
+    """Generating function psi(-q^5)^5 / psi(-q)."""
+    return evaluate_side((P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)),), order)
+
+
+SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
 
 
 # -- Jacobi triple product ---------------------------------------------------

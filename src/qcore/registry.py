@@ -5,7 +5,9 @@ a5 (coefficients of phi(-q^5)^5/phi(-q)) and b5 (coefficients of
 psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
 Records are data plus a human-readable statement: a SeriesEquality lists
 sides that agree coefficient by coefficient, each a sum of theta and Euler
-quotients that ``products.evaluate_side`` expands; a Relation says
+quotients that ``products.evaluate_side`` expands, written with the side
+helpers F, PHI, PSI, THETA, SEQ, CHI, R and P that ``products`` defines and
+this module re-exports; a Relation says
 sum(lhs) = sum(rhs) over subsequence terms at every covered n (or, with a
 modulus m, sum(lhs) - sum(rhs) == 0 (mod m)); a Family is a Relation for
 each k >= 2; a CensusRecord bounds sign frequencies.  The evaluator in
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
-from .products import ThetaSpec
+# The side helpers live beside the evaluator that reads them; they are
+# re-exported here, where records are written.
+from .products import CHI, PHI, PSI, SEQ, THETA, F, P, R
 
 CORE = "core"
 EXTENDED = "extended"
@@ -100,51 +104,6 @@ class CensusRecord:
 Record = Union[SeriesEquality, Relation, Family, CensusRecord]
 
 
-# -- series-equality sides ---------------------------------------------------
-#
-# A side is a tuple of product terms in the form ``products.evaluate_side``
-# reads; every side of a record must agree coefficient by coefficient.
-
-
-def F(j: int, sign: int = -1) -> tuple:
-    """The Euler product f(sign*q^j); f_j when sign = -1."""
-    return ("euler_f", j, sign)
-
-
-def PHI(sign: int, j: int) -> tuple:
-    return ("phi", sign, j)
-
-
-def PSI(sign: int, j: int) -> tuple:
-    return ("psi", sign, j)
-
-
-def THETA(s1: int, e1: int, s2: int, e2: int) -> tuple:
-    """f(s1*q^e1, s2*q^e2)."""
-    return ("theta_general", ThetaSpec(s1, e1, s2, e2))
-
-
-def SEQ(name: str, m: int = 1, r: int = 0, s: int = 1, k: int = 1) -> tuple:
-    """sum over n of name(m*n + r) * (s*q^k)^n."""
-    return (name, m, r, s, k)
-
-
-def P(coeff: int, shift: int, *factors) -> tuple:
-    """coeff * q^shift * prod atom^e; a factor is (atom, e), or an atom for e = 1."""
-    pairs = tuple(f if isinstance(f[0], tuple) else (f, 1) for f in factors)
-    return (coeff, shift, tuple((atom, e) for atom, e in pairs if e))
-
-
-# R(q^5) = f(-q^5, -q^20) / f(-q^10, -q^15), by the triple product.
-R5_NUM = THETA(-1, 5, -1, 20)
-R5_DEN = THETA(-1, 10, -1, 15)
-
-
-def R5(p: int) -> tuple:
-    """The factors of R(q^5)^p."""
-    return ((R5_NUM, p), (R5_DEN, -p))
-
-
 def add_record(registry: Dict[str, "Record"], record: "Record", replace: bool = False) -> None:
     """Insert a record, refusing a taken id or a series equality whose sides
     repeat another record's, which would check nothing new."""
@@ -182,7 +141,7 @@ def build_registry() -> Dict[str, Record]:
     eq("lemma.phimodeqfora5", CORE,
        "phi(q)^2 - phi(q^5)^2 = 4q chi(q) f5 f20",
        [P(1, 0, (PHI(1, 1), 2)), P(-1, 0, (PHI(1, 5), 2))],
-       [P(4, 1, F(1, 1), (F(2), -1), F(5), F(20))])  # chi(q) = f(q)/f2
+       [P(4, 1, *CHI(1, 1), F(5), F(20))])
     eq("lemma.psimodeq", CORE,
        "psi(-q^5)^5/psi(-q) - psi(q^5)^5/psi(q) = 4q^3 psi(q^10)^5/psi(q^2) + 2q f20^5/f4",
        [P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)), P(-1, 0, (PSI(1, 5), 5), (PSI(1, 1), -1))],
@@ -209,12 +168,12 @@ def build_registry() -> Dict[str, Record]:
     eq("dissection.f1_5", CORE,
        "f1 = f25 (1/R(q^5) - q - q^2 R(q^5))",
        [P(1, 0, F(1))],
-       [P(1, 0, F(25), *R5(-1)), P(-1, 1, F(25)), P(-1, 2, F(25), *R5(1))])
+       [P(1, 0, F(25), *R(5, -1)), P(-1, 1, F(25)), P(-1, 2, F(25), *R(5))])
     eq("dissection.inv_f1_5", CORE,
        "1/f1 = f25^5/f5^6 * (R^-4 + q R^-3 + 2q^2 R^-2 + 3q^3 R^-1 + 5q^4"
        " - 3q^5 R + 2q^6 R^2 - q^7 R^3 + q^8 R^4), R = R(q^5)",
        [P(1, 0, (F(1), -1))],
-       [P(c, i, (F(25), 5), (F(5), -6), *R5(p)) for i, (c, p) in enumerate(
+       [P(c, i, (F(25), 5), (F(5), -6), *R(5, p)) for i, (c, p) in enumerate(
            [(1, -4), (1, -3), (2, -2), (3, -1), (5, 0), (-3, 1), (2, 2), (-1, 3), (1, 4)])])
     eq("dissection.phi_5", CORE,
        "phi(q) = phi(q^25) + 2q f(q^15,q^35) + 2q^4 f(q^5,q^45)",

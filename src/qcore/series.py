@@ -15,13 +15,12 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
 # Multiplication strategy: when one factor has at most this many nonzero
-# terms, or the order is at most _SMALL_ORDER, convolve over just the
-# nonzero terms (nnz_a * nnz_b products, rows cut off at the order);
-# otherwise pack both factors into big integers and let CPython's integer
-# multiply do the convolution.  The order compared is the deflated one:
-# factors in q^g are multiplied as series in q at order // g.
+# terms, convolve over just the nonzero terms (nnz_a * nnz_b products, rows
+# cut off at the order); otherwise pack both factors into big integers and
+# let CPython's integer multiply do the convolution, which is faster once
+# both factors are dense, whatever the order.  Factors in q^g are multiplied
+# as series in q at order // g.
 _SPARSE_LIMIT = 64
-_SMALL_ORDER = 128
 
 
 class NonUnitConstantTerm(ValueError):
@@ -114,9 +113,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above ``order`` (which must not exceed self.order)."""
         if order > self.order:
@@ -164,7 +160,7 @@ class TruncatedSeries:
             square = b is a
             a, ia, sub = a[::g], [i // g for i in ia], order // g
             b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
-        if min(len(ia), len(ib)) <= _SPARSE_LIMIT or sub <= _SMALL_ORDER:
+        if min(len(ia), len(ib)) <= _SPARSE_LIMIT:
             out = _convolve_sparse(a, ia, b, ib, sub)
         else:
             out = _convolve_packed(a, b, sub)

@@ -16,6 +16,7 @@ from qcore import (
     count_t_cores,
     dissect,
     euler_f,
+    evaluate_side,
     expand_pochhammer,
     gen_a5bar,
     gen_b5bar,
@@ -32,7 +33,7 @@ from qcore import (
     verify_all,
 )
 from qcore.cli import EXIT_MISMATCH, main as cli_main
-from qcore.registry import SEQ, P, SeriesEquality
+from qcore.registry import SEQ, F, P, SeriesEquality
 
 
 def _passed(number, message):
@@ -132,11 +133,10 @@ def test_criterion_8_property_suites():
     # triple product equality for the whole theta corpus
     for spec in THETA_CORPUS:
         assert triple_product(spec, 500) == theta_general(spec, 500), spec
-    # sum-form vs product-form constructions
-    assert phi(-1, 1, 2000) == phi(-1, 1, 2000, form="product")
-    assert phi(1, 1, 2000) == phi(1, 1, 2000, form="product")
-    assert psi(-1, 1, 2000) == psi(-1, 1, 2000, form="product")
-    assert psi(1, 1, 2000) == psi(1, 1, 2000, form="product")
+    # sum-form vs product-form constructions: phi(s q) = f(s q)^2/f2, psi(s q) = f(s q) f4/f2
+    for s in (-1, 1):
+        assert phi(s, 1, 2000) == evaluate_side((P(1, 0, (F(1, s), 2), (F(2), -1)),), 2000)
+        assert psi(s, 1, 2000) == evaluate_side((P(1, 0, F(1, s), F(4), (F(2), -1)),), 2000)
     assert euler_f(1, 2000) == expand_pochhammer(PochhammerFactor(1, 1, 1), 2000)
     # dissection reassembly on seeded random series
     rng = random.Random(53723)

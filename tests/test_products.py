@@ -8,8 +8,8 @@ from qcore import (
     QProductSpec,
     ThetaSpec,
     TruncatedSeries,
-    chi,
     euler_f,
+    evaluate_side,
     expand_pochhammer,
     expand_qproduct,
     gen_a5bar,
@@ -17,10 +17,10 @@ from qcore import (
     gen_c5,
     phi,
     psi,
-    rr_quotient,
     theta_general,
     triple_product,
 )
+from qcore.products import CHI, PHI, PSI, SEQ, THETA, F, P, R
 
 # frozen via _brute.py (qproduct / theta_sum / partition counts)
 R_OF_Q_16 = [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2, -3, 2, 0, -2, 4, -4]
@@ -141,47 +141,100 @@ def test_psi_values():
     assert psi(-1, 5, 15).coeffs == (1,) + (0,) * 4 + (-1,) + (0,) * 9 + (-1,)
 
 
+def side(*factors, order):
+    """The one-term side prod factors, expanded to the order."""
+    return evaluate_side((P(1, 0, *factors),), order)
+
+
 def test_phi_psi_euler_sum_vs_product_forms():
+    # phi(s q^j) = f(s q^j)^2 / f(-q^2j) and psi(s q^j) = f(s q^j) f(-q^4j) / f(-q^2j)
     for sign in (1, -1):
-        for j in (1, 2):
-            assert phi(sign, j, 300) == phi(sign, j, 300, form="product")
-            assert psi(sign, j, 300) == psi(sign, j, 300, form="product")
+        for j in (1, 2, 3, 5):
+            assert phi(sign, j, 300) == side((F(j, sign), 2), (F(2 * j), -1), order=300)
+            assert psi(sign, j, 300) == side(F(j, sign), F(4 * j), (F(2 * j), -1), order=300)
     assert euler_f(1, 300) == expand_pochhammer(PochhammerFactor(1, 1, 1), 300)
 
 
 def test_chi_values():
-    assert chi(-1, 1, 4).coeffs == (1, -1, 0, -1, 1)
-    assert chi(1, 1, 3).coeffs == (1, 1, 0, 1)
-    assert list(chi(-1, 1, 8).coeffs) == CHI_MINUS_Q_8
-    assert list(chi(1, 1, 8).coeffs) == CHI_PLUS_Q_8
+    assert side(*CHI(-1, 1), order=4).coeffs == (1, -1, 0, -1, 1)
+    assert side(*CHI(1, 1), order=3).coeffs == (1, 1, 0, 1)
+    assert list(side(*CHI(-1, 1), order=8).coeffs) == CHI_MINUS_Q_8
+    assert list(side(*CHI(1, 1), order=8).coeffs) == CHI_PLUS_Q_8
 
 
 def test_chi_product_pairing():
     n = 120
-    assert chi(1, 1, n).mul(chi(-1, 1, n)) == chi(-1, 2, n)
+    assert side(*CHI(1, 1), order=n).mul(side(*CHI(-1, 1), order=n)) == side(*CHI(-1, 2), order=n)
     # chi(-q) = f1/f2
-    assert chi(-1, 1, n) == euler_f(1, n).div(euler_f(2, n))
+    assert side(*CHI(-1, 1), order=n) == euler_f(1, n).div(euler_f(2, n))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_chi_matches_pochhammer_route(sign, j):
     # chi is an Euler-product quotient; (-sign*q^j; q^2j)_inf is its product form
-    assert chi(sign, j, 300) == expand_pochhammer(PochhammerFactor(-sign, j, 2 * j), 300)
+    product = expand_pochhammer(PochhammerFactor(-sign, j, 2 * j), 300)
+    assert side(*CHI(sign, j), order=300) == product
 
 
 def test_rr_quotient_expansion():
-    assert list(rr_quotient(1, 16).coeffs) == R_OF_Q_16
+    assert list(side(*R(1), order=16).coeffs) == R_OF_Q_16
 
 
 def test_rr_quotient_inverse_pairs():
-    r = rr_quotient(1, 80)
+    r = side(*R(1), order=80)
     assert r.mul(r.invert()) == TruncatedSeries.one(80)
     assert r.invert().pow(4)[0] == 1
+    assert side(*R(1, -4), order=80) == r.invert().pow(4)
 
 
 def test_rr_quotient_inflated():
-    assert rr_quotient(5, 80) == rr_quotient(1, 16).inflate(5)
+    assert side(*R(5), order=80) == side(*R(1), order=16).inflate(5)
+
+
+def test_rr_quotient_rejects_nonpositive_step():
+    for j in (0, -1):
+        with pytest.raises(ValueError):
+            R(j)
+
+
+# -- evaluate_side builds powers by squaring ----------------------------------
+
+POWER_ATOMS = [F(1), F(5, 1), PHI(-1, 1), PSI(1, 2), THETA(-1, 1, -1, 4), SEQ("b5", 2, 1)]
+
+
+@pytest.mark.parametrize("atom", POWER_ATOMS, ids=repr)
+def test_evaluate_side_powers_match_pow(atom):
+    order = 90
+    x = side(atom, order=order)
+    # lone: each power alone on a one-term side
+    for k in range(10):
+        assert side((atom, k), order=order) == x.pow(k), k
+    # consecutive: x^0 .. x^9 on one side, built up from x and down from x^9
+    for ks in (range(10), range(9, -1, -1)):
+        expected = TruncatedSeries.zero(order)
+        for k in ks:
+            expected = expected.add(x.pow(k).shift(k).scale(k + 1))
+        assert evaluate_side(tuple(P(k + 1, k, (atom, k)) for k in ks), order) == expected
+
+
+def test_lone_unit_term_is_not_multiplied(monkeypatch):
+    # x^5 costs three products, as pow does, and x itself none: the unit
+    # series a lone term 1 * q^0 leaves is never multiplied by
+    x = euler_f(5, 200)
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counting(self, other):
+        calls.append((self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", counting)
+    assert side((F(5), 5), order=200) == x.pow(5)
+    assert len(calls) == 3 + 3
+    calls.clear()
+    assert side(F(1), order=200) == euler_f(1, 200)
+    assert calls == []
 
 
 # -- generating functions --------------------------------------------------------
@@ -220,7 +273,6 @@ def test_b5bar_zero_slots():
 
 
 def test_named_constructors_memoize():
-    assert phi(-1, 1, 64) is phi(-1, 1, 64)
     assert gen_c5(64) is gen_c5(64)
 
 

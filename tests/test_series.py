@@ -6,6 +6,7 @@ from conftest import series_strategy, unit_series_strategy
 
 import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
+from qcore import series as series_module
 from qcore.products import euler_f, phi
 from qcore.series import _SPARSE_LIMIT, _convolve_packed, _convolve_sparse
 
@@ -405,6 +406,23 @@ def test_mul_of_inflated_operands_matches_brute(x, y, g, h, extra):
 def test_pow_of_inflated_series_matches_brute(x, g, extra, k):
     a = _in_q_to(x, g, extra)
     assert list(a.pow(k).coeffs) == brute.power(list(a.coeffs), k, a.order)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("sub", [65, 100, 128])
+def test_dense_mul_at_small_orders_takes_packed_kernel(monkeypatch, sub, g):
+    # dense factors past the sparse limit go to the packed kernel at any
+    # order, here at deflated orders 65..128
+    x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(sub + 1)]).inflate(g)
+    y = TruncatedSeries([n % 7 - 3 or 5 for n in range(sub + 1)]).inflate(g)
+    expected = brute.convolve(list(x.coeffs), list(y.coeffs), x.order)
+
+    def no_sparse(*args):
+        raise AssertionError("dense operands took the sparse kernel")
+
+    monkeypatch.setattr(series_module, "_convolve_sparse", no_sparse)
+    assert list(x.mul(y).coeffs) == expected
+    assert list(x.mul(x).coeffs) == brute.convolve(list(x.coeffs), list(x.coeffs), x.order)
 
 
 def test_packed_mul_of_inflated_dense_series():
