@@ -56,7 +56,7 @@ from .products import (
     theta_general,
     triple_product,
 )
-from .registry import CORE, EXTENDED, Record, Term
+from .registry import CORE, EXTENDED, Record
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
 from .series import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 

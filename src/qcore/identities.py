@@ -2,8 +2,9 @@
 
 ``verify`` dispatches on the record kind and always returns a
 VerificationReport; a mismatch carries the smallest offending index.
-Everything is computed in exact integer or rational arithmetic,
-including the census frequencies.
+Series equalities, relations and families share one comparator over
+their sides, ``_compare``.  Everything is computed in exact integer or
+rational arithmetic, including the census frequencies.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .registry import (
     Record,
     Relation,
     SeriesEquality,
-    Term,
+    T,
     add_record,
     build_registry,
 )
@@ -62,12 +63,7 @@ def sequence(name: str, order: int) -> TruncatedSeries:
     return builder(order)
 
 
-# -- linear relations over subsequence terms ---------------------------------
-
-
-def _coverage(terms: Sequence[Term], order: int) -> int:
-    """Largest n for which every term's index stays within the order."""
-    return min((order - t.offset) // t.stride for t in terms)
+# -- one comparator for every side ------------------------------------------
 
 
 def _plain(num: int, den: int):
@@ -75,28 +71,41 @@ def _plain(num: int, den: int):
     return value.numerator if value.denominator == 1 else value
 
 
-def _check(lhs: Tuple[Term, ...], rhs: Tuple[Term, ...], modulus: int,
-           order: int) -> Optional[Tuple[int, object, object]]:
-    """The first covered n where sum(lhs) != sum(rhs), or, with a modulus,
-    where sum(lhs) - sum(rhs) is not a multiple of it; None if there is none.
+def _compare(sides: Sequence[tuple], order: int,
+             modulus: int = 0) -> Optional[Tuple[int, object, object]]:
+    """The first n <= order where a side differs from the first, as
+    (n, lhs, rhs), or None.  With a modulus m, two sides differ where
+    lhs - rhs is not a multiple of m, reported as (n, lhs - rhs, "0 (mod m)").
 
-    Both sums are taken times the common denominator of the scales, so the
-    loop runs on integers."""
-    den = math.lcm(*(t.scale.denominator for t in lhs + rhs))
-    cache = {name: sequence(name, order) for name in {t.seq for t in lhs + rhs}}
-
-    def total(terms, n):
-        return sum(t.scale.numerator * (den // t.scale.denominator) * cache[t.seq][i]
-                   for t in terms if (i := t.stride * n + t.offset) >= 0)
-
-    for n in range(_coverage(lhs + rhs, order) + 1):
-        lv, rv = total(lhs, n), total(rhs, n)
+    Sides are expanded times the lcm of their coefficients' denominators, so
+    the series stay integral; values are reported as reduced fractions."""
+    den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
+    if den > 1:
+        sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
+                 for side in sides]
+    reference, *others = [evaluate_side(side, order) for side in sides]
+    for other in others:
         if modulus:
-            if (lv - rv) % (den * modulus):
-                return n, _plain(lv - rv, den), f"0 (mod {modulus})"
-        elif lv != rv:
-            return n, _plain(lv, den), _plain(rv, den)
+            for n, (a, b) in enumerate(zip(reference.coeffs, other.coeffs)):
+                if (a - b) % (den * modulus):
+                    return n, _plain(a - b, den), f"0 (mod {modulus})"
+        elif (bad := first_mismatch(reference, other)) is not None:
+            n, a, b = bad
+            return n, _plain(a, den), _plain(b, den)
     return None
+
+
+def _coverage(sides: Sequence[tuple], order: int) -> int:
+    """The largest n at which every sequence term's index m*n + r is at most
+    the order; negative when no n is covered.
+
+    Each sequence is first read to the order itself, so that the relations
+    of one run share one expansion per sequence however their coverages
+    differ."""
+    atoms = [atom for side in sides for _, _, factors in side for atom, _ in factors]
+    for name in dict.fromkeys(atom[0] for atom in atoms):
+        sequence(name, order)
+    return min((order - r) // m for _, m, r, _, _ in atoms)
 
 
 # -- census -------------------------------------------------------------------
@@ -153,15 +162,15 @@ def _mismatch(record: Record, order: int, bad: Optional[Tuple[int, object, objec
 
 def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
     if isinstance(record, SeriesEquality):
-        reference, *others = [evaluate_side(side, order) for side in record.sides]
-        for other in others:
-            bad = first_mismatch(reference, other)
-            if bad is not None:
-                return _mismatch(record, order, bad)
+        bad = _compare(record.sides, order)
+        if bad is not None:
+            return _mismatch(record, order, bad)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
     if isinstance(record, Relation):
-        bad = _check(record.lhs, record.rhs, record.modulus, order)
+        sides = (record.lhs, record.rhs)
+        covered = _coverage(sides, order)
+        bad = _compare(sides, covered, record.modulus) if covered >= 0 else None
         if bad is not None:
             return _mismatch(record, order, bad)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
@@ -172,9 +181,10 @@ def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
         checked = []
         for k in range(2, kmax + 1):
             lhs, rhs, modulus = record.at(k)
-            if _coverage(lhs + rhs, order) < 0:
+            covered = _coverage((lhs, rhs), order)
+            if covered < 0:
                 continue
-            bad = _check(lhs, rhs, modulus, order)
+            bad = _compare((lhs, rhs), covered, modulus)
             if bad is not None:
                 return _mismatch(record, order, bad, f"k={k}")
             checked.append(k)
@@ -248,6 +258,6 @@ def check_congruence(seq_name: str, modulus: int, ap: Tuple[int, int],
     record = Relation(
         f"congruence.{seq_name}.{m}n+{r}.mod{modulus}", "adhoc",
         f"{seq_name}({m}n+{r}) == 0 (mod {modulus})",
-        (Term(seq_name, m, r),), modulus=modulus,
+        (T(seq_name, m, r),), modulus=modulus,
     )
     return _timed(record, order, DEFAULT_KMAX)

@@ -3,23 +3,24 @@ theta functions, the three headline generating functions (5-core counts and
 their two theta-quotient analogs), and the evaluator for sums of their
 quotients.
 
-Sum-style constructors (``euler_f``, ``theta_general``, ``phi``, ``psi``)
-iterate over exactly the integer window whose exponents fit under the
-truncation order; there are no heuristic cutoffs.
+``theta_general`` sums f(a, b) over exactly the integer window whose
+exponents fit under the truncation order; there are no heuristic cutoffs.
+``euler_f``, ``phi`` and ``psi`` are its specializations.
 
 Every named series is a side: a sum of product terms over atoms, which
 ``evaluate_side`` expands.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
 ``SEQ``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
 Rogers-Ramanujan quotient R are quotients of atoms, not atoms.
 
-Only the three sequence generating functions are memoized, on their order;
-their results are immutable, so sharing them across callers is safe.
+Only the three sequence generating functions keep their results: one
+prefix cache holds the longest expansion of each and serves every lower
+order by truncation, which gives the same coefficients as a fresh build.
+Series are immutable, so sharing them across callers is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 from .series import TruncatedSeries
@@ -139,73 +140,35 @@ def theta_general(spec: ThetaSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, order)
 
 
-def euler_f(j: int, order: int, sign: int = -1) -> TruncatedSeries:
-    """The Euler product f(sign*q^j) via the pentagonal-number sum.
-
-    sign=-1 is the standard f_j = (q^j; q^j)_inf; sign=+1 is the same
-    series with q^j replaced by -q^j (each pentagonal term picks up the
-    parity of its exponent).
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = [0] * (order + 1)
-
-    def accumulate(n: int) -> bool:
-        g = n * (3 * n - 1) // 2
-        exp = j * g
-        if exp > order:
-            return False
-        term = -1 if n % 2 else 1
-        if sign == 1 and g % 2:
-            term = -term
-        out[exp] += term
-        return True
-
-    accumulate(0)
-    n = 1
-    while accumulate(n):
-        n += 1
-    n = -1
-    while accumulate(n):
-        n -= 1
-    return TruncatedSeries(out, order)
-
-
 # -- named theta specializations --------------------------------------------
 
 
-def phi(sign: int, j: int, order: int) -> TruncatedSeries:
-    """phi(sign*q^j) = sum over n of (sign*q^j)^(n^2)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def _theta_step(sign: int, j: int) -> None:
+    """Refuse a step j < 1 or a sign other than +1 or -1 for f, phi and psi."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    out = [0] * (order + 1)
-    out[0] = 1
-    n = 1
-    while j * n * n <= order:
-        out[j * n * n] += 2 * (sign if n % 2 else 1)
-        n += 1
-    return TruncatedSeries(out, order)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
+def euler_f(j: int, order: int, sign: int = -1) -> TruncatedSeries:
+    """The Euler product f(sign*q^j) = f(sign*q^j, -q^2j); f_j = (q^j; q^j)_inf
+    when sign = -1 (the pentagonal-number sum)."""
+    _theta_step(sign, j)
+    return theta_general(ThetaSpec(sign, j, -1, 2 * j), order)
+
+
+def phi(sign: int, j: int, order: int) -> TruncatedSeries:
+    """phi(sign*q^j) = f(sign*q^j, sign*q^j) = sum over n of (sign*q^j)^(n^2)."""
+    _theta_step(sign, j)
+    return theta_general(ThetaSpec(sign, j, sign, j), order)
 
 
 def psi(sign: int, j: int, order: int) -> TruncatedSeries:
-    """psi(sign*q^j) = sum over n >= 0 of (sign*q^j)^(n(n+1)/2)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    out = [0] * (order + 1)
-    n = 0
-    while True:
-        t = n * (n + 1) // 2
-        if j * t > order:
-            break
-        out[j * t] += sign if t % 2 else 1
-        n += 1
-    return TruncatedSeries(out, order)
+    """psi(sign*q^j) = f(sign*q^j, sign*q^3j) = sum over n >= 0 of
+    (sign*q^j)^(n(n+1)/2)."""
+    _theta_step(sign, j)
+    return theta_general(ThetaSpec(sign, j, sign, 3 * j), order)
 
 
 # -- sides: sums of theta quotients as data -----------------------------------
@@ -219,7 +182,9 @@ def psi(sign: int, j: int, order: int) -> TruncatedSeries:
 #   ("psi", sign, j)              psi(sign*q^j)
 #   ("theta_general", spec)       f(a, b) for a ThetaSpec
 #   (name, m, r, s, k)            sum over n of name(m*n + r) * (s*q^k)^n,
-#                                 name a key of SEQUENCES, s = +1 or -1
+#                                 name a key of SEQUENCES, m >= 1, r any
+#                                 integer (name at a negative index is 0),
+#                                 s = +1 or -1, k >= 1
 #
 # Exponents may be negative: an atom divided by has unit constant term.
 
@@ -243,7 +208,7 @@ def THETA(s1: int, e1: int, s2: int, e2: int) -> tuple:
 
 
 def SEQ(name: str, m: int = 1, r: int = 0, s: int = 1, k: int = 1) -> tuple:
-    """sum over n of name(m*n + r) * (s*q^k)^n."""
+    """sum over n of name(m*n + r) * (s*q^k)^n; name at a negative index is 0."""
     return (name, m, r, s, k)
 
 
@@ -274,7 +239,12 @@ def P(coeff: int, shift: int, *factors) -> tuple:
 
 
 def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
-    """Expand one atom to the given order."""
+    """Expand one atom to the given order.
+
+    A sequence atom slices its progression out of the sequence's expansion
+    to m*(order // k) + r; the plain atom (name, 1, 0, 1, 1) is that
+    expansion itself.
+    """
     head, *args = atom
     if head == "euler_f":
         j, sign = args
@@ -286,11 +256,17 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     if head == "theta_general":
         return theta_general(args[0], order)
     m, r, s, k = args
-    inner = order // k
-    base = SEQUENCES[head](m * inner + r).extract_ap(m, r)
+    if (m, r, s, k) == (1, 0, 1, 1):
+        return SEQUENCES[head](order)
+    inner = order // k                  # the progression's own order
+    first = max(0, -(r // m))           # the first n with m*n + r >= 0
+    top = m * inner + r
+    vals = [0] * min(first, inner + 1)
+    if top >= 0:
+        vals += SEQUENCES[head](top).coeffs[m * first + r::m]
     if s == -1:
-        base = base.alternate()
-    return base.inflate(k, order)
+        vals[1::2] = [-c for c in vals[1::2]]
+    return TruncatedSeries(vals, inner).inflate(k, order)
 
 
 def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
@@ -304,8 +280,11 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     product rather than of their dense product.  An atom appears at most
     once per term.  Powers of an atom are built once per side by squaring:
     x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone term 1 * q^0 leaves the
-    sum as the unit series, which is never multiplied by.
+    sum as the unit series, which is never multiplied by.  A side with no
+    terms is the zero series.
     """
+    if not side:
+        return TruncatedSeries.zero(order)
     atoms = dict.fromkeys(atom for _, _, factors in side for atom, _ in factors)
     low = {atom: min(dict(factors).get(atom, 0) for _, _, factors in side)
            for atom in atoms}
@@ -353,22 +332,31 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
 # -- headline generating functions ------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# side -> its longest expansion so far; a lower order is read off by truncation
+_LONGEST: dict = {}
+
+
+def _prefix(side: tuple, order: int) -> TruncatedSeries:
+    """The side to the order, from the longest expansion built so far."""
+    longest = _LONGEST.get(side)
+    if longest is None or longest.order < order:
+        longest = _LONGEST[side] = evaluate_side(side, order)
+    return longest.truncate(order)
+
+
 def gen_c5(order: int) -> TruncatedSeries:
     """Generating function of 5-core partition counts: f5^5 / f1."""
-    return evaluate_side((P(1, 0, (F(5), 5), (F(1), -1)),), order)
+    return _prefix((P(1, 0, (F(5), 5), (F(1), -1)),), order)
 
 
-@lru_cache(maxsize=None)
 def gen_a5bar(order: int) -> TruncatedSeries:
     """Generating function phi(-q^5)^5 / phi(-q)."""
-    return evaluate_side((P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1)),), order)
+    return _prefix((P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1)),), order)
 
 
-@lru_cache(maxsize=None)
 def gen_b5bar(order: int) -> TruncatedSeries:
     """Generating function psi(-q^5)^5 / psi(-q)."""
-    return evaluate_side((P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)),), order)
+    return _prefix((P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)),), order)
 
 
 SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}

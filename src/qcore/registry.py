@@ -3,19 +3,21 @@
 Each record states one claim about the sequences c5 (5-core counts),
 a5 (coefficients of phi(-q^5)^5/phi(-q)) and b5 (coefficients of
 psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
-Records are data plus a human-readable statement: a SeriesEquality lists
-sides that agree coefficient by coefficient, each a sum of theta and Euler
-quotients that ``products.evaluate_side`` expands, written with the side
-helpers F, PHI, PSI, THETA, SEQ, CHI, R and P that ``products`` defines and
-this module re-exports; a Relation says
-sum(lhs) = sum(rhs) over subsequence terms at every covered n (or, with a
+Records are data plus a human-readable statement, in one term language:
+every side is a sum of product terms that ``products.evaluate_side``
+expands, written with the side helpers F, PHI, PSI, THETA, SEQ, CHI, R and
+P that ``products`` defines and this module re-exports.  A SeriesEquality
+lists sides that agree coefficient by coefficient; a Relation says
+sum(lhs) = sum(rhs) over sequence terms at every covered n (or, with a
 modulus m, sum(lhs) - sum(rhs) == 0 (mod m)); a Family is a Relation for
 each k >= 2; a CensusRecord bounds sign frequencies.  The evaluator in
-``identities`` dispatches purely on record type, so adding a claim here
-never touches the verification code.
+``identities`` checks the first three with one comparator, so adding a
+claim here never touches the verification code.
 
-Terms use the convention that a sequence read at a negative index is 0,
-so relations like b5(4n+1) = c5(n) - 2 b5(2n-1) include their n = 0 case.
+``T(seq, stride, offset, scale)`` is the side term
+scale * seq(stride*n + offset).  The offset may be any integer, and a
+sequence read at a negative index is 0, so relations like
+b5(4n+1) = c5(n) - 2 b5(2n-1) include their n = 0 case.
 """
 
 from __future__ import annotations
@@ -32,18 +34,10 @@ CORE = "core"
 EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
-class Term:
-    """scale * seq(stride*n + offset); negative indices read as 0."""
-
-    seq: str
-    stride: int
-    offset: int = 0
-    scale: Fraction = Fraction(1)
-
-
-def T(seq: str, stride: int, offset: int = 0, scale=1) -> Term:
-    return Term(seq, stride, offset, Fraction(scale))
+def T(seq: str, stride: int, offset: int = 0, scale=1) -> tuple:
+    """The side term scale * seq(stride*n + offset), for any integer offset;
+    scale may be a Fraction."""
+    return P(scale, 0, SEQ(seq, stride, offset))
 
 
 @dataclass(frozen=True)
@@ -61,13 +55,14 @@ class SeriesEquality:
 @dataclass(frozen=True)
 class Relation:
     """sum(lhs) = sum(rhs) at every covered n; with a modulus m,
-    sum(lhs) - sum(rhs) == 0 (mod m) instead."""
+    sum(lhs) - sum(rhs) == 0 (mod m) instead.  Both sides are sums of
+    ``T`` terms; an empty side is 0."""
 
     id: str
     tier: str
     statement: str
-    lhs: Tuple[Term, ...]
-    rhs: Tuple[Term, ...] = ()
+    lhs: tuple
+    rhs: tuple = ()
     modulus: int = 0
 
     @property
@@ -82,7 +77,7 @@ class Family:
     id: str
     tier: str
     statement: str
-    at: Callable[[int], Tuple[Tuple[Term, ...], Tuple[Term, ...], int]]
+    at: Callable[[int], Tuple[tuple, tuple, int]]
 
     @property
     def kind(self) -> str:

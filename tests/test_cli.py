@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +249,18 @@ def test_malformed_input_is_usage_error(capsys, argv):
         main(argv.split())
     assert exc.value.code == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_stdout_is_io_error_without_traceback():
+    # the coefficients of c5 to q^20000 fill more than a pipe buffer, so the
+    # write hits the closed pipe after the reader has taken 20 bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "qcore", "expand", "c5", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.read(20) == b"1 1 2 3 5 2 6 5 7 5 "
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_IO
+    assert err == ""

@@ -16,6 +16,7 @@ from qcore import (
     verify,
     verify_all,
 )
+from qcore import products
 from qcore.identities import REGISTRY
 from qcore.registry import Family, P, Relation, SeriesEquality, T
 
@@ -111,6 +112,22 @@ def test_series_equalities_at_small_orders(order):
         assert [s.order for s in sides] == [order] * len(sides), rid
         report = verify(rid, order)
         assert report.status == "exact-match", report.to_line()
+
+
+def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
+    # relations read each sequence to N, and series equalities also read a5
+    # to 5N and b5 to 5N+2 and 25N+22: one build per sequence and rising
+    # order, and every lower order is served by truncation
+    class Recording(dict):
+        def __setitem__(self, side, series):
+            builds.append(series.order)
+            super().__setitem__(side, series)
+
+    builds = []
+    monkeypatch.setattr(products, "_LONGEST", Recording())
+    verify_all("all", 300)
+    assert sorted(builds) == [300, 300, 300, 1500, 1502, 7522]
+    assert len(products._LONGEST) == 3
 
 
 def test_check_congruence_families():

@@ -20,6 +20,7 @@ from qcore import (
     theta_general,
     triple_product,
 )
+from qcore import products
 from qcore.products import CHI, PHI, PSI, SEQ, THETA, F, P, R
 
 # frozen via _brute.py (qproduct / theta_sum / partition counts)
@@ -146,6 +147,40 @@ def side(*factors, order):
     return evaluate_side((P(1, 0, *factors),), order)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_named_thetas_match_their_own_sums(sign):
+    # f, phi and psi are specializations of theta_general; check each against
+    # its classical sum: pentagonal numbers, squares, triangular numbers
+    order = 503
+    for j in (1, 2, 3, 5, 10, 20, 25):
+        f = [0] * (order + 1)
+        for n in range(-30, 31):
+            g = n * (3 * n - 1) // 2
+            if j * g <= order:
+                f[j * g] += (-1) ** n * sign ** g * (-1) ** g
+        ph = [0] * (order + 1)
+        for n in range(-30, 31):
+            if j * n * n <= order:
+                ph[j * n * n] += sign ** (n * n)
+        ps = [0] * (order + 1)
+        for n in range(40):
+            t = n * (n + 1) // 2
+            if j * t <= order:
+                ps[j * t] += sign ** t
+        assert list(euler_f(j, order, sign).coeffs) == f, j
+        assert list(phi(sign, j, order).coeffs) == ph, j
+        assert list(psi(sign, j, order).coeffs) == ps, j
+
+
+def test_named_thetas_reject_bad_arguments():
+    for call in (lambda: euler_f(0, 5), lambda: phi(1, 0, 5), lambda: psi(-1, -2, 5)):
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            call()
+    for call in (lambda: euler_f(1, 5, 0), lambda: phi(2, 1, 5), lambda: psi(0, 1, 5)):
+        with pytest.raises(ValueError, match="sign must be"):
+            call()
+
+
 def test_phi_psi_euler_sum_vs_product_forms():
     # phi(s q^j) = f(s q^j)^2 / f(-q^2j) and psi(s q^j) = f(s q^j) f(-q^4j) / f(-q^2j)
     for sign in (1, -1):
@@ -218,6 +253,37 @@ def test_evaluate_side_powers_match_pow(atom):
         assert evaluate_side(tuple(P(k + 1, k, (atom, k)) for k in ks), order) == expected
 
 
+def test_empty_side_is_zero():
+    # a relation with nothing on its right-hand side compares against 0
+    for order in (0, 1, 40):
+        assert evaluate_side((), order) == TruncatedSeries.zero(order)
+
+
+# -- sequence atoms read any progression ----------------------------------------
+
+
+@pytest.mark.parametrize("atom, order, expected", [
+    # r < 0: b5(2n-1), whose n = 0 term reads b5(-1) = 0
+    (SEQ("b5", 2, -1), 8, [0] + [B5BAR_16[2 * n - 1] for n in range(1, 9)]),
+    # r < 0 past several strides: b5(4n-9) is 0 for n < 3
+    (SEQ("b5", 4, -9), 6, [0, 0, 0, B5BAR_16[3], B5BAR_16[7], B5BAR_16[11], B5BAR_16[15]]),
+    # every index negative
+    (SEQ("c5", 3, -30), 5, [0] * 6),
+    # r >= m: b5(3n+4) and c5(2n+7)
+    (SEQ("b5", 3, 4), 4, [B5BAR_16[3 * n + 4] for n in range(5)]),
+    (SEQ("c5", 2, 7), 4, [C5_16[2 * n + 7] for n in range(5)]),
+    # s = -1: (-1)^n a5(2n+1)
+    (SEQ("a5", 2, 1, s=-1), 7, [(-1) ** n * A5BAR_16[2 * n + 1] for n in range(8)]),
+    # k = 2: a5(n) at q^2n, zero at the odd exponents
+    (SEQ("a5", k=2), 9, [A5BAR_16[n // 2] if n % 2 == 0 else 0 for n in range(10)]),
+    # all at once: (-1)^n b5(3n-2) at q^2n, order 9 reads n = 0..4
+    (SEQ("b5", 3, -2, -1, 2), 9,
+     [0, 0, -B5BAR_16[1], 0, B5BAR_16[4], 0, -B5BAR_16[7], 0, B5BAR_16[10], 0]),
+], ids=["2n-1", "4n-9", "3n-30", "3n+4", "2n+7", "alternate", "q^2", "all"])
+def test_sequence_atom_reads(atom, order, expected):
+    assert list(side(atom, order=order).coeffs) == expected
+
+
 def test_lone_unit_term_is_not_multiplied(monkeypatch):
     # x^5 costs three products, as pow does, and x itself none: the unit
     # series a lone term 1 * q^0 leaves is never multiplied by
@@ -272,8 +338,34 @@ def test_b5bar_zero_slots():
     assert all(series[10 * n + 6] == 0 for n in range(20))
 
 
-def test_named_constructors_memoize():
-    assert gen_c5(64) is gen_c5(64)
+def test_named_constructors_memoize(monkeypatch):
+    # one prefix cache: rising orders build once each; a lower order builds
+    # nothing and equals a fresh build
+    builds = []
+    evaluate = products.evaluate_side
+
+    def counting(side, order):
+        builds.append(order)
+        return evaluate(side, order)
+
+    monkeypatch.setattr(products, "_LONGEST", {})
+    monkeypatch.setattr(products, "evaluate_side", counting)
+    for gen in (gen_c5, gen_a5bar, gen_b5bar):
+        builds.clear()
+        for order in (10, 40, 90):
+            gen(order)
+        assert builds == [10, 40, 90]
+        served = {order: gen(order) for order in (0, 7, 10, 40, 89, 90)}
+        assert builds == [10, 40, 90]
+        assert gen(90) is served[90]
+        products._LONGEST.clear()
+        for order, series in served.items():
+            assert series == gen(order) and series.order == order
+            products._LONGEST.clear()
+        assert builds == [10, 40, 90, 0, 7, 10, 40, 89, 90]
+    # the plain sequence atom is the cached expansion itself, not a copy
+    gen_c5(90)
+    assert side(SEQ("c5"), order=90) is gen_c5(90)
 
 
 def test_qproduct_expansion_matches_brute():
