@@ -4,9 +4,10 @@
 The building blocks:
 
 - ``series``: exact truncated power series over Python integers.
-- ``products``: Pochhammer/Euler products, theta functions, the three
-  generating functions, and the evaluator for sums of theta quotients,
-  through which chi and the Rogers-Ramanujan quotient are expanded.
+- ``products``: Pochhammer factors, Euler products, theta functions, the
+  three generating functions, and the evaluator for sums of quotients of
+  them, through which chi, the Rogers-Ramanujan quotient and every product
+  of Pochhammer factors are expanded.
 - ``partitions``: hook-number oracle counting t-cores by enumeration.
 - ``dissection``: residue-class dissections.
 - ``registry``: every verified identity, congruence and census claim as
@@ -42,12 +43,10 @@ from .partitions import (
 )
 from .products import (
     PochhammerFactor,
-    QProductSpec,
     ThetaSpec,
     euler_f,
     evaluate_side,
     expand_pochhammer,
-    expand_qproduct,
     gen_a5bar,
     gen_b5bar,
     gen_c5,

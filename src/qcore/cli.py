@@ -3,7 +3,9 @@
 Subcommands: expand, verify, oracle, census, bfile export|check.
 Exit codes: 0 success, 1 verification mismatch or value discrepancy,
 2 usage error, 3 I/O error.  Output for a fixed invocation is
-byte-identical across runs; timing is opt-in via --timing.
+byte-identical across runs; timing is opt-in via --timing.  Every series
+name, prod:SPEC included, is one side for ``products.evaluate_side``, and
+every parameter has one spelling with its default in the parser.
 """
 
 from __future__ import annotations
@@ -17,20 +19,7 @@ import sys
 from . import bfile as bfile_mod
 from . import identities
 from .partitions import OracleScaleExceeded, count_t_cores, partitions_of
-from .products import (
-    CHI,
-    PHI,
-    PSI,
-    SEQ,
-    F,
-    P,
-    PochhammerFactor,
-    QProductSpec,
-    R,
-    evaluate_side,
-    expand_qproduct,
-    gen_c5,
-)
+from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -47,20 +36,6 @@ class UsageError(Exception):
     pass
 
 
-def _env_default(default: int, minimum: int = 0) -> int:
-    """QCORE_DEFAULT_ORDER if set, held to the minimum the subcommand's -N takes."""
-    raw = os.environ.get("QCORE_DEFAULT_ORDER")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-        if value < minimum:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"QCORE_DEFAULT_ORDER must be an integer >= {minimum}, got {raw!r}")
-    return value
-
-
 def _at_least(minimum: int):
     """An argparse type: an integer no smaller than ``minimum``."""
     def integer(text: str) -> int:
@@ -74,8 +49,9 @@ def _at_least(minimum: int):
 _FACTOR_RE = re.compile(r"^(-?)(\d+)/(\d+)(?:\^(-?\d+))?$")
 
 
-def _parse_product_spec(text: str) -> QProductSpec:
-    """Inline product syntax: comma-separated factors '[-]E/M[^Z]'.
+def _parse_product_spec(text: str) -> tuple:
+    """Inline product syntax: comma-separated factors '[-]E/M[^Z]', read as
+    one product term of POCH atoms.
 
     '1/1' is (q;q), '-1/2' is (-q;q^2), '1/1^-1' is 1/(q;q); E is the
     starting exponent, M the modulus, Z the power.
@@ -91,10 +67,8 @@ def _parse_product_spec(text: str) -> QProductSpec:
         exponent = int(m.group(4)) if m.group(4) else 1
         if offset < 1 or modulus < 1:
             raise UsageError(f"factor {part!r} needs E >= 1 and M >= 1")
-        factors.append(PochhammerFactor(sign, offset, modulus, exponent))
-    if not factors:
-        raise UsageError("empty product spec")
-    return QProductSpec(tuple(factors))
+        factors.append(POCH(sign, offset, modulus, exponent))
+    return P(1, 0, *factors)
 
 
 def _parse_sign(token: str) -> int:
@@ -105,12 +79,10 @@ def _parse_sign(token: str) -> int:
     raise UsageError(f"sign must be '+' or '-', got {token!r}")
 
 
-# Every series name but prod:SPEC is one side: its head maps to the most
-# ':'-separated fields it takes and to the factors those fields give.
+# A series name other than prod:SPEC maps its head to the most ':'-separated
+# fields it takes and to the factors those fields give.
 _SIDE_NAMES = {
-    "c5": (0, lambda: (SEQ("c5"),)),
-    "a5bar": (0, lambda: (SEQ("a5"),)),
-    "b5bar": (0, lambda: (SEQ("b5"),)),
+    **{alias: (0, lambda seq=seq: (SEQ(seq),)) for alias, seq in _SEQ_ALIASES.items()},
     "f": (1, lambda j="1": (F(int(j)),)),
     "R": (1, lambda j="1": R(int(j))),
     "phi": (2, lambda s="-", j="1": (PHI(_parse_sign(s), int(j)),)),
@@ -124,11 +96,11 @@ def resolve_series(name: str, order: int):
 
     Names: c5 | a5bar | b5bar | f[:J] | R[:J] | phi[:SIGN[:J]] |
     psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC (inline Pochhammer product).
-    A Pochhammer factor is not an atom of a side, so prod:SPEC is expanded
-    as a q-product.
+    Each is a one-term side; a malformed prod:SPEC factor is reported as
+    such, any other bad name as an unknown series or one that cannot expand.
     """
     if name.startswith("prod:"):
-        return expand_qproduct(_parse_product_spec(name[5:]), order)
+        return evaluate_side((_parse_product_spec(name[5:]),), order)
     head, *rest = name.split(":")
     if head not in _SIDE_NAMES or len(rest) > _SIDE_NAMES[head][0]:
         raise UsageError(f"unknown series {name!r}")
@@ -143,8 +115,6 @@ def resolve_series(name: str, order: int):
 
 def _cmd_expand(args) -> int:
     order = args.positional_order if args.positional_order is not None else args.order
-    if order is None:
-        order = _env_default(DEFAULT_EXPAND_ORDER)
     series = resolve_series(args.name, order)
     if args.format == "json":
         print(json.dumps(
@@ -156,8 +126,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = args.order if args.order is not None else _env_default(identities.DEFAULT_ORDER)
-    selector = args.selector or (args.tier or "all")
+    order, selector = args.order, args.selector
     if selector in ("all", "core", "extended"):
         reports = identities.verify_all(selector, order, args.kmax)
     else:
@@ -193,7 +162,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    order = args.order if args.order is not None else _env_default(DEFAULT_CENSUS_ORDER, minimum=1)
+    order = args.order
     seq = _SEQ_ALIASES.get(args.name)
     if seq is None:
         raise UsageError(f"unknown sequence {args.name!r}; choose from "
@@ -215,7 +184,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
-    order = args.order if args.order is not None else _env_default(identities.DEFAULT_ORDER)
+    order = args.order
     series = resolve_series(args.name, order)
     if args.direction == "export":
         try:
@@ -264,15 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
                                        "phi[:SIGN[:J]] | psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC")
     p_expand.add_argument("positional_order", nargs="?", type=_at_least(0), default=None,
                           metavar="N", help="truncation order (default 100)")
-    p_expand.add_argument("-N", "--order", type=_at_least(0), default=None)
+    p_expand.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_EXPAND_ORDER)
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
     p_expand.set_defaults(func=_cmd_expand)
 
     p_verify = sub.add_parser("verify", help="verify registered identities")
-    p_verify.add_argument("selector", nargs="?", default=None,
-                          help="identity id, 'core', 'extended', or 'all'")
-    p_verify.add_argument("--tier", choices=("core", "extended", "all"), default=None)
-    p_verify.add_argument("-N", "--order", type=_at_least(0), default=None)
+    p_verify.add_argument("selector", nargs="?", default="all",
+                          help="identity id, 'core', 'extended', or 'all' (the default)")
+    p_verify.add_argument("-N", "--order", type=_at_least(0), default=identities.DEFAULT_ORDER)
     p_verify.add_argument("--kmax", type=_at_least(2), default=identities.DEFAULT_KMAX)
     p_verify.add_argument("--jobs", type=int, choices=[1], default=1,
                           help="records are verified serially; only 1 is accepted")
@@ -291,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="exact sign frequencies of a sequence")
     p_census.add_argument("name", help="c5 | a5bar | b5bar")
-    p_census.add_argument("-N", "--order", type=_at_least(1), default=None)
+    p_census.add_argument("-N", "--order", type=_at_least(1), default=DEFAULT_CENSUS_ORDER)
     p_census.add_argument("--format", choices=("text", "json"), default="text")
     p_census.set_defaults(func=_cmd_census)
 
@@ -299,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bfile.add_argument("direction", choices=("export", "check"))
     p_bfile.add_argument("name")
     p_bfile.add_argument("path")
-    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=None)
+    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=identities.DEFAULT_ORDER)
     p_bfile.set_defaults(func=_cmd_bfile)
 
     return parser

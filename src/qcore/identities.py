@@ -10,6 +10,7 @@ rational arithmetic, including the census frequencies.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from .registry import (
     add_record,
     build_registry,
 )
-from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport, stopwatch
+from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
 from .series import TruncatedSeries, first_mismatch
 
 DEFAULT_ORDER = 1000
@@ -227,9 +228,9 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
 
 def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
     """``_verify_record`` with its elapsed seconds on the report."""
-    with stopwatch() as sw:
-        report = _verify_record(record, order, kmax)
-    report.elapsed = sw.elapsed
+    start = time.perf_counter()
+    report = _verify_record(record, order, kmax)
+    report.elapsed = time.perf_counter() - start
     return report
 
 

@@ -1,4 +1,4 @@
-"""Constructors for the named series: Pochhammer products, Euler products,
+"""Constructors for the named series: Pochhammer factors, Euler products,
 theta functions, the three headline generating functions (5-core counts and
 their two theta-quotient analogs), and the evaluator for sums of their
 quotients.
@@ -9,8 +9,10 @@ exponents fit under the truncation order; there are no heuristic cutoffs.
 
 Every named series is a side: a sum of product terms over atoms, which
 ``evaluate_side`` expands.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
-``SEQ``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
-Rogers-Ramanujan quotient R are quotients of atoms, not atoms.
+``SEQ``, ``POCH``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
+Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
+of Pochhammer factors, such as the Jacobi triple product, is a side of
+``POCH`` atoms.
 
 Only the three sequence generating functions keep their results: one
 prefix cache holds the longest expansion of each and serves every lower
@@ -21,7 +23,6 @@ Series are immutable, so sharing them across callers is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .series import TruncatedSeries
 
@@ -40,16 +41,6 @@ class PochhammerFactor:
             raise ValueError("sign must be +1 or -1")
         if self.offset < 1 or self.modulus < 1:
             raise ValueError("offset and modulus must be >= 1")
-
-
-@dataclass(frozen=True)
-class QProductSpec:
-    """A finite product of Pochhammer factors; constant term is always 1."""
-
-    factors: Tuple[PochhammerFactor, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,8 @@ def _binomial_product(sign: int, offset: int, modulus: int, order: int) -> list:
 
 
 def expand_pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
-    """Exact expansion of a single Pochhammer factor, any integer exponent."""
+    """Exact expansion of a single Pochhammer factor, any integer exponent:
+    the sparse product is raised to |exponent| and then inverted once."""
     base = TruncatedSeries(
         _binomial_product(factor.sign, factor.offset, factor.modulus, order), order
     )
@@ -99,13 +91,6 @@ def expand_pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
         return TruncatedSeries.one(order)
     result = base.pow(abs(z))
     return result.invert() if z < 0 else result
-
-
-def expand_qproduct(spec: QProductSpec, order: int) -> TruncatedSeries:
-    result = TruncatedSeries.one(order)
-    for factor in spec.factors:
-        result = result.mul(expand_pochhammer(factor, order))
-    return result
 
 
 # -- bilateral sums ---------------------------------------------------------
@@ -181,6 +166,8 @@ def psi(sign: int, j: int, order: int) -> TruncatedSeries:
 #   ("phi", sign, j)              phi(sign*q^j)
 #   ("psi", sign, j)              psi(sign*q^j)
 #   ("theta_general", spec)       f(a, b) for a ThetaSpec
+#   ("expand_pochhammer", factor) (sign*q^offset; q^modulus)_inf^exponent
+#                                 for a PochhammerFactor
 #   (name, m, r, s, k)            sum over n of name(m*n + r) * (s*q^k)^n,
 #                                 name a key of SEQUENCES, m >= 1, r any
 #                                 integer (name at a negative index is 0),
@@ -205,6 +192,16 @@ def PSI(sign: int, j: int) -> tuple:
 def THETA(s1: int, e1: int, s2: int, e2: int) -> tuple:
     """f(s1*q^e1, s2*q^e2)."""
     return ("theta_general", ThetaSpec(s1, e1, s2, e2))
+
+
+def POCH(sign: int, offset: int, modulus: int, exponent: int = 1) -> tuple:
+    """(sign*q^offset; q^modulus)_inf^exponent.
+
+    The exponent stays inside the atom: the sparse product is raised to
+    |exponent| before the one inversion, where a side exponent of -|Z| would
+    divide |Z| times by a dense product.
+    """
+    return ("expand_pochhammer", PochhammerFactor(sign, offset, modulus, exponent))
 
 
 def SEQ(name: str, m: int = 1, r: int = 0, s: int = 1, k: int = 1) -> tuple:
@@ -233,9 +230,17 @@ def R(j: int, p: int = 1) -> tuple:
 
 
 def P(coeff: int, shift: int, *factors) -> tuple:
-    """coeff * q^shift * prod atom^e; a factor is (atom, e), or an atom for e = 1."""
-    pairs = tuple(f if isinstance(f[0], tuple) else (f, 1) for f in factors)
-    return (coeff, shift, tuple((atom, e) for atom, e in pairs if e))
+    """coeff * q^shift * prod atom^e; a factor is (atom, e), or an atom for e = 1.
+
+    A repeated atom is one factor whose exponent is the sum of its
+    exponents, in the order atoms are first seen; an atom whose exponents
+    sum to 0 is left out.
+    """
+    exponents = {}
+    for f in factors:
+        atom, e = f if isinstance(f[0], tuple) else (f, 1)
+        exponents[atom] = exponents.get(atom, 0) + e
+    return (coeff, shift, tuple((atom, e) for atom, e in exponents.items() if e))
 
 
 def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
@@ -255,6 +260,8 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
         return psi(*args, order)
     if head == "theta_general":
         return theta_general(args[0], order)
+    if head == "expand_pochhammer":
+        return expand_pochhammer(args[0], order)
     m, r, s, k = args
     if (m, r, s, k) == (1, 0, 1, 1):
         return SEQUENCES[head](order)
@@ -278,10 +285,10 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     then divided by the common denominator one atom at a time, so that a
     division costs the order times the nonzero terms of one theta or Euler
     product rather than of their dense product.  An atom appears at most
-    once per term.  Powers of an atom are built once per side by squaring:
-    x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone term 1 * q^0 leaves the
-    sum as the unit series, which is never multiplied by.  A side with no
-    terms is the zero series.
+    once per term, as ``P`` writes it.  Powers of an atom are built once
+    per side by squaring: x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone
+    term 1 * q^0 leaves the sum as the unit series, which is never
+    multiplied by.  A side with no terms is the zero series.
     """
     if not side:
         return TruncatedSeries.zero(order)
@@ -366,7 +373,7 @@ SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
 
 
 def _poch_factors_for(coeff_sign: int, coeff_exp: int, base_sign: int, base_exp: int):
-    """Factors of (c; Q)_inf with c = coeff_sign*q^coeff_exp, Q = base_sign*q^base_exp.
+    """POCH atoms of (c; Q)_inf with c = coeff_sign*q^coeff_exp, Q = base_sign*q^base_exp.
 
     A negative base splits over even/odd k into two factors on modulus
     2*base_exp.
@@ -374,15 +381,16 @@ def _poch_factors_for(coeff_sign: int, coeff_exp: int, base_sign: int, base_exp:
     if coeff_exp < 1:
         raise ValueError("triple product expansion needs strictly positive exponents")
     if base_sign == 1:
-        return (PochhammerFactor(coeff_sign, coeff_exp, base_exp),)
+        return (POCH(coeff_sign, coeff_exp, base_exp),)
     return (
-        PochhammerFactor(coeff_sign, coeff_exp, 2 * base_exp),
-        PochhammerFactor(-coeff_sign, coeff_exp + base_exp, 2 * base_exp),
+        POCH(coeff_sign, coeff_exp, 2 * base_exp),
+        POCH(-coeff_sign, coeff_exp + base_exp, 2 * base_exp),
     )
 
 
 def triple_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
-    """Expand f(a, b) through (-a; ab)(-b; ab)(ab; ab) as q-products."""
+    """Expand f(a, b) through (-a; ab)(-b; ab)(ab; ab) as a side of Pochhammer
+    atoms; a factor that repeats, as in phi, is expanded once and squared."""
     ab_sign = spec.s1 * spec.s2
     ab_exp = spec.e1 + spec.e2
     factors = (
@@ -390,4 +398,4 @@ def triple_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
         + _poch_factors_for(-spec.s2, spec.e2, ab_sign, ab_exp)
         + _poch_factors_for(ab_sign, ab_exp, ab_sign, ab_exp)
     )
-    return expand_qproduct(QProductSpec(factors), order)
+    return evaluate_side((P(1, 0, *factors),), order)

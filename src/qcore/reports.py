@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,17 +60,3 @@ class VerificationReport:
         if include_elapsed:
             d["elapsed"] = self.elapsed
         return d
-
-
-class _Stopwatch:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False
-
-
-def stopwatch() -> _Stopwatch:
-    return _Stopwatch()

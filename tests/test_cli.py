@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import _brute as brute
 from qcore import register, unregister
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
@@ -50,6 +51,16 @@ def test_expand_inline_product(capsys):
     assert out.strip() == "1 1 2 3 5 7 11"
 
 
+@pytest.mark.parametrize("spec, factors", [
+    ("1/2,1/2,1/2^-1", [(1, 1, 2, 1), (1, 1, 2, 1), (1, 1, 2, -1)]),
+    ("1/1^0,2/3^-2", [(1, 1, 1, 0), (1, 2, 3, -2)]),
+], ids=["repeated-factor", "zero-power"])
+def test_expand_inline_product_matches_brute(capsys, spec, factors):
+    code, out, _ = run_cli(capsys, "expand", f"prod:{spec}", "60")
+    assert code == EXIT_OK
+    assert [int(c) for c in out.split()] == brute.qproduct(factors, 60)
+
+
 def test_expand_unknown_series(capsys):
     code, _, err = run_cli(capsys, "expand", "zeta", "4")
     assert code == EXIT_USAGE
@@ -60,20 +71,6 @@ def test_expand_bad_product_spec(capsys):
     code, _, err = run_cli(capsys, "expand", "prod:1//2", "4")
     assert code == EXIT_USAGE
     assert "factor" in err
-
-
-def test_expand_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("QCORE_DEFAULT_ORDER", "5")
-    code, out, _ = run_cli(capsys, "expand", "c5")
-    assert code == EXIT_OK
-    assert out.strip() == "1 1 2 3 5 2"
-
-
-def test_census_env_default_below_minimum(capsys, monkeypatch):
-    monkeypatch.setenv("QCORE_DEFAULT_ORDER", "0")
-    code, _, err = run_cli(capsys, "census", "b5bar")
-    assert code == EXIT_USAGE
-    assert "QCORE_DEFAULT_ORDER" in err and "Traceback" not in err
 
 
 def test_expand_json_format(capsys):
@@ -91,7 +88,7 @@ def test_verify_single_id(capsys):
 
 
 def test_verify_tier_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--tier", "core", "--order", "200")
+    code, out, _ = run_cli(capsys, "verify", "core", "--order", "200")
     assert code == EXIT_OK
     assert "46 records: 46 exact-match" in out
 
@@ -103,8 +100,8 @@ def test_verify_unknown_selector(capsys):
 
 
 def test_verify_output_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "verify", "--tier", "core", "--order", "120")
-    _, second, _ = run_cli(capsys, "verify", "--tier", "core", "--order", "120")
+    _, first, _ = run_cli(capsys, "verify", "core", "--order", "120")
+    _, second, _ = run_cli(capsys, "verify", "core", "--order", "120")
     assert first == second
 
 

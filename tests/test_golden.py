@@ -1,12 +1,21 @@
 """CLI stdout and exit codes, byte for byte, against recorded output.
 
-``tests/golden/`` holds the stdout of ``qcore verify all -N N`` in text and
-json for N in 0, 1, 7, 61 and 300, and of ``qcore expand NAME 200`` for the
-three sequences, recorded before relations, families and series equalities
-shared one comparator.  A change to a report line, a value's format, a kind
-or a coefficient shows up here.
+``tests/golden/`` holds the stdout of:
+
+- ``qcore verify all -N N`` in text and json for N in 0, 1, 7, 61 and 300,
+  and of ``qcore expand NAME 200`` for the three sequences, recorded before
+  relations, families and series equalities shared one comparator;
+- ``qcore expand NAME 50`` for every series name the benchmark's cli-mix
+  deals, ``qcore expand prod:1/1^-3,5/5^5 2000 --format json`` and
+  ``qcore verify core|extended -N 300``, recorded before ``prod:SPEC``
+  became a side over Pochhammer atoms and ``verify --tier`` was dropped
+  (the tier files come from ``verify --tier core|extended -N 300``).
+
+A change to a report line, a value's format, a kind or a coefficient shows
+up here.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +27,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # cor.census misses its zero bound at these unaligned orders (ROADMAP item 5)
 CENSUS_FAILS = (1, 7, 61)
 
+EXPAND_NAMES = (
+    "c5", "a5bar", "b5bar",
+    "f", "f:2", "f:5",
+    "R", "R:5",
+    "phi", "phi:+", "phi:-:5",
+    "psi", "psi:+:2", "psi:-:5",
+    "chi", "chi:+:3",
+    "prod:1/1^-1", "prod:1/5,4/5", "prod:-1/2,1/1^2", "prod:1/1^-3,5/5^5",
+)
+
+
+def _file_name(name: str) -> str:
+    """A series name as a file name: every character but [A-Za-z0-9+-] is '_'."""
+    return re.sub(r"[^A-Za-z0-9+-]", "_", name)
+
+
 CASES = [
     (f"verify_all_N{n}.{ext}", ["verify", "all", "-N", str(n)] + flags,
      EXIT_MISMATCH if n in CENSUS_FAILS else EXIT_OK)
@@ -26,6 +51,15 @@ CASES = [
 ] + [
     (f"expand_{name}_200.txt", ["expand", name, "200"], EXIT_OK)
     for name in ("c5", "a5bar", "b5bar")
+] + [
+    (f"expand_{_file_name(name)}_50.txt", ["expand", name, "50"], EXIT_OK)
+    for name in EXPAND_NAMES
+] + [
+    ("expand_prod_1_1_-3_5_5_5_2000.json",
+     ["expand", "prod:1/1^-3,5/5^5", "2000", "--format", "json"], EXIT_OK),
+] + [
+    (f"verify_{tier}_N300.txt", ["verify", tier, "-N", "300"], EXIT_OK)
+    for tier in ("core", "extended")
 ]
 
 

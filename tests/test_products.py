@@ -5,13 +5,11 @@ from conftest import THETA_CORPUS
 import _brute as brute
 from qcore import (
     PochhammerFactor,
-    QProductSpec,
     ThetaSpec,
     TruncatedSeries,
     euler_f,
     evaluate_side,
     expand_pochhammer,
-    expand_qproduct,
     gen_a5bar,
     gen_b5bar,
     gen_c5,
@@ -21,7 +19,7 @@ from qcore import (
     triple_product,
 )
 from qcore import products
-from qcore.products import CHI, PHI, PSI, SEQ, THETA, F, P, R
+from qcore.products import CHI, PHI, POCH, PSI, SEQ, THETA, F, P, R
 
 # frozen via _brute.py (qproduct / theta_sum / partition counts)
 R_OF_Q_16 = [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2, -3, 2, 0, -2, 4, -4]
@@ -369,13 +367,19 @@ def test_named_constructors_memoize(monkeypatch):
 
 
 def test_qproduct_expansion_matches_brute():
-    spec = QProductSpec((
-        PochhammerFactor(1, 1, 5),
-        PochhammerFactor(1, 4, 5),
-        PochhammerFactor(1, 2, 5, -1),
-        PochhammerFactor(1, 3, 5, -1),
-    ))
-    got = expand_qproduct(spec, 40)
+    got = side(POCH(1, 1, 5), POCH(1, 4, 5), POCH(1, 2, 5, -1), POCH(1, 3, 5, -1),
+               order=40)
     num = brute.qproduct([(1, 1, 5, 1), (1, 4, 5, 1)], 40)
     den = brute.qproduct([(1, 2, 5, 1), (1, 3, 5, 1)], 40)
     assert list(got.coeffs) == brute.convolve(num, brute.invert(den, 40), 40)
+
+
+def test_repeated_atom_exponents_add_up():
+    # P(1, 0, F(1), F(1)) is f1^2, not f1; opposite exponents cancel to 1
+    assert P(1, 0, F(1), F(1)) == (1, 0, ((F(1), 2),))
+    assert side(F(1), F(1), order=60) == euler_f(1, 60).pow(2)
+    assert side(F(1), (F(1), -1), order=60) == TruncatedSeries.one(60)
+    # first-seen order is kept, and a zero sum drops the atom
+    assert P(2, 1, F(2), (F(1), 3), F(5), (F(1), -1), F(2)) == \
+        (2, 1, ((F(2), 2), (F(1), 2), (F(5), 1)))
+    assert P(2, 1, F(2), (F(1), 3), (F(2), -1), (F(1), -3), F(5)) == (2, 1, ((F(5), 1),))
