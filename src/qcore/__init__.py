@@ -15,48 +15,46 @@ The building blocks:
 - ``identities``: the uniform evaluator over the registry.
 - ``bfile``: OEIS b-file import/export.
 - ``cli``: the ``qcore`` command.
+
+The public names below are resolved on first use (PEP 562), so
+``import qcore`` loads no submodule and a command loads only the modules
+it runs.
 """
 
-from .bfile import BFile, BFileParseError, first_discrepancy, format_bfile, parse_bfile
-from .dissection import Dissection, dissect
-from .identities import (
-    DEFAULT_KMAX,
-    DEFAULT_ORDER,
-    CensusResult,
-    UnknownIdentity,
-    UnknownSequence,
-    check_congruence,
-    record_ids,
-    register,
-    sequence,
-    sign_census,
-    summarize,
-    unregister,
-    verify,
-    verify_all,
-)
-from .partitions import (
-    OracleScaleExceeded,
-    Partition,
-    count_t_cores,
-    partitions_of,
-)
-from .products import (
-    PochhammerFactor,
-    ThetaSpec,
-    euler_f,
-    evaluate_side,
-    expand_pochhammer,
-    gen_a5bar,
-    gen_b5bar,
-    gen_c5,
-    phi,
-    psi,
-    theta_general,
-    triple_product,
-)
-from .registry import CORE, EXTENDED, Record
-from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
-from .series import NonUnitConstantTerm, TruncatedSeries, first_mismatch
-
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("BFile", "BFileParseError", "first_discrepancy", "format_bfile",
+                     "parse_bfile"), "bfile"),
+    **dict.fromkeys(("Dissection", "dissect"), "dissection"),
+    **dict.fromkeys(("DEFAULT_KMAX", "DEFAULT_ORDER", "CensusResult", "UnknownIdentity",
+                     "UnknownSequence", "check_congruence", "record_ids", "register",
+                     "sequence", "sign_census", "summarize", "unregister", "verify",
+                     "verify_all"), "identities"),
+    **dict.fromkeys(("OracleScaleExceeded", "Partition", "count_t_cores",
+                     "partitions_of"), "partitions"),
+    **dict.fromkeys(("PochhammerFactor", "ThetaSpec", "euler_f", "evaluate_side",
+                     "expand_pochhammer", "gen_a5bar", "gen_b5bar", "gen_c5", "phi", "psi",
+                     "theta_general", "triple_product"), "products"),
+    **dict.fromkeys(("CORE", "EXTENDED", "Record"), "registry"),
+    **dict.fromkeys(("EXACT_MATCH", "MISMATCH", "SKIPPED", "VerificationReport"), "reports"),
+    **dict.fromkeys(("NonUnitConstantTerm", "TruncatedSeries", "first_mismatch"), "series"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

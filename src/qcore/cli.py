@@ -6,19 +6,20 @@ Exit codes: 0 success, 1 verification mismatch or value discrepancy,
 byte-identical across runs; timing is opt-in via --timing.  Every series
 name, prod:SPEC included, is one side for ``products.evaluate_side``, and
 every parameter has one spelling with its default in the parser.
+
+A subcommand imports what it runs when it runs: the registry and the
+evaluator only for verify and census, the b-file module only for bfile,
+the partition oracle only for oracle, and json only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from . import bfile as bfile_mod
-from . import identities
-from .partitions import OracleScaleExceeded, count_t_cores, partitions_of
+from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
 from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5
 
 EXIT_OK = 0
@@ -117,15 +118,18 @@ def _cmd_expand(args) -> int:
     order = args.positional_order if args.positional_order is not None else args.order
     series = resolve_series(args.name, order)
     if args.format == "json":
+        import json
         print(json.dumps(
             {"name": args.name, "order": order, "coefficients": list(series.coeffs)},
             sort_keys=True))
     else:
-        print(" ".join(str(c) for c in series.coeffs))
+        print(" ".join(map(str, series.coeffs)))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
+
     order, selector = args.order, args.selector
     if selector in ("all", "core", "extended"):
         reports = identities.verify_all(selector, order, args.kmax)
@@ -136,6 +140,7 @@ def _cmd_verify(args) -> int:
             print(f"unknown identity or tier: {selector!r}", file=sys.stderr)
             return EXIT_USAGE
     if args.format == "json":
+        import json
         print(json.dumps([r.to_dict(include_elapsed=args.timing) for r in reports],
                          sort_keys=True))
     else:
@@ -146,7 +151,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    count = count_t_cores(args.n, args.t, ceiling=args.ceiling)
+    from .partitions import OracleScaleExceeded, count_t_cores, partitions_of
+
+    try:
+        count = count_t_cores(args.n, args.t, ceiling=args.ceiling)
+    except OracleScaleExceeded as exc:
+        raise UsageError(str(exc)) from None
     print(f"count_t_cores({args.n}, {args.t}) = {count}")
     if args.list:
         for p in partitions_of(args.n):
@@ -162,6 +172,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import identities
+
     order = args.order
     seq = _SEQ_ALIASES.get(args.name)
     if seq is None:
@@ -176,6 +188,7 @@ def _cmd_census(args) -> int:
         "negative": str(census.negative),
     }
     if args.format == "json":
+        import json
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"{args.name} sign census over n=1..{order}: "
@@ -184,6 +197,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_bfile(args) -> int:
+    from . import bfile as bfile_mod
+
     order = args.order
     series = resolve_series(args.name, order)
     if args.direction == "export":
@@ -201,7 +216,11 @@ def _cmd_bfile(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    parsed = bfile_mod.parse_bfile(text)
+    try:
+        parsed = bfile_mod.parse_bfile(text)
+    except bfile_mod.BFileParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     last = parsed.entries[-1][0]
     if parsed.first_index > order:
         print(f"nothing checked: the file holds indices {parsed.first_index}..{last}, "
@@ -240,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify registered identities")
     p_verify.add_argument("selector", nargs="?", default="all",
                           help="identity id, 'core', 'extended', or 'all' (the default)")
-    p_verify.add_argument("-N", "--order", type=_at_least(0), default=identities.DEFAULT_ORDER)
-    p_verify.add_argument("--kmax", type=_at_least(2), default=identities.DEFAULT_KMAX)
+    p_verify.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_ORDER)
+    p_verify.add_argument("--kmax", type=_at_least(2), default=DEFAULT_KMAX)
     p_verify.add_argument("--jobs", type=int, choices=[1], default=1,
                           help="records are verified serially; only 1 is accepted")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -267,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bfile.add_argument("direction", choices=("export", "check"))
     p_bfile.add_argument("name")
     p_bfile.add_argument("path")
-    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=identities.DEFAULT_ORDER)
+    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_ORDER)
     p_bfile.set_defaults(func=_cmd_bfile)
 
     return parser
@@ -285,12 +304,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except bfile_mod.BFileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OracleScaleExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

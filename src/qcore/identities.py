@@ -13,8 +13,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
 from .products import SEQUENCES, evaluate_side
 from .registry import (
     CensusRecord,
@@ -28,9 +29,6 @@ from .registry import (
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
 from .series import TruncatedSeries, first_mismatch
-
-DEFAULT_ORDER = 1000
-DEFAULT_KMAX = 3
 
 REGISTRY: Dict[str, Record] = build_registry()
 
@@ -234,10 +232,46 @@ def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
     return report
 
 
+def _reach(record: Record, order: int, kmax: int) -> Iterator[Tuple[str, int]]:
+    """(name, index) for every sequence that verifying the record at the
+    order reads, to that index: a series equality reads the sequence of an
+    atom (name, m, r, s, k) to m*(order // k) + r, as ``products`` slices
+    it, and a relation or family reads each of its sequences to the order
+    (``_coverage``), as does a census."""
+    if isinstance(record, SeriesEquality):
+        for side in record.sides:
+            for _, _, factors in side:
+                for atom, _ in factors:
+                    if atom[0] in SEQUENCES:
+                        name, m, r, _, k = atom
+                        yield name, m * (order // k) + r
+    elif isinstance(record, (Relation, Family)):
+        sides = ([record.lhs, record.rhs] if isinstance(record, Relation)
+                 else [side for k in range(2, kmax + 1) for side in record.at(k)[:2]])
+        for side in sides:
+            for _, _, factors in side:
+                for atom, _ in factors:
+                    yield atom[0], order
+    elif isinstance(record, CensusRecord) and order >= 1:
+        yield record.seq, order
+
+
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
                kmax: int = DEFAULT_KMAX) -> List[VerificationReport]:
-    """Verify every record of a tier, one after another, in registration order."""
-    return [verify(rid, order, kmax) for rid in record_ids(tier)]
+    """Verify every record of a tier, one after another, in registration order.
+
+    Each sequence is first read to the largest index that any of the
+    records reads it to, so the prefix cache builds it once per run rather
+    than once per rising order."""
+    ids = record_ids(tier)
+    reach: Dict[str, int] = {}
+    for rid in ids:
+        for name, top in _reach(REGISTRY[rid], order, kmax):
+            reach[name] = max(reach.get(name, top), top)
+    for name, top in reach.items():
+        if top >= 0:
+            sequence(name, top)
+    return [verify(rid, order, kmax) for rid in ids]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> str:

@@ -22,59 +22,95 @@ Series are immutable, so sharing them across callers is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class PochhammerFactor:
+class _Value:
+    """Immutable named fields, compared, hashed and shown by value as a
+    frozen dataclass would be; plain classes keep ``dataclasses`` out of
+    the import of every series expansion."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PochhammerFactor(_Value):
     """One factor (sign*q^offset; q^modulus)_inf^exponent."""
 
-    sign: int
-    offset: int
-    modulus: int
-    exponent: int = 1
+    __slots__ = ("sign", "offset", "modulus", "exponent")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, offset: int, modulus: int, exponent: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.offset < 1 or self.modulus < 1:
+        if offset < 1 or modulus < 1:
             raise ValueError("offset and modulus must be >= 1")
+        for name, value in zip(self.__slots__, (sign, offset, modulus, exponent)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(_Value):
     """The two-monomial theta f(a, b) with a = s1*q^e1 and b = s2*q^e2."""
 
-    s1: int
-    e1: int
-    s2: int
-    e2: int
+    __slots__ = ("s1", "e1", "s2", "e2")
 
-    def __post_init__(self):
-        if self.s1 not in (1, -1) or self.s2 not in (1, -1):
+    def __init__(self, s1: int, e1: int, s2: int, e2: int):
+        if s1 not in (1, -1) or s2 not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-        if self.e1 < 0 or self.e2 < 0:
+        if e1 < 0 or e2 < 0:
             raise ValueError("exponents must be >= 0")
-        if self.e1 + self.e2 < 1:
+        if e1 + e2 < 1:
             raise ValueError("need e1 + e2 >= 1 for convergence")
+        for name, value in zip(self.__slots__, (s1, e1, s2, e2)):
+            object.__setattr__(self, name, value)
 
 
 # -- product expansion ------------------------------------------------------
 
 
 def _binomial_product(sign: int, offset: int, modulus: int, order: int) -> list:
-    """(sign*q^offset; q^modulus)_inf to the given order, exponent 1."""
+    """(sign*q^offset; q^modulus)_inf to the given order, exponent 1, by
+    Euler's sum over n >= 0 of (-sign)^n q^(n*offset + modulus*n(n-1)/2)
+    / (q^modulus; q^modulus)_n.
+
+    The n-th term starts past the order once n ~ sqrt(2*order/modulus), and
+    each costs O(order): 1/(q^M; q^M)_n is 1/(q^M; q^M)_(n-1) divided by
+    (1 - q^(nM)), a prefix sum over every residue class mod nM.  So the
+    whole product is O(order^1.5) where multiplying factor by factor is
+    O(order^2 / modulus).
+    """
     out = [1] + [0] * order
-    t = offset
-    while t <= order:
-        # multiply in place by (1 - sign*q^t); descending keeps sources intact
-        for i in range(order - t, -1, -1):
-            c = out[i]
-            if c:
-                out[i + t] -= sign * c
-        t += modulus
+    inv = out[:]            # 1/(q^M; q^M)_n, kept to the order the n-th term reaches
+    n, start = 1, offset
+    while start <= order:
+        del inv[order - start + 1:]
+        step = n * modulus
+        for r in range(min(step, len(inv))):
+            inv[r::step] = accumulate(inv[r::step])
+        term = inv if sign == -1 or n % 2 == 0 else [-c for c in inv]
+        out[start:] = map(int.__add__, out[start:], term)
+        n, start = n + 1, start + offset + n * modulus
     return out
 
 
@@ -214,8 +250,7 @@ def CHI(sign: int, j: int) -> tuple:
 
     chi(-q) = (q; q^2)_inf and chi(q) = (-q; q^2)_inf: the odd factors of
     (-sign*q^j; -sign*q^j)_inf are chi's, its even ones are f(-q^2j).  The
-    quotient costs one division by a sparse Euler product, O(order^1.5),
-    where the Pochhammer product costs O(order^2 / j).
+    quotient costs one division by a sparse Euler product, O(order^1.5).
     """
     return ((F(j, sign), 1), (F(2 * j), -1))
 

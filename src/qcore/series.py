@@ -9,10 +9,10 @@ never approximates it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Tuple
 
 # Multiplication strategy: when one factor has at most this many nonzero
 # terms, convolve over just the nonzero terms (nnz_a * nnz_b products, rows
@@ -39,7 +39,7 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[int], order: Optional[int] = None):
+    def __init__(self, coeffs: Iterable[int], order: int | None = None):
         coeffs = tuple(coeffs)
         if order is None:
             if not coeffs:
@@ -212,7 +212,7 @@ class TruncatedSeries:
 
     # -- substitutions and index surgery --------------------------------
 
-    def inflate(self, m: int, order: Optional[int] = None) -> "TruncatedSeries":
+    def inflate(self, m: int, order: int | None = None) -> "TruncatedSeries":
         """Substitute q -> q^m.
 
         The result is exact up to self.order*m + m - 1 (the slots between
@@ -299,7 +299,7 @@ class TruncatedSeries:
 
 def first_mismatch(
     a: TruncatedSeries, b: TruncatedSeries
-) -> Optional[Tuple[int, int, int]]:
+) -> tuple[int, int, int] | None:
     """Smallest index where a and b differ (up to the shared order), or None."""
     order = min(a.order, b.order)
     ca, cb = a.coeffs, b.coeffs

@@ -59,10 +59,56 @@ def test_pochhammer_square_matches_pow():
 
 
 def test_pochhammer_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sign must be"):
         PochhammerFactor(2, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="offset and modulus must be >= 1"):
         PochhammerFactor(1, 0, 1)
+    with pytest.raises(ValueError, match="offset and modulus must be >= 1"):
+        PochhammerFactor(1, 1, 0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("offset", range(1, 8))
+def test_pochhammer_euler_sum_matches_factor_by_factor(sign, offset):
+    # Euler's sum against multiplying in one factor (1 - sign q^t) at a time,
+    # at orders below, at and past the first factor
+    for modulus in range(1, 8):
+        for order in sorted({0, 1, offset - 1, offset, 300}):
+            got = expand_pochhammer(PochhammerFactor(sign, offset, modulus), order)
+            assert list(got.coeffs) == brute.pochhammer(sign, offset, modulus, order), \
+                (sign, offset, modulus, order)
+
+
+def test_value_types_compare_hash_and_show_by_value():
+    poch = PochhammerFactor(-1, 2, 3)
+    spec = ThetaSpec(1, 2, -1, 3)
+    assert repr(poch) == "PochhammerFactor(sign=-1, offset=2, modulus=3, exponent=1)"
+    assert repr(spec) == "ThetaSpec(s1=1, e1=2, s2=-1, e2=3)"
+    assert poch == PochhammerFactor(sign=-1, offset=2, modulus=3, exponent=1)
+    assert hash(poch) == hash(PochhammerFactor(-1, 2, 3, 1))
+    assert poch != PochhammerFactor(-1, 2, 3, 2) and poch != (-1, 2, 3, 1)
+    assert spec == ThetaSpec(1, 2, -1, 3) and spec != ThetaSpec(1, 2, 1, 3)
+    assert hash(spec) == hash(ThetaSpec(1, 2, -1, 3)) and spec != (1, 2, -1, 3)
+    assert (spec.s1, spec.e1, spec.s2, spec.e2) == (1, 2, -1, 3)
+    assert poch.exponent == 1
+
+
+def test_value_types_are_immutable():
+    for value, field in ((PochhammerFactor(1, 1, 1), "sign"), (ThetaSpec(1, 1, 1, 1), "e2")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, 2)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+
+def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):
+    # sides keyed by equal but distinct value objects find one cache entry
+    monkeypatch.setattr(products, "_LONGEST", {})
+    first = products._prefix((P(1, 0, POCH(1, 1, 1), THETA(-1, 1, -1, 2)),), 40)
+    again = products._prefix((P(1, 0, POCH(1, 1, 1), THETA(-1, 1, -1, 2)),), 30)
+    assert len(products._LONGEST) == 1 and again == first.truncate(30)
 
 
 # -- Euler products --------------------------------------------------------------
@@ -114,10 +160,12 @@ def test_theta_matches_brute_window():
 
 
 def test_theta_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need e1 \\+ e2 >= 1 for convergence"):
         ThetaSpec(1, 0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="signs must be"):
         ThetaSpec(0, 1, 1, 1)
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        ThetaSpec(1, -1, 1, 2)
 
 
 def test_triple_product_matches_bilateral_sum():

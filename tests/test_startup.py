@@ -1,0 +1,62 @@
+"""Import discipline: a command loads only the modules it runs.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported every qcore module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with qcore on the path; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_qcore_loads_no_submodule():
+    out = fresh("import sys, qcore\n"
+                "print([m for m in sys.modules if m.startswith('qcore.')])\n")
+    assert out == "[]\n"
+
+
+def test_expand_leaves_the_registry_and_its_imports_out():
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        "code = cli.main(['expand', 'f', '5'])\n"
+        "names = ('qcore.registry', 'qcore.identities', 'dataclasses', 'fractions', 'json')\n"
+        "print(code, [m for m in names if m in sys.modules])\n"
+    )
+    assert out.splitlines() == ["1 -1 -1 0 0 1", "0 []"]
+
+
+def test_verify_one_record_from_a_fresh_interpreter():
+    out = fresh("from qcore import cli\n"
+                "print(cli.main(['verify', 'lemma.c5n4', '-N', '10']))\n")
+    assert out.splitlines() == [
+        "lemma.c5n4 exact-match N=10",
+        "1 records: 1 exact-match, 0 mismatch, 0 skipped",
+        "0",
+    ]
+
+
+def test_public_names_are_the_module_objects():
+    import importlib
+
+    import qcore
+
+    for name in qcore.__all__:
+        module = importlib.import_module(f"qcore.{qcore._EXPORTS[name]}")
+        assert getattr(qcore, name) is getattr(module, name), name
+    assert set(qcore.__all__) <= set(dir(qcore))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcore.no_such_name
