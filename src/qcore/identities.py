@@ -3,8 +3,10 @@
 ``verify`` dispatches on the record kind and always returns a
 VerificationReport; a mismatch carries the smallest offending index.
 Series equalities, relations and families share one comparator over
-their sides, ``_compare``.  Everything is computed in exact integer or
-rational arithmetic, including the census frequencies.
+their sides, ``_compare``, which multiplies the sides of a series identity
+through by their common denominator so that none divides.  Everything is
+computed in exact integer or rational arithmetic, including the census
+frequencies.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import SEQUENCES, evaluate_side
+from .products import SEQUENCES, P, evaluate_side
 from .registry import (
     CensusRecord,
     Family,
@@ -70,6 +72,28 @@ def _plain(num: int, den: int):
     return value.numerator if value.denominator == 1 else value
 
 
+def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
+    """The sides times D, the product of every atom's most negative exponent
+    over all terms, so that no side divides; the sides themselves when none
+    does.
+
+    Theta, Euler and Pochhammer atoms have constant term 1, so D has
+    constant term 1 and (lhs - rhs) * D first differs from 0 where
+    lhs - rhs does, by the same factor 1 there.  A sequence atom's constant
+    term need not be +-1, so it is never cleared."""
+    low: Dict[tuple, int] = {}
+    for side in sides:
+        for _, _, factors in side:
+            for atom, e in factors:
+                if e < low.get(atom, 0) and atom[0] not in SEQUENCES:
+                    low[atom] = e
+    if not low:
+        return sides
+    clear = [(atom, -e) for atom, e in low.items()]
+    return [tuple(P(coeff, shift, *factors, *clear) for coeff, shift, factors in side)
+            for side in sides]
+
+
 def _compare(sides: Sequence[tuple], order: int,
              modulus: int = 0) -> Optional[Tuple[int, object, object]]:
     """The first n <= order where a side differs from the first, as
@@ -77,21 +101,36 @@ def _compare(sides: Sequence[tuple], order: int,
     lhs - rhs is not a multiple of m, reported as (n, lhs - rhs, "0 (mod m)").
 
     Sides are expanded times the lcm of their coefficients' denominators, so
-    the series stay integral; values are reported as reduced fractions."""
+    the series stay integral; values are reported as reduced fractions.
+    They are compared with their denominators cleared (``_cleared``), which
+    finds the same first n without a division; on a mismatch the sides are
+    expanded again as written, for the values at n."""
     den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
     if den > 1:
         sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
                  for side in sides]
-    reference, *others = [evaluate_side(side, order) for side in sides]
-    for other in others:
-        if modulus:
-            for n, (a, b) in enumerate(zip(reference.coeffs, other.coeffs)):
-                if (a - b) % (den * modulus):
-                    return n, _plain(a - b, den), f"0 (mod {modulus})"
-        elif (bad := first_mismatch(reference, other)) is not None:
-            n, a, b = bad
-            return n, _plain(a, den), _plain(b, den)
-    return None
+
+    def first_difference(sides):
+        reference, *others = [evaluate_side(side, order) for side in sides]
+        for other in others:
+            if modulus:
+                for n, (a, b) in enumerate(zip(reference.coeffs, other.coeffs)):
+                    if (a - b) % (den * modulus):
+                        return n, _plain(a - b, den), f"0 (mod {modulus})"
+            elif (bad := first_mismatch(reference, other)) is not None:
+                n, a, b = bad
+                return n, _plain(a, den), _plain(b, den)
+        return None
+
+    cleared = _cleared(sides)
+    bad = first_difference(cleared)
+    if bad is None or cleared is sides:
+        return bad
+    as_written = first_difference(sides)
+    if as_written is None:
+        raise ArithmeticError(f"sides differ at n={bad[0]} with denominators cleared "
+                              "but agree as written")
+    return as_written
 
 
 def _coverage(sides: Sequence[tuple], order: int) -> int:

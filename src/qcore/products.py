@@ -316,10 +316,14 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
 
     Each atom's lowest exponent over the terms (0 where a term lacks it) is
     factored out of the sum: the terms are summed with nonnegative
-    exponents, the sum is multiplied by the atoms common to every term and
-    then divided by the common denominator one atom at a time, so that a
-    division costs the order times the nonzero terms of one theta or Euler
-    product rather than of their dense product.  An atom appears at most
+    exponents, the sum is multiplied by every atom common to all terms and
+    only then divided by the common denominator, one atom at a time.  A
+    dense series times a theta or Euler atom costs about one pass over it
+    per nonzero term of the atom (``mul``), where after a division it would
+    be a product of two dense series; a division costs the order times the
+    nonzero terms of one atom rather than of their dense product.
+    ``identities`` clears the denominators of a series identity, so that
+    its sides do not divide at all.  An atom appears at most
     once per term, as ``P`` writes it.  Powers of an atom are built once
     per side by squaring: x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone
     term 1 * q^0 leaves the sum as the unit series, which is never
@@ -362,12 +366,13 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     for atom, e in low.items():
         if e > 0:
             total = power(atom, e) if total is None else total.mul(power(atom, e))
-        for _ in range(-e):
-            total = (power(atom, 1).invert() if total is None
-                     else total.div(power(atom, 1)))
-        # the atom's powers are garbage from here on; x^2 and x^4 of a lone
-        # x^5 need not stay alive through the divisions that follow
-        powers.pop(atom, None)
+    # only the atoms divided by are needed from here on; x^2 and x^4 of a
+    # lone x^5 need not stay alive through the divisions
+    divisors = [(power(atom, 1), -e) for atom, e in low.items() if e < 0]
+    powers.clear()
+    for x, times in divisors:
+        for _ in range(times):
+            total = x.invert() if total is None else total.div(x)
     return TruncatedSeries.one(order) if total is None else total
 
 

@@ -8,19 +8,11 @@ never approximates it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import compress
-from math import gcd
+from math import gcd, log2
 from operator import itemgetter
-
-# Multiplication strategy: when one factor has at most this many nonzero
-# terms, convolve over just the nonzero terms (nnz_a * nnz_b products, rows
-# cut off at the order); otherwise pack both factors into big integers and
-# let CPython's integer multiply do the convolution, which is faster once
-# both factors are dense, whatever the order.  Factors in q^g are multiplied
-# as series in q at order // g.
-_SPARSE_LIMIT = 64
+from sys import int_info
 
 
 class NonUnitConstantTerm(ValueError):
@@ -146,6 +138,11 @@ class TruncatedSeries:
         ``coeffs[::g]`` at order ``order // g`` and the result is spread
         back over every g-th slot.  The skipped slots are zero, so this is
         exact.  A square, ``x.mul(x)``, packs its operand once.
+
+        Of the two kernels, ``_convolve_shifted`` costs about one pass over
+        the packed denser factor per nonzero term of the sparser one,
+        ``_convolve_packed`` about one Karatsuba multiply of both packed
+        factors, D^log2(3) for D digits; ``mul`` runs the cheaper.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
@@ -160,8 +157,13 @@ class TruncatedSeries:
             square = b is a
             a, ia, sub = a[::g], [i // g for i in ia], order // g
             b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
-        if min(len(ia), len(ib)) <= _SPARSE_LIMIT:
-            out = _convolve_sparse(a, ia, b, ib, sub)
+        if len(ib) < len(ia):
+            a, ia, b = b, ib, a
+        digits = (sub + 1) / int_info.bits_per_digit     # per bit of slot width
+        shifted = len(ia) * digits * _shifted_slot_bits(a, ia, b)
+        packed = (digits * _packed_slot_bits(a, b, sub + 1)) ** log2(3)
+        if shifted < packed:
+            out = _convolve_shifted(a, ia, b, sub)
         else:
             out = _convolve_packed(a, b, sub)
         return TruncatedSeries(_spread(out, g, order), order)
@@ -360,47 +362,85 @@ def _divide(a, b, order):
     return out
 
 
-def _convolve_sparse(a, ia, b, ib, order):
-    """Cauchy convolution over the nonzero terms: a[i] * b[j] for i in ia,
-    j in ib, i + j <= order (ia, ib ascending).  The sparser factor drives
-    the outer loop, and each row stops at the order by bisection."""
-    if len(ib) < len(ia):
-        a, ia, b, ib = b, ib, a, ia
-    out = [0] * (order + 1)
+def _magnitude(vals) -> int:
+    """max |v| over vals."""
+    return max(max(vals), -min(vals))
+
+
+def _packed_slot_bits(a, b, count: int) -> int:
+    """Bits of a signed slot that holds every digit of a * b over count slots:
+    |p_k| <= count max|a| max|b| < 2^(bits - 1)."""
+    mag_a = _magnitude(a)
+    mag_b = mag_a if b is a else _magnitude(b)
+    return mag_a.bit_length() + mag_b.bit_length() + count.bit_length() + 1
+
+
+def _shifted_slot_bits(a, ia, b) -> int:
+    """Bits of a signed slot that holds every digit of a * b, a nonzero at
+    the indices ia: |p_k| <= (sum |a_i|) max|b| < 2^(bits - 1)."""
+    return _magnitude(b).bit_length() + sum(abs(a[i]) for i in ia).bit_length() + 1
+
+
+def _half(width: int, count: int) -> int:
+    """H, with 2^(W-1) in each of count slots of W = 8 * width bits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(vals, width: int) -> int:
+    """The integer sum v_k 2^(Wk), W = 8 * width, for |v_k| < 2^(W-1).
+
+    T, read from the bytes of each v_k in two's complement, counts a
+    negative v_k as v_k + 2^W, and (T ^ H) - H takes that 2^W back.
+    """
+    t = int.from_bytes(b"".join([v.to_bytes(width, "little", signed=True) for v in vals]),
+                       "little")
+    half = _half(width, len(vals))
+    return (t ^ half) - half
+
+
+def _unpack(p: int, width: int, count: int) -> list:
+    """The low count slots p_k of p = sum p_k 2^(Wk), for |p_k| < 2^(W-1).
+
+    The low count slots of p + H are p_k + 2^(W-1) exactly, whatever p
+    holds above them, and xor with H leaves each p_k in two's complement.
+    """
+    total = width * count
+    half = _half(width, count)
+    raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
+    return [int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, total, width)]
+
+
+def _convolve_shifted(a, ia, b, order):
+    """Exact convolution of a, nonzero at the indices ia, with b of
+    order + 1 coefficients: b is packed once and the sum of a_i (B << Wi)
+    over i in ia is read back once.
+
+    The copies of B are summed per coefficient value of a before they are
+    multiplied by it, so a theta or Euler factor, whose values are +-1 or
+    +-2, costs about one shift and one add per term.  Each digit of the
+    sum is sum_i a_i b_(k-i), at most (sum |a_i|) max|b| in magnitude,
+    which fits the slot; digits past the order are dropped on reading.
+    """
+    width = (_shifted_slot_bits(a, ia, b) + 7) // 8
+    packed = _pack(b, width)
+    step = 8 * width
+    copies = {}     # coefficient value of a -> sum of the copies of B it scales
     for i in ia:
         c = a[i]
-        for j in ib[: bisect_right(ib, order - i)]:
-            out[i + j] += c * b[j]
-    return out
+        copies[c] = copies.get(c, 0) + (packed << (step * i))
+    return _unpack(sum(c * copy for c, copy in copies.items()), width, order + 1)
 
 
 def _convolve_packed(a, b, order):
     """Exact convolution by one big-integer multiply (signed Kronecker
     substitution), for a and b of order + 1 coefficients each.
 
-    An operand is packed as the integer sum c_k 2^(Wk), W = 8 * width:
-    T, read from the bytes of each c_k in two's complement, counts a
-    negative c_k as c_k + 2^W, and (T ^ H) - H, with H holding 2^(W-1) in
-    every slot, takes that 2^W back.  A digit of the product has
-    |p_k| <= (order + 1) max|a| max|b| < 2^(W-1), so the low order + 1
-    slots of P + H are p_k + 2^(W-1) exactly, and xor with H leaves each
-    p_k in two's complement.  A square packs its operand once.
+    Both operands are packed into slots wide enough for every digit of the
+    product, multiplied once and read back.  A square packs its operand
+    once.
     """
     count = order + 1
-    max_a = max(max(a), -min(a))
-    max_b = max_a if b is a else max(max(b), -min(b))
-    bits = max_a.bit_length() + max_b.bit_length() + count.bit_length() + 1
-    width = (bits + 7) // 8
-    half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-    def pack(vals):
-        t = int.from_bytes(b"".join([v.to_bytes(width, "little", signed=True) for v in vals]),
-                           "little")
-        return (t ^ half) - half
-
-    pa = pack(a)
-    p = pa * (pa if b is a else pack(b))
-    total = width * count
-    raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
-    return [int.from_bytes(raw[i : i + width], "little", signed=True)
-            for i in range(0, total, width)]
+    width = (_packed_slot_bits(a, b, count) + 7) // 8
+    pa = _pack(a, width)
+    return _unpack(pa * (pa if b is a else _pack(b, width)), width, count)

@@ -9,7 +9,10 @@
   deals, ``qcore expand prod:1/1^-3,5/5^5 2000 --format json`` and
   ``qcore verify core|extended -N 300``, recorded before ``prod:SPEC``
   became a side over Pochhammer atoms and ``verify --tier`` was dropped
-  (the tier files come from ``verify --tier core|extended -N 300``).
+  (the tier files come from ``verify --tier core|extended -N 300``);
+- ``qcore verify all -N 1500``, the benchmark's verify-all request,
+  recorded before series equalities were compared with their denominators
+  cleared and ``mul`` chose its kernel by cost.
 
 A change to a report line, a value's format, a kind or a coefficient shows
 up here.
@@ -60,6 +63,8 @@ CASES = [
 ] + [
     (f"verify_{tier}_N300.txt", ["verify", tier, "-N", "300"], EXIT_OK)
     for tier in ("core", "extended")
+] + [
+    ("verify_all_N1500.txt", ["verify", "all", "-N", "1500"], EXIT_OK),
 ]
 
 

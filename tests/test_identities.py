@@ -16,9 +16,10 @@ from qcore import (
     verify,
     verify_all,
 )
-from qcore import products
+from qcore import NonUnitConstantTerm, identities, products
 from qcore.identities import REGISTRY
-from qcore.registry import Family, P, Relation, SeriesEquality, T
+from qcore.registry import SEQ, F, Family, P, Relation, SeriesEquality, T
+from qcore.series import TruncatedSeries
 
 SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
 
@@ -156,7 +157,25 @@ def _mod_5k1_at_k3(k):
     return ((T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** (k + (k == 3)))
 
 
+def _bumped_a4b():
+    # lemma.A4B with 5q in place of 4q: both sides divide by f1 and f5
+    lhs, (first, (_, shift, factors)) = REGISTRY["lemma.A4B"].sides
+    return SeriesEquality("selftest.A4B", "selftest", "A4B with 5q in place of 4q",
+                          (lhs, (first, (5, shift, factors))))
+
+
+def _fractional_phimodeqfora5():
+    # lemma.phimodeqfora5 plus q^7/(3 f1): a Fraction coefficient and a new divisor
+    lhs, rhs = REGISTRY["lemma.phimodeqfora5"].sides
+    return SeriesEquality("selftest.frac", "selftest", "phimodeqfora5 plus q^7/(3 f1)",
+                          (lhs, rhs + (P(Fraction(1, 3), 7, (F(1), -1)),)))
+
+
+# recorded before series equalities were compared with their denominators
+# cleared; the report still prints the values of the sides as written
 @pytest.mark.parametrize("record, line", [
+    (_bumped_a4b(), "selftest.A4B mismatch N=800 index=1 lhs=4 rhs=5"),
+    (_fractional_phimodeqfora5(), "selftest.frac mismatch N=800 index=7 lhs=0 rhs=1/3"),
     (Relation("selftest.rel", "selftest", "b5(10n+1) = 5/6 c5(5n+1)",
               (T("b5", 10, 1),), (T("c5", 5, 1, Fraction(5, 6)),)),
      "selftest.rel mismatch N=800 index=0 lhs=1 rhs=5/6"),
@@ -171,14 +190,54 @@ def _mod_5k1_at_k3(k):
      "selftest.rec mismatch N=800 index=0 lhs=1 rhs=0 [k=3]"),
     (Family("selftest.cfam", "selftest", "cor1.mod5k, mod 5^(k+1) at k=3", _mod_5k1_at_k3),
      "selftest.cfam mismatch N=800 index=1 lhs=1500 rhs=0 (mod 625) [k=3]"),
-], ids=["relation", "congruence", "congruence-integral", "recurrence-family",
-        "congruence-family"])
+], ids=["series-bumped", "series-fraction", "relation", "congruence", "congruence-integral",
+        "recurrence-family", "congruence-family"])
 def test_mismatch_report_shapes(record, line):
     register(record)
     try:
         assert verify(record.id, 800).to_line() == line
     finally:
         unregister(record.id)
+
+
+def test_series_equalities_divide_only_to_build_sequences(monkeypatch):
+    # with the denominators cleared, no side of a true identity divides
+    for name in ("c5", "a5", "b5"):
+        sequence(name, 25 * 300 + 22)
+
+    def no_division(self, other):
+        raise AssertionError("a side divided")
+
+    monkeypatch.setattr(TruncatedSeries, "div", no_division)
+    for rid in SERIES_EQUALITIES:
+        assert verify(rid, 300).ok, rid
+
+
+def test_cleared_mismatch_that_vanishes_as_written_raises(monkeypatch):
+    # a cleared route that finds a difference the sides as written lack is a
+    # fault in the comparator, never an exact match
+    clear = identities._cleared
+
+    def bumped(sides):
+        cleared = clear(sides)
+        return [cleared[0] + (P(1, 3),), *cleared[1:]]
+
+    monkeypatch.setattr(identities, "_cleared", bumped)
+    with pytest.raises(ArithmeticError):
+        verify("lemma.A4B", 50)
+
+
+def test_sequence_denominator_is_not_cleared():
+    # 1/c5(5n+4) = 1/(5 c5(n)) holds times c5(5n+4) c5(n), but c5(5n+4) has
+    # constant term 5, so the side as written cannot be expanded
+    register(SeriesEquality(
+        "selftest.seq_den", "selftest", "1/c5(5n+4) = 1/(5 c5(n))",
+        ([P(1, 0, (SEQ("c5", 5, 4), -1))], [P(Fraction(1, 5), 0, (SEQ("c5"), -1))])))
+    try:
+        with pytest.raises(NonUnitConstantTerm):
+            verify("selftest.seq_den", 50)
+    finally:
+        unregister("selftest.seq_den")
 
 
 def test_recurrence_spot_values():

@@ -299,6 +299,23 @@ def test_evaluate_side_powers_match_pow(atom):
         assert evaluate_side(tuple(P(k + 1, k, (atom, k)) for k in ks), order) == expected
 
 
+def test_side_multiplies_before_it_divides(monkeypatch):
+    # 4q chi(q) f5 f20 = 4q f(q) f5 f20 / f2: the sum times f(q), f5 and f20,
+    # then one division by f2
+    ops = []
+    for name in ("mul", "div"):
+        def record(self, other, _name=name, _op=getattr(TruncatedSeries, name)):
+            ops.append(_name)
+            return _op(self, other)
+        monkeypatch.setattr(TruncatedSeries, name, record)
+    rhs = P(4, 1, *CHI(1, 1), F(5), F(20))
+    value = evaluate_side((rhs,), 200)
+    assert ops == ["mul", "mul", "mul", "div"]
+    monkeypatch.undo()
+    product = euler_f(1, 200, 1).mul(euler_f(5, 200)).mul(euler_f(20, 200))
+    assert value == product.div(euler_f(2, 200)).shift(1).scale(4)
+
+
 def test_empty_side_is_zero():
     # a relation with nothing on its right-hand side compares against 0
     for order in (0, 1, 40):

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 from qcore import series as series_module
 from qcore.products import euler_f, phi
-from qcore.series import _SPARSE_LIMIT, _convolve_packed, _convolve_sparse
+from qcore.series import _convolve_packed, _convolve_shifted
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -22,7 +24,7 @@ def S(*coeffs):
 
 
 def _support(c):
-    """Indices of the nonzero entries, as the sparse kernel takes them."""
+    """Indices of the nonzero entries, as the shifted kernel takes them."""
     return [i for i, x in enumerate(c) if x]
 
 
@@ -248,24 +250,25 @@ def test_mul_matches_brute_convolution(a, b):
     st.lists(st.integers(min_value=-10 ** 30, max_value=10 ** 30), min_size=150, max_size=220),
     st.lists(st.integers(min_value=-10 ** 30, max_value=10 ** 30), min_size=150, max_size=220),
 )
-def test_packed_kernel_matches_sparse_kernel(la, lb):
+def test_packed_kernel_matches_shifted_kernel(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
-    assert _convolve_packed(a, b, order) == _convolve_sparse(a, _support(a), b, _support(b), order)
+    assert _convolve_packed(a, b, order) == _convolve_shifted(a, _support(a), b, order)
 
 
 def test_dense_mul_uses_packed_path_correctly():
-    # order and density chosen to cross the sparse-path threshold
+    # order and density chosen to take the packed kernel
     a = TruncatedSeries([((-1) ** n) * (n ** 3 + 1) for n in range(400)])
     b = TruncatedSeries([((-1) ** (n // 2)) * (2 * n + 1) for n in range(400)])
     expected = brute.convolve(list(a.coeffs), list(b.coeffs), 399)
     assert list(a.mul(b).coeffs) == expected
 
 
-# -- the signed packed kernel, the sparse kernel and binary powering -------------
+# -- the signed packed kernel, the shifted kernel and binary powering ------------
 #
 # The packed kernel reads each product digit back as a signed slot of
-# bits(max|a|) + bits(max|b|) + bits(order + 1) + 1 bits, rounded up to whole
+# bits(max|a|) + bits(max|b|) + bits(order + 1) + 1 bits, the shifted kernel
+# as one of bits(max|b|) + bits(sum |a_i|) + 1 bits, each rounded up to whole
 # bytes.  Constant operands of the largest magnitude for their bit lengths put
 # the top digit within a factor 2 of the slot's range.
 
@@ -292,17 +295,35 @@ def test_packed_kernel_at_byte_boundaries(width, extra, count):
         assert _convolve_packed(a, b, count - 1) == brute.convolve(a, b, count - 1)
 
 
+@pytest.mark.parametrize("terms", [1, 2, 5, 40])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-boundary", "past-boundary"])
+@pytest.mark.parametrize("width", range(1, 11))
+def test_shifted_kernel_at_byte_boundaries(width, extra, terms):
+    # the sparse factor has terms nonzeros, each of magnitude max|a|
+    count, room = 40, 8 * width + extra - 1   # bits(max|b|) + bits(sum |a_i|)
+    sum_bits = max(room // 2, terms.bit_length())
+    ma, mb = (2 ** sum_bits - 1) // terms, 2 ** (room - sum_bits) - 1
+    assert (terms * ma).bit_length() + mb.bit_length() == room
+    step = count // terms
+    for a, b in _extremal_pairs(ma, mb, count):
+        a = [c if k % step == 0 and k < terms * step else 0 for k, c in enumerate(a)]
+        expected = brute.convolve(a, b, count - 1)
+        assert _convolve_shifted(a, _support(a), b, count - 1) == expected
+
+
 def test_packed_kernel_with_negative_top_digit():
     # the packed product is a negative integer whenever its top digit is
     for a, b in [([5, -1], [1, 1]), ([0, -1], [0, 1]), ([-3, 0, 0], [0, 0, 1])]:
         order = len(a) - 1
         assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
+        assert _convolve_shifted(a, _support(a), b, order) == brute.convolve(a, b, order)
+        assert _convolve_shifted(b, _support(b), a, order) == brute.convolve(a, b, order)
 
 
 @pytest.mark.parametrize("x, y", [(0, 0), (1, -1), (-1, -1), (-(2 ** 70), 3), (2 ** 64, 2 ** 64 + 1)])
 def test_kernels_at_order_zero(x, y):
     assert _convolve_packed([x], [y], 0) == [x * y]
-    assert _convolve_sparse([x], _support([x]), [y], _support([y]), 0) == [x * y]
+    assert _convolve_shifted([x], _support([x]), [y], 0) == [x * y]
     assert S(x).mul(S(y)).coeffs == (x * y,)
 
 
@@ -316,6 +337,9 @@ def test_packed_kernel_above_64_bits(la, lb, shift):
     b = lb[: order + 1]
     assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
     assert _convolve_packed(a, a, order) == brute.convolve(a, a, order)
+    assert _convolve_shifted(a, _support(a), b, order) == brute.convolve(a, b, order)
+    assert _convolve_shifted(b, _support(b), a, order) == brute.convolve(a, b, order)
+    assert _convolve_shifted(a, _support(a), a, order) == brute.convolve(a, a, order)
 
 
 def test_packed_kernel_squaring_path():
@@ -330,31 +354,93 @@ def test_packed_kernel_squaring_path():
     assert list(y.mul(y).coeffs) == brute.convolve(list(y.coeffs), list(y.coeffs), y.order)
 
 
+def _kernels_run(monkeypatch):
+    """Record the name of each multiply kernel that runs, in order."""
+    ran = []
+    for name in ("_convolve_shifted", "_convolve_packed"):
+        def record(*args, _name=name, _kernel=getattr(series_module, name)):
+            ran.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(series_module, name, record)
+    return ran
+
+
+# nonzero at the squares: sparse, while its square and higher powers are
+# dense enough for the packed kernel
+SPARSE_256 = TruncatedSeries([((-1) ** n) * (n % 5 + 1) if isqrt(n) ** 2 == n else 0
+                              for n in range(256)])
+
+
 @pytest.mark.parametrize("k", range(10))
-def test_pow_matches_repeated_mul_past_sparse_limit(k):
-    x = TruncatedSeries([((-1) ** n) * (n % 5 + 1) for n in range(4 * _SPARSE_LIMIT)])
+def test_pow_matches_repeated_mul_past_sparse_limit(monkeypatch, k):
+    x = SPARSE_256
     expected = TruncatedSeries.one(x.order)
     for _ in range(k):
         expected = expected.mul(x)
+    ran = _kernels_run(monkeypatch)
     assert x.pow(k) == expected
+    if k == 9:
+        # x^2 from the sparse x, x^4 and x^8 from dense halves, then x^8 * x
+        assert ran == ["_convolve_shifted", "_convolve_packed", "_convolve_packed",
+                       "_convolve_shifted"]
     if k <= 3:
         assert list(expected.coeffs) == brute.power(list(x.coeffs), k, x.order)
 
 
 @given(st.lists(st.sampled_from((0,) * 6 + (1, -1, 3, -2 ** 70)), min_size=1, max_size=80),
        st.lists(st.sampled_from((0,) * 6 + (1, -1, 5, 2 ** 66)), min_size=1, max_size=80))
-def test_sparse_kernel_on_sparse_operands(la, lb):
+def test_shifted_kernel_on_sparse_operands(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
     expected = brute.convolve(a, b, order)
-    assert _convolve_sparse(a, _support(a), b, _support(b), order) == expected
-    assert _convolve_sparse(b, _support(b), a, _support(a), order) == expected
+    assert _convolve_shifted(a, _support(a), b, order) == expected
+    assert _convolve_shifted(b, _support(b), a, order) == expected
 
 
-def test_sparse_kernel_rows_end_at_the_order():
+def test_shifted_kernel_drops_terms_past_the_order():
     a, b = [1, 2, 0, 5], [3, 0, 1, 4]
-    assert _convolve_sparse(a, [0, 1, 3], b, [0, 2, 3], 3) == [3, 6, 1, 21]
-    assert _convolve_sparse(a, [0, 1, 3], b[:1], [0], 0) == [3]
+    assert _convolve_shifted(a, [0, 1, 3], b, 3) == [3, 6, 1, 21]
+    assert _convolve_shifted(a, [0, 1, 3], b[:1], 0) == [3]
+
+
+# -- which kernel mul runs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [200, 1500, 6000])
+def test_theta_factor_times_dense_series_takes_shifted_kernel(monkeypatch, order):
+    dense = euler_f(1, order).invert()
+    ran = _kernels_run(monkeypatch)
+    for theta in (euler_f(1, order), euler_f(5, order), phi(-1, 1, order)):
+        product = dense.mul(theta)
+        assert product == theta.mul(dense)
+        assert product.div(theta) == dense
+        expected = brute.convolve(list(dense.coeffs[:41]), list(theta.coeffs[:41]), 40)
+        assert list(product.coeffs[:41]) == expected
+    assert ran == ["_convolve_shifted"] * 6
+
+
+@pytest.mark.parametrize("order", [20, 200, 1500])
+def test_two_dense_factors_take_packed_kernel(monkeypatch, order):
+    x = euler_f(1, order).invert()
+    y = phi(-1, 1, order).invert()
+    ran = _kernels_run(monkeypatch)
+    product = x.mul(y)
+    assert list(product.coeffs[:41]) == brute.convolve(list(x.coeffs[:41]),
+                                                       list(y.coeffs[:41]), min(order, 40))
+    assert ran == ["_convolve_packed"]
+
+
+@pytest.mark.parametrize("x", [euler_f(1, 1500), euler_f(1, 1500).invert()],
+                         ids=["shifted", "packed"])
+def test_square_packs_its_operand_once(monkeypatch, x):
+    packed = []
+    pack = series_module._pack
+    monkeypatch.setattr(series_module, "_pack",
+                        lambda vals, *args: packed.append(vals) or pack(vals, *args))
+    square = x.mul(x)
+    assert len(packed) == 1
+    assert list(square.coeffs[:41]) == brute.convolve(list(x.coeffs[:41]),
+                                                      list(x.coeffs[:41]), 40)
 
 
 # -- deflated operands and the gathered division agree with the naive helpers ---
@@ -411,22 +497,22 @@ def test_pow_of_inflated_series_matches_brute(x, g, extra, k):
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("sub", [65, 100, 128])
 def test_dense_mul_at_small_orders_takes_packed_kernel(monkeypatch, sub, g):
-    # dense factors past the sparse limit go to the packed kernel at any
-    # order, here at deflated orders 65..128
+    # dense factors go to the packed kernel at any order, here at deflated
+    # orders 65..128
     x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(sub + 1)]).inflate(g)
     y = TruncatedSeries([n % 7 - 3 or 5 for n in range(sub + 1)]).inflate(g)
     expected = brute.convolve(list(x.coeffs), list(y.coeffs), x.order)
 
-    def no_sparse(*args):
-        raise AssertionError("dense operands took the sparse kernel")
+    def no_shifted(*args):
+        raise AssertionError("dense operands took the shifted kernel")
 
-    monkeypatch.setattr(series_module, "_convolve_sparse", no_sparse)
+    monkeypatch.setattr(series_module, "_convolve_shifted", no_shifted)
     assert list(x.mul(y).coeffs) == expected
     assert list(x.mul(x).coeffs) == brute.convolve(list(x.coeffs), list(x.coeffs), x.order)
 
 
 def test_packed_mul_of_inflated_dense_series():
-    # past the sparse limit and the small order after deflation
+    # dense factors at a small order after deflation
     x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(300)])
     y = TruncatedSeries([n % 7 - 3 for n in range(300)])
     for g in STEPS:
