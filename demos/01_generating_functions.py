@@ -20,11 +20,11 @@ for n in range(N + 1):
     print(f"{n:>4} {c5[n]:>8} {a5[n]:>8} {b5[n]:>8}")
 
 # The series engine and the combinatorial world agree: count the 5-cores
-# of a few n by brute-force hook inspection and compare.
-print("\nbrute-force 5-core counts vs series coefficients:")
+# of a few n as lattice vectors (no series arithmetic) and compare.
+print("\nlattice 5-core counts vs series coefficients:")
 for n in (0, 4, 9, 17, 25):
     count = count_t_cores(n, 5)
-    print(f"  n={n:>2}: enumeration {count}, series {c5[n]}, "
+    print(f"  n={n:>2}: lattice {count}, series {c5[n]}, "
           f"{'agree' if count == c5[n] else 'DISAGREE'}")
 
 # A few structural facts visible already in the table:

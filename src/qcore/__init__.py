@@ -8,7 +8,8 @@ The building blocks:
   three generating functions, and the evaluator for sums of quotients of
   them, through which chi, the Rogers-Ramanujan quotient and every product
   of Pochhammer factors are expanded.
-- ``partitions``: hook-number oracle counting t-cores by enumeration.
+- ``partitions``: the t-core oracle, a lattice-vector search free of
+  series arithmetic, and partitions with their hook numbers.
 - ``dissection``: residue-class dissections.
 - ``registry``: every verified identity, congruence and census claim as
   data; series identities are sums of theta and Euler quotients.
@@ -32,8 +33,7 @@ _EXPORTS = {
                      "UnknownSequence", "check_congruence", "record_ids", "register",
                      "sequence", "sign_census", "summarize", "unregister", "verify",
                      "verify_all"), "identities"),
-    **dict.fromkeys(("OracleScaleExceeded", "Partition", "count_t_cores",
-                     "partitions_of"), "partitions"),
+    **dict.fromkeys(("Partition", "count_t_cores", "t_cores"), "partitions"),
     **dict.fromkeys(("PochhammerFactor", "ThetaSpec", "euler_f", "evaluate_side",
                      "expand_pochhammer", "gen_a5bar", "gen_b5bar", "gen_c5", "phi", "psi",
                      "theta_general", "triple_product"), "products"),

@@ -4,12 +4,13 @@ Subcommands: expand, verify, oracle, census, bfile export|check.
 Exit codes: 0 success, 1 verification mismatch or value discrepancy,
 2 usage error, 3 I/O error.  Output for a fixed invocation is
 byte-identical across runs; timing is opt-in via --timing.  Every series
-name, prod:SPEC included, is one side for ``products.evaluate_side``, and
-every parameter has one spelling with its default in the parser.
+name, prod:SPEC included, is one side for ``products.evaluate_side``.
+Every parameter has one spelling with its default in the parser, but for
+expand's order: N or -N, never both, and DEFAULT_EXPAND_ORDER without one.
 
 A subcommand imports what it runs when it runs: the registry and the
 evaluator only for verify and census, the b-file module only for bfile,
-the partition oracle only for oracle, and json only for --format json.
+the t-core oracle only for oracle, and json only for --format json.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def resolve_series(name: str, order: int):
 
 
 def _cmd_expand(args) -> int:
-    order = args.positional_order if args.positional_order is not None else args.order
+    order = next((o for o in (args.positional_order, args.order) if o is not None),
+                 DEFAULT_EXPAND_ORDER)
     series = resolve_series(args.name, order)
     if args.format == "json":
         import json
@@ -151,17 +153,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .partitions import OracleScaleExceeded, count_t_cores, partitions_of
+    from .partitions import count_t_cores, t_cores
 
-    try:
-        count = count_t_cores(args.n, args.t, ceiling=args.ceiling)
-    except OracleScaleExceeded as exc:
-        raise UsageError(str(exc)) from None
+    count = count_t_cores(args.n, args.t)
     print(f"count_t_cores({args.n}, {args.t}) = {count}")
     if args.list:
-        for p in partitions_of(args.n):
-            if p.is_t_core(args.t):
-                print("  " + (",".join(map(str, p.parts)) or "(empty)"))
+        for p in t_cores(args.n, args.t):
+            print("  " + (",".join(map(str, p.parts)) or "(empty)"))
     if args.t == 5:
         coeff = gen_c5(args.n)[args.n]
         status = "agrees" if coeff == count else f"DISAGREES (series says {coeff})"
@@ -250,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="print coefficients 0..N of a named series")
     p_expand.add_argument("name", help="c5 | a5bar | b5bar | f[:J] | R[:J] | "
                                        "phi[:SIGN[:J]] | psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC")
-    p_expand.add_argument("positional_order", nargs="?", type=_at_least(0), default=None,
-                          metavar="N", help="truncation order (default 100)")
-    p_expand.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_EXPAND_ORDER)
+    expand_order = p_expand.add_mutually_exclusive_group()
+    expand_order.add_argument("positional_order", nargs="?", type=_at_least(0), metavar="N",
+                              help=f"truncation order (default {DEFAULT_EXPAND_ORDER})")
+    expand_order.add_argument("-N", "--order", type=_at_least(0), help="the same as N")
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
     p_expand.set_defaults(func=_cmd_expand)
 
@@ -268,11 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include elapsed seconds in the report")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_oracle = sub.add_parser("oracle", help="count t-cores of n by enumeration")
+    p_oracle = sub.add_parser("oracle", help="count t-cores of n as lattice vectors "
+                                             "(Garvan-Kim-Stanton)")
     p_oracle.add_argument("n", type=_at_least(0))
     p_oracle.add_argument("t", type=_at_least(1))
-    p_oracle.add_argument("--ceiling", type=int, default=60,
-                          help="largest n the oracle will enumerate")
     p_oracle.add_argument("--list", action="store_true", help="list the t-cores")
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -1,19 +1,16 @@
-"""Generating-function-free oracle: enumerate partitions, compute hook
-numbers, and count t-cores by exhaustive search.
+"""Generating-function-free oracle: t-cores as lattice vectors, and the
+partitions and hook numbers that check what it lists.
 
-This side of the system never touches series arithmetic, which is what
-makes it a ground truth for the coefficient engines.
+Garvan, Kim and Stanton ("Cranks and t-cores", 1990) put the t-cores of n
+in bijection with the x in Z^t with sum(x) = 0 and
+(t/2)·sum(x_j^2) + sum(j·x_j) = n.  No series arithmetic happens here,
+which is what makes it a ground truth for the coefficient engines.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
-DEFAULT_CEILING = 60
-
-
-class OracleScaleExceeded(RuntimeError):
-    """Enumeration was asked for an n above the configured ceiling."""
+from math import isqrt
+from typing import Iterator, List, Tuple
 
 
 class Partition:
@@ -48,20 +45,11 @@ class Partition:
     def conjugate(self) -> "Partition":
         """Column counts of the Ferrers-Young diagram (an involution)."""
         parts = self.parts
-        if not parts:
-            return Partition(())
-        cols = [0] * parts[0]
-        for p in parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        return Partition(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
     def hook_numbers(self) -> Tuple[Tuple[int, ...], ...]:
         """Hook number of every node, row-major: H(i,j) = l_i + l'_j - i - j + 1."""
-        parts = self.parts
-        if not parts:
-            return ()
-        cols = self.conjugate().parts
+        parts, cols = self.parts, self.conjugate().parts
         return tuple(
             tuple(lam + cols[j] - i - j - 1 for j in range(lam))
             for i, lam in enumerate(parts)
@@ -71,56 +59,70 @@ class Partition:
         """True iff no hook number is divisible by t."""
         if t < 1:
             raise ValueError("t must be >= 1")
-        parts = self.parts
-        if not parts:
-            return True
-        cols = [0] * parts[0]
-        for p in parts:
-            for j in range(p):
-                cols[j] += 1
-        for i, lam in enumerate(parts):
-            for j in range(lam):
-                if (lam + cols[j] - i - j - 1) % t == 0:
-                    return False
-        return True
+        return all(h % t for row in self.hook_numbers() for h in row)
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Every partition of n exactly once, in decreasing lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield Partition(())
-        return
-    parts = [n]
-    while True:
-        yield Partition(parts)
-        # rightmost part that can still shrink
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        parts[i] -= 1
-        cap = parts[i]
-        rest = len(parts) - i - 1 + 1  # the ones we dropped, plus the unit shaved off
-        del parts[i + 1 :]
-        while rest > 0:
-            nxt = min(cap, rest)
-            parts.append(nxt)
-            rest -= nxt
-
-
-def count_t_cores(n: int, t: int, ceiling: int = DEFAULT_CEILING) -> int:
-    """Number of t-core partitions of n, by exhaustive enumeration.
-
-    Refuses to run above ``ceiling`` (p(n) grows fast); callers that hit
-    OracleScaleExceeded should skip rather than wait.
+def _core_vectors(n: int, t: int) -> Iterator[List[int]]:
+    """The t-cores of n as w_j = 2t·x_j + c_j, c_j = 2j - t + 1: each w with
+    w_j = c_j (mod 2t), sum(w) = 0 and sum(w^2) = 8tn + sum(c_j^2) once, in
+    one list that the search overwrites.  Depth first over w_0, w_1, ...; a
+    branch is cut when the coordinates left cannot reach the remaining sum
+    and square sum, by Cauchy-Schwarz or as each |w_k| >= |c_k|.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n > ceiling:
-        raise OracleScaleExceeded(f"n={n} exceeds the enumeration ceiling {ceiling}")
-    return sum(1 for p in partitions_of(n) if p.is_t_core(t))
+    if n < 0 or t < 1:
+        raise ValueError(f"need n >= 0 and t >= 1, got n={n}, t={t}")
+    modulus = 2 * t
+    offsets = [2 * j - t + 1 for j in range(t)]
+    tail = [sum(c * c for c in offsets[j:]) for j in range(t + 1)]  # least sum of w_k^2, k >= j
+    w = [0] * t
+
+    def search(j: int, total: int, squares: int) -> Iterator[List[int]]:
+        # w_j..w_{t-1} must sum to -total with square sum ``squares``
+        left = t - j
+        if left == 0:  # reached only for t = 1
+            if squares == 0:
+                yield w
+            return
+        if left == 2:  # the last pair, from a quadratic
+            disc = 2 * squares - total * total
+            root = isqrt(disc)
+            if root * root != disc or (total + root) % 2:
+                return
+            for v in {(root - total) // 2, (-root - total) // 2}:
+                if (v - offsets[j]) % modulus == 0 and (-total - v - offsets[j + 1]) % modulus == 0:
+                    w[j], w[j + 1] = v, -total - v
+                    yield w
+            return
+        # (total + v)^2 <= (left - 1)(squares - v^2), solved for v
+        spread = isqrt((left - 1) * (left * squares - total * total))
+        bound = isqrt(squares - tail[j + 1])
+        low = max(-((total + spread) // left), -bound)
+        for v in range(low + (offsets[j] - low) % modulus,
+                       min((spread - total) // left, bound) + 1, modulus):
+            if left == 3:  # the last pair needs a perfect square; test it before the call
+                disc = 2 * (squares - v * v) - (total + v) ** 2
+                if isqrt(disc) ** 2 != disc:
+                    continue
+            w[j] = v
+            yield from search(j + 1, total + v, squares - v * v)
+
+    return search(0, 0, 8 * t * n + tail[0])
+
+
+def count_t_cores(n: int, t: int) -> int:
+    """Number of t-core partitions of n: the lattice vectors of the bijection."""
+    return sum(1 for _ in _core_vectors(n, t))
+
+
+def t_cores(n: int, t: int) -> List[Partition]:
+    """The t-cores of n in decreasing lexicographic order, read off the
+    t-runner abacus: runner j holds beads at j + t·k for every k < x_j, and
+    the parts are b_i + i over the bead positions b_1 > b_2 > ...
+    """
+    cores = []
+    for w in _core_vectors(n, t):
+        x = [(wj - 2 * j + t - 1) // (2 * t) for j, wj in enumerate(w)]
+        low = min(x)  # every position below t·low holds a bead
+        beads = sorted((j + t * k for j in range(t) for k in range(low, x[j])), reverse=True)
+        cores.append(Partition(p for p in (b + i for i, b in enumerate(beads, 1)) if p))
+    return sorted(cores, key=lambda p: p.parts, reverse=True)

@@ -86,3 +86,27 @@ def distinct_partition_counts(order):
         for n in range(order, part - 1, -1):
             table[n] += table[n - part]
     return table
+
+
+def partitions_of(n, largest=None):
+    """Every partition of n (into parts <= largest) as a tuple of parts, in
+    decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def is_t_core(parts, t):
+    """No hook length l_i - j + l'_j - i - 1 (0-based i, j) divisible by t."""
+    cols = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    return all((lam - j + cols[j] - i - 1) % t
+               for i, lam in enumerate(parts) for j in range(lam))
+
+
+def t_core_counts(t, order):
+    """Coefficients of prod_k (1 - q^{tk})^t / (1 - q^k) to q^order."""
+    return convolve(power(pochhammer(1, t, t, order), t, order),
+                    invert(pochhammer(1, 1, 1, order), order), order)

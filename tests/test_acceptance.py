@@ -55,7 +55,7 @@ def test_criterion_2_oracle_equivalence():
     for n in range(41):
         assert count_t_cores(n, 5) == series[n], f"disagreement at n={n}"
     elapsed = time.perf_counter() - start
-    _passed(2, f"hook-number oracle equals series for n <= 40 ({elapsed:.1f}s)")
+    _passed(2, f"lattice-vector oracle equals series for n <= 40 ({elapsed:.1f}s)")
 
 
 LEMMA_SUITE = [

@@ -155,10 +155,23 @@ def test_oracle_list_includes_example(capsys):
     assert "4,3,1,1" in out
 
 
-def test_oracle_ceiling(capsys):
-    code, _, err = run_cli(capsys, "oracle", "61", "5")
-    assert code == EXIT_USAGE
-    assert "ceiling" in err
+@pytest.mark.parametrize("n", ["61", "1000"])
+def test_oracle_agrees_past_sixty(capsys, n):
+    code, out, _ = run_cli(capsys, "oracle", n, "5")
+    assert code == EXIT_OK
+    assert out.endswith(": agrees\n")
+
+
+@pytest.mark.parametrize("argv", [["c5", "10", "-N", "5"], ["-N", "100", "c5", "100"],
+                                  ["c5", "7", "--order", "100"]])
+def test_expand_given_the_order_twice_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", *argv])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "not allowed with argument" in errors[0]
 
 
 def test_census_text(capsys):

@@ -12,10 +12,13 @@
   (the tier files come from ``verify --tier core|extended -N 300``);
 - ``qcore verify all -N 1500``, the benchmark's verify-all request,
   recorded before series equalities were compared with their denominators
-  cleared and ``mul`` chose its kernel by cost.
+  cleared and ``mul`` chose its kernel by cost;
+- ``qcore oracle N T`` for N in 0, 9, 36 and T in 1, 2, 5, 7, and
+  ``qcore oracle N T --list`` for (N, T) in (0, 5), (9, 6), (12, 5),
+  recorded while the oracle still enumerated every partition of N.
 
-A change to a report line, a value's format, a kind or a coefficient shows
-up here.
+A change to a report line, a value's format, a kind, a coefficient or the
+order of listed t-cores shows up here.
 """
 
 import re
@@ -65,6 +68,12 @@ CASES = [
     for tier in ("core", "extended")
 ] + [
     ("verify_all_N1500.txt", ["verify", "all", "-N", "1500"], EXIT_OK),
+] + [
+    (f"oracle_{n}_{t}.txt", ["oracle", str(n), str(t)], EXIT_OK)
+    for n in (0, 9, 36) for t in (1, 2, 5, 7)
+] + [
+    (f"oracle_{n}_{t}_list.txt", ["oracle", str(n), str(t), "--list"], EXIT_OK)
+    for n, t in ((0, 5), (9, 6), (12, 5))
 ]
 
 

@@ -1,15 +1,10 @@
+import random
 from itertools import chain
 
 import pytest
 
 import _brute as brute
-from qcore import (
-    OracleScaleExceeded,
-    Partition,
-    count_t_cores,
-    gen_c5,
-    partitions_of,
-)
+from qcore import Partition, count_t_cores, gen_c5, t_cores
 
 
 def flat_hooks(p):
@@ -23,25 +18,28 @@ def test_partition_validation():
         Partition((3, 0))
 
 
+# -- the reference enumerator in _brute, and Partition over what it lists ----
+
+
 def test_enumeration_counts_match_partition_numbers():
     expected = brute.partition_counts(12)
     for n in range(13):
-        assert sum(1 for _ in partitions_of(n)) == expected[n]
+        assert sum(1 for _ in brute.partitions_of(n)) == expected[n]
 
 
 def test_enumeration_of_zero():
-    assert list(partitions_of(0)) == [Partition(())]
+    assert list(brute.partitions_of(0)) == [()]
 
 
 def test_enumeration_order_is_decreasing_lex():
     for n in (5, 6, 9):
-        seen = [p.parts for p in partitions_of(n)]
+        seen = list(brute.partitions_of(n))
         assert seen == sorted(seen, reverse=True)
         assert len(set(seen)) == len(seen)
 
 
 def test_partitions_of_nine_include_example():
-    assert Partition((4, 3, 1, 1)) in set(partitions_of(9))
+    assert (4, 3, 1, 1) in set(brute.partitions_of(9))
 
 
 def test_conjugate_example():
@@ -50,7 +48,8 @@ def test_conjugate_example():
 
 def test_conjugate_involution_and_row():
     for n in range(9):
-        for p in partitions_of(n):
+        for parts in brute.partitions_of(n):
+            p = Partition(parts)
             assert p.conjugate().conjugate() == p
     assert Partition((6,)).conjugate() == Partition((1,) * 6)
 
@@ -74,10 +73,26 @@ def test_empty_partition_is_every_core():
     assert Partition(()).is_t_core(7)
 
 
+def test_is_t_core_rejects_t_below_one():
+    with pytest.raises(ValueError):
+        Partition((2, 1)).is_t_core(0)
+
+
+def test_is_t_core_matches_brute_hook_test():
+    for n in range(11):
+        for parts in brute.partitions_of(n):
+            for t in range(1, 8):
+                assert Partition(parts).is_t_core(t) == brute.is_t_core(parts, t), (parts, t)
+
+
 def test_conjugation_preserves_hook_multiset():
     for n in range(13):
-        for p in partitions_of(n):
+        for parts in brute.partitions_of(n):
+            p = Partition(parts)
             assert sorted(flat_hooks(p)) == sorted(flat_hooks(p.conjugate()))
+
+
+# -- the lattice-vector oracle -----------------------------------------------
 
 
 def test_count_t_cores_small_values():
@@ -92,20 +107,55 @@ def test_count_large_t_degenerates_to_partition_count():
         assert count_t_cores(n, n + 1) == expected[n]
 
 
+def test_only_the_empty_partition_is_a_one_core():
+    assert t_cores(0, 1) == [Partition(())]
+    assert all(count_t_cores(n, 1) == 0 for n in range(1, 30))
+
+
+def test_rejects_negative_n_and_t_below_one():
+    for n, t in ((-1, 5), (5, 0)):
+        with pytest.raises(ValueError):
+            count_t_cores(n, t)
+        with pytest.raises(ValueError):
+            t_cores(n, t)
+
+
 def test_oracle_matches_series_prefix():
-    series = gen_c5(25)
-    for n in range(26):
-        assert count_t_cores(n, 5) == series[n]
+    series = gen_c5(300)
+    for n in range(301):
+        assert count_t_cores(n, 5) == series[n], n
+
+
+def test_oracle_matches_series_at_sampled_large_n():
+    rng = random.Random(11)
+    sample = [rng.randint(301, 5000) for _ in range(10)]
+    series = gen_c5(max(sample))
+    for n in sample:
+        assert count_t_cores(n, 5) == series[n], n
+
+
+def test_counts_match_product_formula():
+    for t in range(1, 8):
+        expected = brute.t_core_counts(t, 40)
+        assert [count_t_cores(n, t) for n in range(41)] == expected, t
+
+
+def test_listing_matches_brute_enumerator():
+    for n in range(21):
+        partitions = list(brute.partitions_of(n))
+        for t in range(1, 8):
+            expected = [parts for parts in partitions if brute.is_t_core(parts, t)]
+            assert [p.parts for p in t_cores(n, t)] == expected, (n, t)
+            assert count_t_cores(n, t) == len(expected), (n, t)
+
+
+@pytest.mark.parametrize("n, t", [(36, 5), (40, 7), (25, 12), (20, 30)])
+def test_every_listed_partition_is_a_t_core_of_n(n, t):
+    cores = t_cores(n, t)
+    assert len(cores) == count_t_cores(n, t) == len(set(cores))
+    assert all(p.weight == n and p.is_t_core(t) for p in cores)
 
 
 def test_positivity_for_t_at_least_four():
     for t in (4, 5, 6):
         assert all(count_t_cores(n, t) >= 1 for n in range(26))
-
-
-def test_ceiling_enforced():
-    with pytest.raises(OracleScaleExceeded):
-        count_t_cores(61, 5)
-    assert count_t_cores(12, 5, ceiling=12) == gen_c5(12)[12]
-    with pytest.raises(OracleScaleExceeded):
-        count_t_cores(13, 5, ceiling=12)

@@ -39,6 +39,19 @@ def test_expand_leaves_the_registry_and_its_imports_out():
     assert out.splitlines() == ["1 -1 -1 0 0 1", "0 []"]
 
 
+def test_oracle_loads_the_search_and_the_c5_series_only():
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        "code = cli.main(['oracle', '9', '5'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('qcore.')),\n"
+        "      'dataclasses' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == (
+        "0 ['qcore.cli', 'qcore.defaults', 'qcore.partitions', 'qcore.products', "
+        "'qcore.series'] False")
+
+
 def test_verify_one_record_from_a_fresh_interpreter():
     out = fresh("from qcore import cli\n"
                 "print(cli.main(['verify', 'lemma.c5n4', '-N', '10']))\n")
