@@ -5,9 +5,9 @@ The building blocks:
 
 - ``series``: exact truncated power series over Python integers.
 - ``products``: Pochhammer factors, Euler products, theta functions, the
-  three generating functions, and the evaluator for sums of quotients of
-  them, through which chi, the Rogers-Ramanujan quotient and every product
-  of Pochhammer factors are expanded.
+  evaluator for sums of quotients of them (chi, the Rogers-Ramanujan
+  quotient, products of Pochhammer factors), and the three generating
+  functions, from their Eisenstein divisor-sum closed forms.
 - ``partitions``: the t-core oracle, a lattice-vector search free of
   series arithmetic, and partitions with their hook numbers.
 - ``dissection``: residue-class dissections.

@@ -14,15 +14,19 @@ Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
 of Pochhammer factors, such as the Jacobi triple product, is a side of
 ``POCH`` atoms.
 
-Only the three sequence generating functions keep their results: one
-prefix cache holds the longest expansion of each and serves every lower
-order by truncation, which gives the same coefficients as a fresh build.
-Series are immutable, so sharing them across callers is safe.
+The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
+only they keep their results: one prefix cache holds the longest expansion
+of each and serves every lower order by truncation, which gives the same
+coefficients as a fresh build.  Series are immutable, so sharing them
+across callers is safe.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections import namedtuple
+from itertools import accumulate, count, islice, repeat
+from math import isqrt
+from operator import add, floordiv
 
 from .series import TruncatedSeries
 
@@ -377,33 +381,88 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
 
 
 # -- headline generating functions ------------------------------------------
+#
+# Each sequence is a weight-2 form on Gamma0(level) with character (5/.).
+# q^shift times its product side is the eta quotient prod eta(delta*tau)^r,
+# and divisor times that is its closed form, the sum over the terms
+# (kind, t, c) of c * E_kind(q^t), where E51 = sum over m >= 1 of s51(m) q^m,
+# s51(m) = sum over d | m of (m/d | 5) d, and E15 = -1/5 + sum of s15(m) q^m,
+# s15(m) = sum over d | m of (d | 5) d.  By Sturm the two sides are equal
+# once q^0 .. q^sturm agree; tests/test_closed_forms.py checks each of these.
+
+ModularForm = namedtuple("ModularForm", "side eta level weight character sturm shift divisor terms")
+
+FORMS = {
+    "c5": ModularForm(side=(P(1, 0, (F(5), 5), (F(1), -1)),), eta=((1, -1), (5, 5)),
+                      level=5, weight=2, character=5, sturm=1, shift=1, divisor=1,
+                      terms=(("s51", 1, 1),)),
+    "a5": ModularForm(side=(P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1)),),
+                      eta=((1, -2), (2, 1), (5, 10), (10, -5)),
+                      level=10, weight=2, character=5, sturm=3, shift=0, divisor=1,
+                      terms=(("s51", 1, 3), ("s51", 2, 4), ("s15", 1, -1), ("s15", 2, -4))),
+    "b5": ModularForm(side=(P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)),),
+                      eta=((1, -1), (2, 1), (4, -1), (5, 5), (10, -5), (20, 5)),
+                      level=20, weight=2, character=5, sturm=6, shift=3, divisor=4,
+                      terms=(("s51", 1, 1), ("s51", 2, 1), ("s51", 4, -4),
+                             ("s15", 1, -1), ("s15", 2, -3), ("s15", 4, 4))),
+}
+
+_LEGENDRE_5 = (0, 1, -1, -1, 1)     # (n | 5) at n mod 5
 
 
-# side -> its longest expansion so far; a lower order is read off by truncation
-_LONGEST: dict = {}
+def _closed_form(form: ModularForm, order: int) -> TruncatedSeries:
+    """The form's series to the order.  With chi = (. | 5) and big the
+    largest t (t | 4), big times its closed form at m is the sum over d*e = m
+    of chi(e)*d*alpha[d % 4] + chi(d)*d*beta[e % 4]: c*s51(m/t) adds c*big/t
+    to alpha where t | d, c*s15(m/t) adds c*big to beta where t | e.  Each
+    d <= sqrt(top) meets its cofactors e >= d in acc[d*d::d] as (d, e) and
+    (e, d), summing to c0 + c1*e with c0, c1 periodic in e mod 20; so a
+    residue class of e adds one arithmetic progression to one slice, and the
+    whole is O(top log top) element operations in C."""
+    top = order + form.shift
+    big = max(t for _, t, _ in form.terms)
+    alpha = [sum(c * big // t for kind, t, c in form.terms if kind == "s51" and r % t == 0)
+             for r in range(4)]
+    beta = [sum(c * big for kind, t, c in form.terms if kind == "s15" and r % t == 0)
+            for r in range(4)]
+    acc = [0] * (top + 1)
+    acc[0] = -sum(c * big for kind, _, c in form.terms if kind == "s15") // 5  # E15(0) = -1/5
+    for d in range(1, isqrt(top) + 1):
+        chi_d, a_d, b_d = _LEGENDRE_5[d % 5], d * alpha[d % 4], beta[d % 4]
+        for e in range(d, min(d + 20, top // d + 1)):
+            chi_e = _LEGENDRE_5[e % 5]
+            c0 = chi_e * a_d + chi_d * d * beta[e % 4]
+            c1 = chi_d * alpha[e % 4] + chi_e * b_d
+            acc[d * e::20 * d] = map(add, acc[d * e::20 * d], count(c0 + c1 * e, 20 * c1))
+        acc[d * d] -= chi_d * (a_d + d * b_d)
+    return TruncatedSeries(map(floordiv, islice(acc, form.shift, None),
+                               repeat(big * form.divisor)), order)
 
 
-def _prefix(side: tuple, order: int) -> TruncatedSeries:
-    """The side to the order, from the longest expansion built so far."""
-    longest = _LONGEST.get(side)
+# sequence name -> its longest expansion so far; a lower order is read off by truncation
+_EXPANSIONS: dict = {}
+
+
+def _expansion(name: str, order: int) -> TruncatedSeries:
+    longest = _EXPANSIONS.get(name)
     if longest is None or longest.order < order:
-        longest = _LONGEST[side] = evaluate_side(side, order)
+        longest = _EXPANSIONS[name] = _closed_form(FORMS[name], order)
     return longest.truncate(order)
 
 
 def gen_c5(order: int) -> TruncatedSeries:
-    """Generating function of 5-core partition counts: f5^5 / f1."""
-    return _prefix((P(1, 0, (F(5), 5), (F(1), -1)),), order)
+    """Generating function of 5-core counts, f5^5 / f1, by Garvan-Kim-Stanton's closed form."""
+    return _expansion("c5", order)
 
 
 def gen_a5bar(order: int) -> TruncatedSeries:
-    """Generating function phi(-q^5)^5 / phi(-q)."""
-    return _prefix((P(1, 0, (PHI(-1, 5), 5), (PHI(-1, 1), -1)),), order)
+    """Generating function phi(-q^5)^5 / phi(-q), from its closed form."""
+    return _expansion("a5", order)
 
 
 def gen_b5bar(order: int) -> TruncatedSeries:
-    """Generating function psi(-q^5)^5 / psi(-q)."""
-    return _prefix((P(1, 0, (PSI(-1, 5), 5), (PSI(-1, 1), -1)),), order)
+    """Generating function psi(-q^5)^5 / psi(-q), from its closed form."""
+    return _expansion("b5", order)
 
 
 SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}

@@ -1,0 +1,172 @@
+"""The closed forms of c5, a5 and b5 and their certificates.
+
+Each sequence's generating function is a weight-2 eta quotient, recorded in
+``products.FORMS`` with its level, character, Sturm bound and Eisenstein
+terms.  Ligozat's criteria, checked here in exact arithmetic, make the
+quotient a holomorphic modular form on Gamma0(level) with character (5/.);
+each Eisenstein term is one on the same group, so by Sturm the closed form
+equals the quotient once their first sturm + 1 coefficients agree.
+"""
+
+from fractions import Fraction
+from math import gcd, isqrt, prod
+
+import pytest
+
+from qcore import evaluate_side, products, verify_all
+from qcore.products import FORMS, SEQUENCES, F, P
+
+LEGENDRE_5 = (0, 1, -1, -1, 1)
+
+
+def divisors(m: int) -> list:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def eisenstein(kind: str, t: int, m: int) -> Fraction:
+    """The coefficient of q^m in E_kind(q^t), from the definitions:
+    E51 = sum s51(m) q^m and E15 = -1/5 + sum s15(m) q^m, where
+    s51(m) = sum over d | m of (m/d | 5) d and s15(m) = sum of (d | 5) d."""
+    if m == 0:
+        return Fraction(-1, 5) if kind == "s15" else Fraction(0)
+    if m % t:
+        return Fraction(0)
+    m //= t
+    return Fraction(sum(LEGENDRE_5[(m // d if kind == "s51" else d) % 5] * d
+                        for d in divisors(m)))
+
+
+def closed_form(form, m: int) -> Fraction:
+    """The coefficient of q^m in q^shift times the sequence's series."""
+    return sum(c * eisenstein(kind, t, m) for kind, t, c in form.terms) / form.divisor
+
+
+def eta_side(form) -> tuple:
+    """The eta quotient, q^shift prod f_delta^r, as a side."""
+    return (P(1, form.shift, *((F(delta), r) for delta, r in form.eta)),)
+
+
+def cusp_order(form, c: int) -> Fraction:
+    """Ligozat's order of the eta quotient at the cusp 1/c, c | level."""
+    level = form.level
+    return Fraction(level, 24) * sum(
+        Fraction(gcd(c, delta) ** 2 * r, gcd(c, level // c) * c * delta)
+        for delta, r in form.eta)
+
+
+def certificate_failures(form) -> list:
+    """The conditions of the certificate that the form fails; [] proves that
+    q^shift times its product side is the closed form."""
+    level, eta = form.level, dict(form.eta)
+    checks = {
+        "each delta divides the level": all(level % delta == 0 for delta in eta),
+        "weight is half the sum of exponents": sum(eta.values()) == 2 * form.weight,
+        "sum of delta*r is 0 mod 24": sum(delta * r for delta, r in eta.items()) % 24 == 0,
+        "sum of (level/delta)*r is 0 mod 24":
+            sum(level // delta * r for delta, r in eta.items()) % 24 == 0,
+        "holomorphic at every cusp": all(cusp_order(form, c) >= 0 for c in divisors(level)),
+        "order at infinity is the shift": cusp_order(form, level) == form.shift,
+    }
+    # the character is d -> ((-1)^k s / d), s = prod delta^r; it is (5/.)
+    # when k is even and s is 5 times a rational square
+    s = prod(delta ** (r % 2) for delta, r in eta.items())
+    checks["character (5/.)"] = (form.character == 5 and form.weight % 2 == 0
+                                 and s % 5 == 0 and isqrt(s // 5) ** 2 == s // 5)
+    primes = [p for p in divisors(level) if len(divisors(p)) == 2]
+    index = level * prod(1 + Fraction(1, p) for p in primes)    # of Gamma0(level) in SL2(Z)
+    checks["Sturm bound of Gamma0(level)"] = form.sturm == form.weight * index / 12
+    # E51 and E15 are weight-2 forms on Gamma0(5) with character (5/.), so
+    # E(q^t) is one on Gamma0(5t); the evaluator reads t from its divisors of 4
+    for kind, t, c in form.terms:
+        checks[f"{c} {kind}(m/{t}) is on Gamma0(level)"] = (
+            kind in ("s51", "s15") and 4 % t == 0 and level % (5 * t) == 0)
+    quotient = evaluate_side(eta_side(form), 100)
+    shifted = tuple((c, shift + form.shift, factors) for c, shift, factors in form.side)
+    checks["the eta quotient is the product side"] = (
+        quotient == evaluate_side(shifted, 100))
+    checks["closed form through the Sturm bound"] = all(
+        quotient[m] == closed_form(form, m) for m in range(form.sturm + 1))
+    return [what for what, ok in checks.items() if not ok]
+
+
+@pytest.mark.parametrize("name, orders, coefficients", [
+    ("c5", [0, 1], 2),
+    ("a5", [0, 0, 3, 0], 4),
+    ("b5", [0, 0, 0, 3, 0, 3], 7),
+])
+def test_each_sequence_is_certified(name, orders, coefficients):
+    form = FORMS[name]
+    assert certificate_failures(form) == []
+    assert [cusp_order(form, c) for c in divisors(form.level)] == orders
+    assert form.sturm + 1 == coefficients
+
+
+@pytest.mark.parametrize("name, changes, failing", [
+    # f10^-4 for f10^-5: not a form of weight 2, nor the product side
+    ("a5", {"eta": ((1, -2), (2, 1), (5, 10), (10, -4))},
+     "weight is half the sum of exponents"),
+    # the exponents of f4 and f20 swapped: right weight and character, a pole
+    ("b5", {"eta": ((1, -1), (2, 1), (4, 5), (5, 5), (10, -5), (20, -1))},
+     "holomorphic at every cusp"),
+    ("c5", {"eta": ((1, -1), (5, 5), (25, 0))}, "each delta divides the level"),
+    ("b5", {"terms": FORMS["b5"].terms[:-1] + (("s15", 4, 3),)},
+     "closed form through the Sturm bound"),
+    ("a5", {"terms": (("s51", 1, 3), ("s51", 2, 4), ("s15", 1, -4), ("s15", 2, -1))},
+     "closed form through the Sturm bound"),
+    ("c5", {"terms": (("s15", 1, 1),)}, "closed form through the Sturm bound"),
+    ("a5", {"terms": FORMS["a5"].terms + (("s51", 4, 0),)},
+     "0 s51(m/4) is on Gamma0(level)"),
+    ("a5", {"sturm": 2}, "Sturm bound of Gamma0(level)"),
+    ("c5", {"shift": 0}, "order at infinity is the shift"),
+])
+def test_a_wrong_exponent_or_term_fails_the_certificate(name, changes, failing):
+    assert failing in certificate_failures(FORMS[name]._replace(**changes))
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_evaluator_matches_the_divisor_sum_definitions(name):
+    form = FORMS[name]
+    series = products._closed_form(form, 300)
+    assert all(series[n] == closed_form(form, n + form.shift) for n in range(301))
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_closed_forms_match_the_product_definitions(name, monkeypatch):
+    # every n <= 5000, against the product side expanded as a side
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    assert SEQUENCES[name](5000) == evaluate_side(FORMS[name].side, 5000)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_closed_forms_at_the_smallest_orders(order, monkeypatch):
+    # a5(0) = 1 is E15's constant term; b5 reads its divisor sums at n + 3
+    for name, gen in SEQUENCES.items():
+        monkeypatch.setattr(products, "_EXPANSIONS", {})
+        series = gen(order)
+        assert series.order == order
+        assert series == evaluate_side(FORMS[name].side, order), (name, order)
+    assert products._closed_form(FORMS["a5"], order)[0] == 1
+    assert list(products._closed_form(FORMS["b5"], order).coeffs) == [1, 1, 1, 2, 3][:order + 1]
+
+
+@pytest.mark.parametrize("name, record", [
+    ("c5", "ext.a5.start2"),
+    ("a5", "ext.a5.rec_main_1"),
+    ("b5", "ext.b5.rec_new1"),
+])
+def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeypatch):
+    # the registry ties each sequence to products in every run
+    closed = products._closed_form
+
+    def corrupted(form, order):
+        series = closed(form, order)
+        if form is not FORMS[name] or order < 100:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[100] += 1
+        return type(series)(coeffs, order)
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", corrupted)
+    mismatches = [r.id for r in verify_all("all", 300) if not r.ok]
+    assert record in mismatches, mismatches

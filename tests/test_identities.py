@@ -121,15 +121,15 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
     # to the largest of these, so it is built once, and every lower order
     # is served by truncation
     class Recording(dict):
-        def __setitem__(self, side, series):
-            builds.append(series.order)
-            super().__setitem__(side, series)
+        def __setitem__(self, name, series):
+            builds.append((name, series.order))
+            super().__setitem__(name, series)
 
     builds = []
-    monkeypatch.setattr(products, "_LONGEST", Recording())
+    monkeypatch.setattr(products, "_EXPANSIONS", Recording())
     verify_all("all", 300)
-    assert sorted(builds) == [300, 1500, 7522]
-    assert len(products._LONGEST) == 3
+    assert sorted(builds) == [("a5", 1500), ("b5", 7522), ("c5", 300)]
+    assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
 
 
 def test_check_congruence_families():
@@ -201,13 +201,12 @@ def test_mismatch_report_shapes(record, line):
 
 
 def test_series_equalities_divide_only_to_build_sequences(monkeypatch):
-    # with the denominators cleared, no side of a true identity divides
-    for name in ("c5", "a5", "b5"):
-        sequence(name, 25 * 300 + 22)
-
+    # with the denominators cleared, no side of a true identity divides, and
+    # the sequences, built from their closed forms, do not divide either
     def no_division(self, other):
         raise AssertionError("a side divided")
 
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
     monkeypatch.setattr(TruncatedSeries, "div", no_division)
     for rid in SERIES_EQUALITIES:
         assert verify(rid, 300).ok, rid

@@ -4,7 +4,8 @@ from itertools import chain
 import pytest
 
 import _brute as brute
-from qcore import Partition, count_t_cores, gen_c5, t_cores
+from qcore import Partition, count_t_cores, evaluate_side, t_cores
+from qcore.products import FORMS
 
 
 def flat_hooks(p):
@@ -121,7 +122,9 @@ def test_rejects_negative_n_and_t_below_one():
 
 
 def test_oracle_matches_series_prefix():
-    series = gen_c5(300)
+    # gen_c5 is a divisor sum; the series engine is checked here through
+    # the product side f5^5/f1
+    series = evaluate_side(FORMS["c5"].side, 300)
     for n in range(301):
         assert count_t_cores(n, 5) == series[n], n
 
@@ -129,7 +132,7 @@ def test_oracle_matches_series_prefix():
 def test_oracle_matches_series_at_sampled_large_n():
     rng = random.Random(11)
     sample = [rng.randint(301, 5000) for _ in range(10)]
-    series = gen_c5(max(sample))
+    series = evaluate_side(FORMS["c5"].side, max(sample))
     for n in sample:
         assert count_t_cores(n, 5) == series[n], n
 

@@ -104,11 +104,13 @@ def test_value_types_are_immutable():
 
 
 def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):
-    # sides keyed by equal but distinct value objects find one cache entry
-    monkeypatch.setattr(products, "_LONGEST", {})
-    first = products._prefix((P(1, 0, POCH(1, 1, 1), THETA(-1, 1, -1, 2)),), 40)
-    again = products._prefix((P(1, 0, POCH(1, 1, 1), THETA(-1, 1, -1, 2)),), 30)
-    assert len(products._LONGEST) == 1 and again == first.truncate(30)
+    # a sequence atom in equal but distinct sides and the sequence's
+    # constructor find its one cache entry
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    first = evaluate_side((P(1, 0, SEQ("b5")),), 40)
+    again = evaluate_side((P(1, 0, SEQ("b5")),), 30)
+    assert again == first.truncate(30) and gen_b5bar(40) is first
+    assert list(products._EXPANSIONS) == ["b5"]
 
 
 # -- Euler products --------------------------------------------------------------
@@ -405,14 +407,14 @@ def test_named_constructors_memoize(monkeypatch):
     # one prefix cache: rising orders build once each; a lower order builds
     # nothing and equals a fresh build
     builds = []
-    evaluate = products.evaluate_side
+    closed_form = products._closed_form
 
-    def counting(side, order):
+    def counting(form, order):
         builds.append(order)
-        return evaluate(side, order)
+        return closed_form(form, order)
 
-    monkeypatch.setattr(products, "_LONGEST", {})
-    monkeypatch.setattr(products, "evaluate_side", counting)
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", counting)
     for gen in (gen_c5, gen_a5bar, gen_b5bar):
         builds.clear()
         for order in (10, 40, 90):
@@ -421,10 +423,10 @@ def test_named_constructors_memoize(monkeypatch):
         served = {order: gen(order) for order in (0, 7, 10, 40, 89, 90)}
         assert builds == [10, 40, 90]
         assert gen(90) is served[90]
-        products._LONGEST.clear()
+        products._EXPANSIONS.clear()
         for order, series in served.items():
             assert series == gen(order) and series.order == order
-            products._LONGEST.clear()
+            products._EXPANSIONS.clear()
         assert builds == [10, 40, 90, 0, 7, 10, 40, 89, 90]
     # the plain sequence atom is the cached expansion itself, not a copy
     gen_c5(90)
