@@ -8,8 +8,8 @@ column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 
 class BFileParseError(ValueError):
@@ -20,17 +20,16 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(namedtuple("BFile", "entries")):
     """Parsed b-file: contiguous (index, value) pairs."""
 
-    entries: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def first_index(self) -> int:
         return self.entries[0][0]
 
-    def values(self) -> Tuple[int, ...]:
+    def values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.entries)
 
 

@@ -211,7 +211,7 @@ def _cmd_bfile(args) -> int:
     try:
         with open(args.path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

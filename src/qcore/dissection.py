@@ -7,18 +7,15 @@ is part of the type's contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(namedtuple("Dissection", "modulus components")):
     """The m residue-class components of a series, re-indexed to q^n."""
 
-    modulus: int
-    components: Tuple[TruncatedSeries, ...]
+    __slots__ = ()
 
     def reassemble(self, order: int) -> TruncatedSeries:
         """Sum of q^r * components[r](q^m); inverse of dissect up to order."""

@@ -1,27 +1,26 @@
 """Uniform verification over the identity registry.
 
-``verify`` dispatches on the record kind and always returns a
+``verify`` dispatches on the record type and always returns a
 VerificationReport; a mismatch carries the smallest offending index.
-Series equalities, relations and families share one comparator over
-their sides, ``_compare``, which multiplies the sides of a series identity
-through by their common denominator so that none divides.  Everything is
-computed in exact integer or rational arithmetic, including the census
-frequencies.
+Series equalities and relations share one comparator over their sides,
+``_compare``, which multiplies the sides of a series identity through by
+their common denominator so that none divides.  A family, a relation that
+holds a K, is the same check at each k = 2..kmax.  Everything is computed
+in exact integer or rational arithmetic, including the census frequencies.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
 from .products import SEQUENCES, P, evaluate_side
 from .registry import (
     CensusRecord,
-    Family,
     Record,
     Relation,
     SeriesEquality,
@@ -32,7 +31,7 @@ from .registry import (
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
 from .series import TruncatedSeries, first_mismatch
 
-REGISTRY: Dict[str, Record] = build_registry()
+REGISTRY: dict[str, Record] = build_registry()
 
 
 class UnknownIdentity(KeyError):
@@ -52,7 +51,7 @@ def unregister(record_id: str) -> None:
     REGISTRY.pop(record_id, None)
 
 
-def record_ids(tier: str = "all") -> List[str]:
+def record_ids(tier: str = "all") -> list[str]:
     return [rid for rid, rec in REGISTRY.items() if tier in ("all", rec.tier)]
 
 
@@ -81,7 +80,7 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
     constant term 1 and (lhs - rhs) * D first differs from 0 where
     lhs - rhs does, by the same factor 1 there.  A sequence atom's constant
     term need not be +-1, so it is never cleared."""
-    low: Dict[tuple, int] = {}
+    low: dict[tuple, int] = {}
     for side in sides:
         for _, _, factors in side:
             for atom, e in factors:
@@ -95,7 +94,7 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
 
 
 def _compare(sides: Sequence[tuple], order: int,
-             modulus: int = 0) -> Optional[Tuple[int, object, object]]:
+             modulus: int = 0) -> tuple[int, object, object] | None:
     """The first n <= order where a side differs from the first, as
     (n, lhs, rhs), or None.  With a modulus m, two sides differ where
     lhs - rhs is not a multiple of m, reported as (n, lhs - rhs, "0 (mod m)").
@@ -149,19 +148,8 @@ def _coverage(sides: Sequence[tuple], order: int) -> int:
 # -- census -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    """Exact sign frequencies of a sequence over indices 1..order."""
-
-    seq: str
-    order: int
-    zero: Fraction
-    positive: Fraction
-    negative: Fraction
-
-    def summary(self) -> str:
-        return (f"n=1..{self.order}: zero {self.zero} "
-                f"positive {self.positive} negative {self.negative}")
+# Exact sign frequencies of a sequence over indices 1..order.
+CensusResult = namedtuple("CensusResult", "seq order zero positive negative")
 
 
 def sign_census(seq_name: str, order: int) -> CensusResult:
@@ -191,7 +179,7 @@ def sign_census(seq_name: str, order: int) -> CensusResult:
 # -- verification dispatch -----------------------------------------------------
 
 
-def _mismatch(record: Record, order: int, bad: Optional[Tuple[int, object, object]],
+def _mismatch(record: Record, order: int, bad: tuple[int, object, object] | None,
               detail: str = "") -> VerificationReport:
     n, lhs, rhs = bad or (None, None, None)
     return VerificationReport(record.id, record.kind, order, MISMATCH, first_bad_index=n,
@@ -206,28 +194,22 @@ def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
     if isinstance(record, Relation):
-        sides = (record.lhs, record.rhs)
-        covered = _coverage(sides, order)
-        bad = _compare(sides, covered, record.modulus) if covered >= 0 else None
-        if bad is not None:
-            return _mismatch(record, order, bad)
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
-
-    if isinstance(record, Family):
-        if kmax < 2:
+        family = record.family
+        if family and kmax < 2:
             raise ValueError("kmax must be >= 2")
         checked = []
-        for k in range(2, kmax + 1):
-            lhs, rhs, modulus = record.at(k)
-            covered = _coverage((lhs, rhs), order)
+        for k in range(2, kmax + 1) if family else [None]:
+            instance = record.at(k)
+            sides = (instance.lhs, instance.rhs)
+            covered = _coverage(sides, order)
             if covered < 0:
                 continue
-            bad = _compare((lhs, rhs), covered, modulus)
+            bad = _compare(sides, covered, instance.modulus)
             if bad is not None:
-                return _mismatch(record, order, bad, f"k={k}")
+                return _mismatch(record, order, bad, f"k={k}" if family else "")
             checked.append(k)
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                  detail=f"k in {checked}")
+                                  detail=f"k in {checked}" if family else "")
 
     if isinstance(record, CensusRecord):
         if order < 1:
@@ -267,16 +249,15 @@ def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
     """``_verify_record`` with its elapsed seconds on the report."""
     start = time.perf_counter()
     report = _verify_record(record, order, kmax)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return report._replace(elapsed=time.perf_counter() - start)
 
 
-def _reach(record: Record, order: int, kmax: int) -> Iterator[Tuple[str, int]]:
+def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
     """(name, index) for every sequence that verifying the record at the
     order reads, to that index: a series equality reads the sequence of an
     atom (name, m, r, s, k) to m*(order // k) + r, as ``products`` slices
-    it, and a relation or family reads each of its sequences to the order
-    (``_coverage``), as does a census."""
+    it, and a relation, a family at every k, reads each of its sequences to
+    the order (``_coverage``), as does a census."""
     if isinstance(record, SeriesEquality):
         for side in record.sides:
             for _, _, factors in side:
@@ -284,28 +265,25 @@ def _reach(record: Record, order: int, kmax: int) -> Iterator[Tuple[str, int]]:
                     if atom[0] in SEQUENCES:
                         name, m, r, _, k = atom
                         yield name, m * (order // k) + r
-    elif isinstance(record, (Relation, Family)):
-        sides = ([record.lhs, record.rhs] if isinstance(record, Relation)
-                 else [side for k in range(2, kmax + 1) for side in record.at(k)[:2]])
-        for side in sides:
-            for _, _, factors in side:
-                for atom, _ in factors:
-                    yield atom[0], order
+    elif isinstance(record, Relation):
+        for _, _, factors in (*record.lhs, *record.rhs):
+            for atom, _ in factors:
+                yield atom[0], order
     elif isinstance(record, CensusRecord) and order >= 1:
         yield record.seq, order
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
-               kmax: int = DEFAULT_KMAX) -> List[VerificationReport]:
+               kmax: int = DEFAULT_KMAX) -> list[VerificationReport]:
     """Verify every record of a tier, one after another, in registration order.
 
     Each sequence is first read to the largest index that any of the
     records reads it to, so the prefix cache builds it once per run rather
     than once per rising order."""
     ids = record_ids(tier)
-    reach: Dict[str, int] = {}
+    reach: dict[str, int] = {}
     for rid in ids:
-        for name, top in _reach(REGISTRY[rid], order, kmax):
+        for name, top in _reach(REGISTRY[rid], order):
             reach[name] = max(reach.get(name, top), top)
     for name, top in reach.items():
         if top >= 0:
@@ -325,7 +303,7 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 # -- spec-level convenience operations ----------------------------------------
 
 
-def check_congruence(seq_name: str, modulus: int, ap: Tuple[int, int],
+def check_congruence(seq_name: str, modulus: int, ap: tuple[int, int],
                      order: int = DEFAULT_ORDER) -> VerificationReport:
     """Check seq(m*n + r) == 0 (mod modulus) for all indices up to order."""
     m, r = ap

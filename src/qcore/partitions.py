@@ -9,8 +9,8 @@ which is what makes it a ground truth for the coefficient engines.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import isqrt
-from typing import Iterator, List, Tuple
 
 
 class Partition:
@@ -47,7 +47,7 @@ class Partition:
         parts = self.parts
         return Partition(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
-    def hook_numbers(self) -> Tuple[Tuple[int, ...], ...]:
+    def hook_numbers(self) -> tuple[tuple[int, ...], ...]:
         """Hook number of every node, row-major: H(i,j) = l_i + l'_j - i - j + 1."""
         parts, cols = self.parts, self.conjugate().parts
         return tuple(
@@ -62,7 +62,7 @@ class Partition:
         return all(h % t for row in self.hook_numbers() for h in row)
 
 
-def _core_vectors(n: int, t: int) -> Iterator[List[int]]:
+def _core_vectors(n: int, t: int) -> Iterator[list[int]]:
     """The t-cores of n as w_j = 2t·x_j + c_j, c_j = 2j - t + 1: each w with
     w_j = c_j (mod 2t), sum(w) = 0 and sum(w^2) = 8tn + sum(c_j^2) once, in
     one list that the search overwrites.  Depth first over w_0, w_1, ...; a
@@ -76,7 +76,7 @@ def _core_vectors(n: int, t: int) -> Iterator[List[int]]:
     tail = [sum(c * c for c in offsets[j:]) for j in range(t + 1)]  # least sum of w_k^2, k >= j
     w = [0] * t
 
-    def search(j: int, total: int, squares: int) -> Iterator[List[int]]:
+    def search(j: int, total: int, squares: int) -> Iterator[list[int]]:
         # w_j..w_{t-1} must sum to -total with square sum ``squares``
         left = t - j
         if left == 0:  # reached only for t = 1
@@ -114,7 +114,7 @@ def count_t_cores(n: int, t: int) -> int:
     return sum(1 for _ in _core_vectors(n, t))
 
 
-def t_cores(n: int, t: int) -> List[Partition]:
+def t_cores(n: int, t: int) -> list[Partition]:
     """The t-cores of n in decreasing lexicographic order, read off the
     t-runner abacus: runner j holds beads at j + t·k for every k < x_j, and
     the parts are b_i + i over the bead positions b_1 > b_2 > ...

@@ -3,28 +3,31 @@
 Each record states one claim about the sequences c5 (5-core counts),
 a5 (coefficients of phi(-q^5)^5/phi(-q)) and b5 (coefficients of
 psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
-Records are data plus a human-readable statement, in one term language:
-every side is a sum of product terms that ``products.evaluate_side``
-expands, written with the side helpers F, PHI, PSI, THETA, SEQ, CHI, R and
-P that ``products`` defines and this module re-exports.  A SeriesEquality
-lists sides that agree coefficient by coefficient; a Relation says
-sum(lhs) = sum(rhs) over sequence terms at every covered n (or, with a
-modulus m, sum(lhs) - sum(rhs) == 0 (mod m)); a Family is a Relation for
-each k >= 2; a CensusRecord bounds sign frequencies.  The evaluator in
-``identities`` checks the first three with one comparator, so adding a
+Records are named tuples of plain data plus a human-readable statement, in
+one term language: every side is a sum of product terms that
+``products.evaluate_side`` expands, written with the side helpers F, PHI,
+PSI, THETA, SEQ, CHI, R and P that ``products`` defines and this module
+re-exports.  A SeriesEquality lists sides that agree coefficient by
+coefficient; a Relation says sum(lhs) = sum(rhs) over sequence terms at
+every covered n (or, with a modulus m, sum(lhs) - sum(rhs) == 0 (mod m));
+a CensusRecord bounds sign frequencies.  The evaluator in ``identities``
+checks series equalities and relations with one comparator, so adding a
 claim here never touches the verification code.
 
 ``T(seq, stride, offset, scale)`` is the side term
 scale * seq(stride*n + offset).  The offset may be any integer, and a
 sequence read at a negative index is 0, so relations like
 b5(4n+1) = c5(n) - 2 b5(2n-1) include their n = 0 case.
+
+A relation whose modulus, or any stride, offset or scale of a term, is a
+``K(a, b, c)``, the number (a*5^k + b)/c, is a family: one relation for
+each k >= 2, which ``Relation.at`` gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, Union
 
 # The side helpers live beside the evaluator that reads them; they are
 # re-exported here, where records are written.
@@ -36,70 +39,73 @@ EXTENDED = "extended"
 
 def T(seq: str, stride: int, offset: int = 0, scale=1) -> tuple:
     """The side term scale * seq(stride*n + offset), for any integer offset;
-    scale may be a Fraction."""
+    scale may be a Fraction, and any of the three a K."""
     return P(scale, 0, SEQ(seq, stride, offset))
 
 
-@dataclass(frozen=True)
-class SeriesEquality:
-    id: str
-    tier: str
-    statement: str
-    sides: Tuple[tuple, ...]
-    kind: str = "series-equality"
-
-    def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(tuple(side) for side in self.sides))
+# The integer (a*5^k + b)/c at a family's k: 5^k is K(1), (5^k-1)/4 is K(1, -1, 4).
+K = namedtuple("K", "a b c", defaults=(0, 1))
 
 
-@dataclass(frozen=True)
-class Relation:
+def _at(value, k: int):
+    """A K's value at k; any other value as it is."""
+    if not isinstance(value, K):
+        return value
+    a, b, c = value
+    quotient, rest = divmod(a * 5 ** k + b, c)
+    if rest:
+        raise ValueError(f"{value} is not an integer at k={k}")
+    return quotient
+
+
+class SeriesEquality(namedtuple("SeriesEquality", "id tier statement sides kind")):
+    __slots__ = ()
+
+    def __new__(cls, id, tier, statement, sides, kind="series-equality"):
+        return super().__new__(cls, id, tier, statement, tuple(map(tuple, sides)), kind)
+
+
+class Relation(namedtuple("Relation", "id tier statement lhs rhs modulus", defaults=((), 0))):
     """sum(lhs) = sum(rhs) at every covered n; with a modulus m,
     sum(lhs) - sum(rhs) == 0 (mod m) instead.  Both sides are sums of
-    ``T`` terms; an empty side is 0."""
+    ``T`` terms; an empty side is 0.  A relation that holds a K is a family,
+    checked at each k >= 2."""
 
-    id: str
-    tier: str
-    statement: str
-    lhs: tuple
-    rhs: tuple = ()
-    modulus: int = 0
+    __slots__ = ()
+
+    @property
+    def family(self) -> bool:
+        """Whether the modulus, or a scale, stride or offset of a term, is a K."""
+        numbers = [self.modulus]
+        for coeff, _, factors in (*self.lhs, *self.rhs):
+            numbers += [coeff, *(x for atom, _ in factors for x in atom[1:])]
+        return any(isinstance(x, K) for x in numbers)
 
     @property
     def kind(self) -> str:
+        if self.family:
+            return "congruence-family" if self.modulus else "recurrence-family"
         return "congruence" if self.modulus else "subsequence-relation"
 
-
-@dataclass(frozen=True)
-class Family:
-    """A Relation for every k >= 2: ``at(k)`` returns its (lhs, rhs, modulus)."""
-
-    id: str
-    tier: str
-    statement: str
-    at: Callable[[int], Tuple[tuple, tuple, int]]
-
-    @property
-    def kind(self) -> str:
-        return "congruence-family" if self.at(2)[2] else "recurrence-family"
+    def at(self, k: int) -> Relation:
+        """The relation at k: every K replaced by its value there."""
+        def side(terms):
+            return tuple((_at(coeff, k), shift,
+                          tuple(((atom[0], *(_at(x, k) for x in atom[1:])), e)
+                                for atom, e in factors))
+                         for coeff, shift, factors in terms)
+        return self._replace(lhs=side(self.lhs), rhs=side(self.rhs),
+                             modulus=_at(self.modulus, k))
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    id: str
-    tier: str
-    statement: str
-    seq: str
-    zero_min: Fraction
-    positive_min: Fraction
-    negative_min: Fraction
-    kind: str = "census"
+CensusRecord = namedtuple("CensusRecord", "id tier statement seq zero_min positive_min "
+                                          "negative_min kind", defaults=("census",))
 
 
-Record = Union[SeriesEquality, Relation, Family, CensusRecord]
+Record = SeriesEquality | Relation | CensusRecord
 
 
-def add_record(registry: Dict[str, "Record"], record: "Record", replace: bool = False) -> None:
+def add_record(registry: dict[str, Record], record: Record, replace: bool = False) -> None:
     """Insert a record, refusing a taken id or a series equality whose sides
     repeat another record's, which would check nothing new."""
     if not replace and record.id in registry:
@@ -116,17 +122,14 @@ def add_record(registry: Dict[str, "Record"], record: "Record", replace: bool = 
 # -- the registry ------------------------------------------------------------
 
 
-def build_registry() -> Dict[str, Record]:
+def build_registry() -> dict[str, Record]:
     records = []
 
     def eq(rid, tier, statement, *sides):
         records.append(SeriesEquality(rid, tier, statement, sides))
 
-    def rel(rid, tier, statement, lhs, *rhs):
-        records.append(Relation(rid, tier, statement, (lhs,), rhs))
-
-    def fam(rid, tier, statement, at):
-        records.append(Family(rid, tier, statement, at))
+    def rel(rid, tier, statement, lhs, *rhs, modulus=0):
+        records.append(Relation(rid, tier, statement, (lhs,), rhs, modulus))
 
     # six theta-product identities
     eq("lemma.phimodeq", CORE,
@@ -187,26 +190,22 @@ def build_registry() -> Dict[str, Record]:
     rel("thm1.a20n6", CORE, "a5(20n+6) = 10 c5(10n+2)", T("a5", 20, 6), T("c5", 10, 2, 10))
     rel("thm1.a20n14", CORE, "a5(20n+14) = 10 c5(10n+6)",
         T("a5", 20, 14), T("c5", 10, 6, 10))
-    fam("thm1.recurrence", CORE,
+    rel("thm1.recurrence", CORE,
         "a5(5^k n) = (5^k-1)/4 * a5(5n) - (5^k-5)/4 * a5(n), k >= 2",
-        lambda k: ((T("a5", 5 ** k, 0),),
-                   (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4))), 0))
+        T("a5", K(1), 0), T("a5", 5, 0, K(1, -1, 4)), T("a5", 1, 0, K(-1, 5, 4)))
 
     # a5 congruences
-    records.append(Relation(
-        "cor1.mod10a", CORE, "a5(20n+6) == 0 (mod 10)", (T("a5", 20, 6),), modulus=10))
-    records.append(Relation(
-        "cor1.mod10b", CORE, "a5(20n+14) == 0 (mod 10)", (T("a5", 20, 14),), modulus=10))
-    fam("cor1.mod5k", CORE,
+    rel("cor1.mod10a", CORE, "a5(20n+6) == 0 (mod 10)", T("a5", 20, 6), modulus=10)
+    rel("cor1.mod10b", CORE, "a5(20n+14) == 0 (mod 10)", T("a5", 20, 14), modulus=10)
+    rel("cor1.mod5k", CORE,
         "4 a5(5^k n) == 5 a5(n) - a5(5n) (mod 5^k), k >= 2",
-        lambda k: ((T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** k))
+        T("a5", K(1), 0, 4), T("a5", 1, 0, 5), T("a5", 5, 0, -1), modulus=K(1))
 
     # b5 recurrences
     rel("thm2.b4n3", CORE, "b5(4n+3) = 2 b5(2n)", T("b5", 4, 3), T("b5", 2, 0, 2))
-    fam("thm2.recurrence", CORE,
+    rel("thm2.recurrence", CORE,
         "b5(5^k(n+3)-3) = (5^k-1)/4 * b5(5n+12) - (5^k-5)/4 * b5(n), k >= 2",
-        lambda k: ((T("b5", 5 ** k, 3 * 5 ** k - 3),),
-                   (T("b5", 5, 12, (5 ** k - 1) // 4), T("b5", 1, 0, -((5 ** k - 5) // 4))), 0))
+        T("b5", K(1), K(3, -3)), T("b5", 5, 12, K(1, -1, 4)), T("b5", 1, 0, K(-1, 5, 4)))
 
     # b5 subsequence relations
     rel("thm3.b5_4n_1", CORE, "b5(4n+1) = c5(n) - 2 b5(2n-1)",
@@ -238,24 +237,21 @@ def build_registry() -> Dict[str, Record]:
         T("a5", 20, 6), T("b5", 10, 0, 20))
     rel("cor.a5b5.a20n14", CORE, "a5(20n+14) = 20 b5(10n+4)",
         T("a5", 20, 14), T("b5", 10, 4, 20))
-    fam("cor.b5.mod5k.rec", CORE,
+    rel("cor.b5.mod5k.rec", CORE,
         "4 b5(5^k(n+3)-3) == 5 b5(n) - b5(5n+12) (mod 5^k), k >= 2",
-        lambda k: ((T("b5", 5 ** k, 3 * 5 ** k - 3, 4),),
-                   (T("b5", 1, 0, 5), T("b5", 5, 12, -1)), 5 ** k))
-    fam("cor.b5.mod5k.n18", CORE,
+        T("b5", K(1), K(3, -3), 4), T("b5", 1, 0, 5), T("b5", 5, 12, -1), modulus=K(1))
+    rel("cor.b5.mod5k.n18", CORE,
         "b5(5^k(20n+18)-3) == 0 (mod (5^k-1)/4), k >= 2",
-        lambda k: ((T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),), (), (5 ** k - 1) // 4))
-    fam("cor.b5.mod5k.n22", CORE,
+        T("b5", K(20), K(18, -3)), modulus=K(1, -1, 4))
+    rel("cor.b5.mod5k.n22", CORE,
         "b5(5^k(20n+22)-3) == 0 (mod (5^k-1)/4), k >= 2",
-        lambda k: ((T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),), (), (5 ** k - 1) // 4))
-    fam("cor.b5.exact.n87", CORE,
+        T("b5", K(20), K(22, -3)), modulus=K(1, -1, 4))
+    rel("cor.b5.exact.n87", CORE,
         "b5(5^k(20n+18)-3) = (5^k-1)/4 * b5(100n+87), k >= 2",
-        lambda k: ((T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),),
-                   (T("b5", 100, 87, (5 ** k - 1) // 4),), 0))
-    fam("cor.b5.exact.n107", CORE,
+        T("b5", K(20), K(18, -3)), T("b5", 100, 87, K(1, -1, 4)))
+    rel("cor.b5.exact.n107", CORE,
         "b5(5^k(20n+22)-3) = (5^k-1)/4 * b5(100n+107), k >= 2",
-        lambda k: ((T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),),
-                   (T("b5", 100, 107, (5 ** k - 1) // 4),), 0))
+        T("b5", K(20), K(22, -3)), T("b5", 100, 107, K(1, -1, 4)))
 
     # cross-check tying thm1.a20n6, cor.a5b5.a20n6 and thm3.b5_10n together
     rel("derived.triangle", CORE, "10 c5(10n+2) = 20 b5(10n)",

@@ -2,31 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 EXACT_MATCH = "exact-match"
 MISMATCH = "mismatch"
 SKIPPED = "skipped"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "id kind order status first_bad_index lhs_value rhs_value detail elapsed",
+        defaults=(None, None, None, "", 0.0))):
     """Outcome of one verification run.
 
     A mismatch always carries the smallest offending index together with
     the two values seen there; a skip carries its reason in ``detail``.
     """
 
-    id: str
-    kind: str
-    order: int
-    status: str
-    first_bad_index: Optional[int] = None
-    lhs_value: object = None
-    rhs_value: object = None
-    detail: str = ""
-    elapsed: float = 0.0
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -234,6 +234,16 @@ def test_bfile_parse_error_is_io_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_bfile_non_ascii_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run_cli(capsys, "bfile", "check", "c5", str(path))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith(f"cannot read {path}: 'ascii' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["expand"])  # missing series name

@@ -18,7 +18,7 @@ from qcore import (
 )
 from qcore import NonUnitConstantTerm, identities, products
 from qcore.identities import REGISTRY
-from qcore.registry import SEQ, F, Family, P, Relation, SeriesEquality, T
+from qcore.registry import SEQ, F, K, P, Relation, SeriesEquality, T
 from qcore.series import TruncatedSeries
 
 SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
@@ -146,15 +146,64 @@ def test_recurrence_checks():
         verify("thm1.recurrence", 100, kmax=1)
 
 
-def _off_by_one_at_k3(k):
-    # thm1.recurrence with the a5(n) coefficient lowered by one at k = 3 only
-    return ((T("a5", 5 ** k, 0),),
-            (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4) - (k == 3))), 0)
+# the eight registered families as functions of k, the reference for their
+# K data: k -> (lhs, rhs, modulus)
+REFERENCE_FAMILIES = {
+    "thm1.recurrence": lambda k: (
+        (T("a5", 5 ** k, 0),),
+        (T("a5", 5, 0, (5 ** k - 1) // 4), T("a5", 1, 0, -((5 ** k - 5) // 4))), 0),
+    "cor1.mod5k": lambda k: (
+        (T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** k),
+    "thm2.recurrence": lambda k: (
+        (T("b5", 5 ** k, 3 * 5 ** k - 3),),
+        (T("b5", 5, 12, (5 ** k - 1) // 4), T("b5", 1, 0, -((5 ** k - 5) // 4))), 0),
+    "cor.b5.mod5k.rec": lambda k: (
+        (T("b5", 5 ** k, 3 * 5 ** k - 3, 4),), (T("b5", 1, 0, 5), T("b5", 5, 12, -1)), 5 ** k),
+    "cor.b5.mod5k.n18": lambda k: (
+        (T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),), (), (5 ** k - 1) // 4),
+    "cor.b5.mod5k.n22": lambda k: (
+        (T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),), (), (5 ** k - 1) // 4),
+    "cor.b5.exact.n87": lambda k: (
+        (T("b5", 20 * 5 ** k, 18 * 5 ** k - 3),), (T("b5", 100, 87, (5 ** k - 1) // 4),), 0),
+    "cor.b5.exact.n107": lambda k: (
+        (T("b5", 20 * 5 ** k, 22 * 5 ** k - 3),), (T("b5", 100, 107, (5 ** k - 1) // 4),), 0),
+}
 
 
-def _mod_5k1_at_k3(k):
-    # cor1.mod5k with the modulus raised to 5^(k+1) at k = 3 only
-    return ((T("a5", 5 ** k, 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), 5 ** (k + (k == 3)))
+@pytest.mark.parametrize("rid", sorted(REFERENCE_FAMILIES))
+def test_families_as_data_equal_the_reference(rid):
+    record = REGISTRY[rid]
+    assert record.family
+    for k in range(2, 9):
+        instance = record.at(k)
+        assert (instance.lhs, instance.rhs, instance.modulus) == REFERENCE_FAMILIES[rid](k), k
+
+
+def test_every_kind_is_unchanged():
+    kinds = {}
+    for rid, record in REGISTRY.items():
+        kinds.setdefault(record.kind, []).append(rid)
+    assert sorted(kinds["recurrence-family"]) == [
+        "cor.b5.exact.n107", "cor.b5.exact.n87", "thm1.recurrence", "thm2.recurrence"]
+    assert sorted(kinds["congruence-family"]) == [
+        "cor.b5.mod5k.n18", "cor.b5.mod5k.n22", "cor.b5.mod5k.rec", "cor1.mod5k"]
+    assert sorted(kinds["congruence"]) == ["cor1.mod10a", "cor1.mod10b"]
+    assert kinds["census"] == ["cor.census"]
+    assert {kind: len(ids) for kind, ids in kinds.items()} == {
+        "series-equality": 24, "subsequence-relation": 39, "recurrence-family": 4,
+        "congruence-family": 4, "congruence": 2, "census": 1}
+
+
+def test_relation_without_k_is_its_own_instance():
+    record = REGISTRY["thm3.b5_4n_1"]
+    assert not record.family
+    assert record.at(2) == record.at(5) == record
+
+
+def test_k_that_is_not_an_integer_raises():
+    record = Relation("selftest.k", "selftest", "c5((5^k)/2 n)", (T("c5", K(1, 0, 2)),))
+    with pytest.raises(ValueError, match="not an integer at k=2"):
+        record.at(2)
 
 
 def _bumped_a4b():
@@ -186,9 +235,14 @@ def _fractional_phimodeqfora5():
     (Relation("selftest.half", "selftest", "c5(10n+2)/2 == 0 (mod 2)",
               (T("c5", 10, 2, Fraction(1, 2)),), modulus=2),
      "selftest.half mismatch N=800 index=0 lhs=1 rhs=0 (mod 2)"),
-    (Family("selftest.rec", "selftest", "thm1.recurrence, off by one at k=3", _off_by_one_at_k3),
+    # thm1.recurrence with its a5(n) scale -(5^k-5)/4 at k=2 (-5) but one
+    # lower at k=3 (-31)
+    (Relation("selftest.rec", "selftest", "thm1.recurrence, off by one at k=3",
+              (T("a5", K(1), 0),), (T("a5", 5, 0, K(1, -1, 4)), T("a5", 1, 0, K(-13, 75, 50)))),
      "selftest.rec mismatch N=800 index=0 lhs=1 rhs=0 [k=3]"),
-    (Family("selftest.cfam", "selftest", "cor1.mod5k, mod 5^(k+1) at k=3", _mod_5k1_at_k3),
+    # cor1.mod5k with the modulus 5^k at k=2 (25) but 5^(k+1) at k=3 (625)
+    (Relation("selftest.cfam", "selftest", "cor1.mod5k, mod 5^(k+1) at k=3",
+              (T("a5", K(1), 0, 4),), (T("a5", 1, 0, 5), T("a5", 5, 0, -1)), K(6, -125)),
      "selftest.cfam mismatch N=800 index=1 lhs=1500 rhs=0 (mod 625) [k=3]"),
 ], ids=["series-bumped", "series-fraction", "relation", "congruence", "congruence-integral",
         "recurrence-family", "congruence-family"])

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported every qcore module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,6 +61,35 @@ def test_verify_one_record_from_a_fresh_interpreter():
         "1 records: 1 exact-match, 0 mismatch, 0 skipped",
         "0",
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma.c5n4", "-N", "10"],
+    ["census", "b5bar", "-N", "10"],
+    ["bfile", "export", "c5", "{path}", "-N", "10"],
+], ids=["verify", "census", "bfile-export"])
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    argv = [arg.format(path=tmp_path / "b_c5.txt") for arg in argv]
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    for path in sorted((SRC / "qcore").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("dataclasses", "typing"), (path.name, name)
 
 
 def test_public_names_are_the_module_objects():
