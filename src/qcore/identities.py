@@ -42,9 +42,9 @@ class UnknownSequence(KeyError):
     """No named coefficient sequence with the requested name."""
 
 
-def register(record: Record, replace: bool = False) -> None:
+def register(record: Record) -> None:
     """Add a record (used by self-tests to inject deliberate faults)."""
-    add_record(REGISTRY, record, replace)
+    add_record(REGISTRY, record)
 
 
 def unregister(record_id: str) -> None:

@@ -9,38 +9,28 @@ which is what makes it a ground truth for the coefficient engines.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from math import isqrt
 
 
-class Partition:
-    """A partition: non-increasing positive parts."""
+class Partition(namedtuple("Partition", "parts")):
+    """A partition: a named tuple of its non-increasing positive parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         parts = tuple(parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("parts must be positive")
             if i and parts[i - 1] < p:
                 raise ValueError("parts must be non-increasing")
-        self.parts = parts
+        return super().__new__(cls, parts)
 
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
 
     def conjugate(self) -> "Partition":
         """Column counts of the Ferrers-Young diagram (an involution)."""

@@ -12,7 +12,9 @@ Every named series is a side: a sum of product terms over atoms, which
 ``SEQ``, ``POCH``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
 Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
 of Pochhammer factors, such as the Jacobi triple product, is a side of
-``POCH`` atoms.
+``POCH`` atoms.  ``ThetaSpec`` and ``PochhammerFactor`` are named tuples,
+so equal specs of the two kinds are equal; their atoms stay distinct by
+their heads, ``"theta_general"`` and ``"expand_pochhammer"``.
 
 The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
 only they keep their results: one prefix cache holds the longest expansion
@@ -31,63 +33,32 @@ from operator import add, floordiv
 from .series import TruncatedSeries
 
 
-class _Value:
-    """Immutable named fields, compared, hashed and shown by value as a
-    frozen dataclass would be; plain classes keep ``dataclasses`` out of
-    the import of every series expansion."""
+class PochhammerFactor(namedtuple("PochhammerFactor", "sign offset modulus exponent")):
+    """One factor (sign*q^offset; q^modulus)_inf^exponent."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class PochhammerFactor(_Value):
-    """One factor (sign*q^offset; q^modulus)_inf^exponent."""
-
-    __slots__ = ("sign", "offset", "modulus", "exponent")
-
-    def __init__(self, sign: int, offset: int, modulus: int, exponent: int = 1):
+    def __new__(cls, sign: int, offset: int, modulus: int, exponent: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if offset < 1 or modulus < 1:
             raise ValueError("offset and modulus must be >= 1")
-        for name, value in zip(self.__slots__, (sign, offset, modulus, exponent)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, sign, offset, modulus, exponent)
 
 
-class ThetaSpec(_Value):
+class ThetaSpec(namedtuple("ThetaSpec", "s1 e1 s2 e2")):
     """The two-monomial theta f(a, b) with a = s1*q^e1 and b = s2*q^e2."""
 
-    __slots__ = ("s1", "e1", "s2", "e2")
+    __slots__ = ()
 
-    def __init__(self, s1: int, e1: int, s2: int, e2: int):
+    def __new__(cls, s1: int, e1: int, s2: int, e2: int):
         if s1 not in (1, -1) or s2 not in (1, -1):
             raise ValueError("signs must be +1 or -1")
         if e1 < 0 or e2 < 0:
             raise ValueError("exponents must be >= 0")
         if e1 + e2 < 1:
             raise ValueError("need e1 + e2 >= 1 for convergence")
-        for name, value in zip(self.__slots__, (s1, e1, s2, e2)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, s1, e1, s2, e2)
 
 
 # -- product expansion ------------------------------------------------------

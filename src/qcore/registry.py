@@ -105,16 +105,15 @@ CensusRecord = namedtuple("CensusRecord", "id tier statement seq zero_min positi
 Record = SeriesEquality | Relation | CensusRecord
 
 
-def add_record(registry: dict[str, Record], record: Record, replace: bool = False) -> None:
+def add_record(registry: dict[str, Record], record: Record) -> None:
     """Insert a record, refusing a taken id or a series equality whose sides
     repeat another record's, which would check nothing new."""
-    if not replace and record.id in registry:
+    if record.id in registry:
         raise ValueError(f"duplicate identity id {record.id}")
     if isinstance(record, SeriesEquality):
         sides = frozenset(record.sides)
         for other in registry.values():
-            if (isinstance(other, SeriesEquality) and other.id != record.id
-                    and frozenset(other.sides) == sides):
+            if isinstance(other, SeriesEquality) and frozenset(other.sides) == sides:
                 raise ValueError(f"{record.id} repeats the sides of {other.id}")
     registry[record.id] = record
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd, log2
-from operator import itemgetter
 from sys import int_info
 
 
@@ -178,8 +177,7 @@ class TruncatedSeries:
         The quotient solves b_0 out_n = a_n - sum_{k>=1} b_k out_{n-k}.  The
         numerator's nonzero exponents and the denominator's nonzero
         exponents k >= 1 share a gcd g; when g > 1 the recurrence runs on
-        every g-th coefficient, as in ``mul``.  The sum over k is gathered
-        per distinct coefficient value of b (see ``_divide``).
+        every g-th coefficient, as in ``mul``.
         """
         b = other.coeffs
         b0 = b[0]
@@ -329,36 +327,18 @@ def _spread(vals: list, g: int, order: int) -> list:
 
 
 def _divide(a, b, order):
-    """a / b to the given order, for b[0] = +1 or -1.
-
-    ``out`` grows by one coefficient per step, so out[n-k] is out[-k].  The
-    denominator's terms are grouped by coefficient value, and each group
-    keeps one itemgetter over the negative indices of its k <= n, so that
-    a step costs one C-level gather and sum per distinct value rather than
-    a bytecode loop over the terms.  A getter is rebuilt only when its
-    group gains a k.  Theta and Euler denominators have at most the values
-    +-1 and +-2.
-    """
+    """a / b to the given order, for b[0] = +1 or -1: the recurrence
+    out_n = b_0 (a_n - sum b_k out_{n-k}) over the nonzero b_k, 1 <= k <= n."""
     b0 = b[0]
     terms = [(k, b[k]) for k in _support(b) if k]
-    groups = {}      # coefficient value -> negative indices of its k <= n
-    gathers = {}     # coefficient value -> (value, getter, single index)
     out = []
-    t = 0
-    next_k = terms[0][0] if terms else order + 1
     for n in range(order + 1):
-        while next_k <= n:
-            c = terms[t][1]
-            idx = groups.setdefault(c, [])
-            idx.append(-next_k)
-            # itemgetter of one index returns the value, not a tuple
-            gathers[c] = (c, itemgetter(*idx), len(idx) == 1)
-            t += 1
-            next_k = terms[t][0] if t < len(terms) else order + 1
         s = a[n]
-        for c, get, single in gathers.values():
-            s -= c * (get(out) if single else sum(get(out)))
-        out.append(s if b0 == 1 else -s)
+        for k, c in terms:
+            if k > n:
+                break
+            s -= c * out[n - k]
+        out.append(b0 * s)
     return out
 
 

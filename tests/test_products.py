@@ -86,21 +86,31 @@ def test_value_types_compare_hash_and_show_by_value():
     assert repr(spec) == "ThetaSpec(s1=1, e1=2, s2=-1, e2=3)"
     assert poch == PochhammerFactor(sign=-1, offset=2, modulus=3, exponent=1)
     assert hash(poch) == hash(PochhammerFactor(-1, 2, 3, 1))
-    assert poch != PochhammerFactor(-1, 2, 3, 2) and poch != (-1, 2, 3, 1)
+    assert poch != PochhammerFactor(-1, 2, 3, 2)
     assert spec == ThetaSpec(1, 2, -1, 3) and spec != ThetaSpec(1, 2, 1, 3)
-    assert hash(spec) == hash(ThetaSpec(1, 2, -1, 3)) and spec != (1, 2, -1, 3)
+    assert hash(spec) == hash(ThetaSpec(1, 2, -1, 3))
     assert (spec.s1, spec.e1, spec.s2, spec.e2) == (1, 2, -1, 3)
     assert poch.exponent == 1
 
 
 def test_value_types_are_immutable():
     for value, field in ((PochhammerFactor(1, 1, 1), "sign"), (ThetaSpec(1, 1, 1, 1), "e2")):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        with pytest.raises(AttributeError):
             setattr(value, field, 2)
-        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        with pytest.raises(AttributeError):
             delattr(value, field)
         with pytest.raises(AttributeError):
             value.extra = 0
+
+
+def test_equal_specs_stay_distinct_atoms_by_their_head():
+    # the two specs are equal tuples, but each atom carries its head
+    assert ThetaSpec(1, 1, 1, 1) == PochhammerFactor(1, 1, 1, 1)
+    term = P(1, 0, THETA(1, 1, 1, 1), POCH(1, 1, 1, 1))
+    assert term[2] == ((THETA(1, 1, 1, 1), 1), (POCH(1, 1, 1, 1), 1))
+    expected = theta_general(ThetaSpec(1, 1, 1, 1), 60).mul(
+        expand_pochhammer(PochhammerFactor(1, 1, 1, 1), 60))
+    assert evaluate_side((term,), 60) == expected
 
 
 def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):

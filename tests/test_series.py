@@ -443,10 +443,9 @@ def test_square_packs_its_operand_once(monkeypatch, x):
                                                       list(x.coeffs[:41]), 40)
 
 
-# -- deflated operands and the gathered division agree with the naive helpers ---
+# -- deflated operands and the division agree with the naive helpers -----------
 #
-# Operands in q^g are multiplied and divided on every g-th coefficient; the
-# division recurrence sums the denominator's terms per coefficient value.
+# Operands in q^g are multiplied and divided on every g-th coefficient.
 
 STEPS = [2, 3, 5, 10]
 

@@ -92,6 +92,22 @@ def test_no_module_imports_dataclasses_or_typing():
                 assert name.split(".")[0] not in ("dataclasses", "typing"), (path.name, name)
 
 
+def test_only_the_series_defines_equality_or_hashing():
+    # value types are named tuples, compared and hashed by the tuple in C
+    for path in sorted((SRC / "qcore").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name == "TruncatedSeries":
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                assert not {"__eq__", "__hash__"} & set(names), (path.name, node.name)
+
+
 def test_public_names_are_the_module_objects():
     import importlib
 
