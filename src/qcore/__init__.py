@@ -6,8 +6,9 @@ The building blocks:
 - ``series``: exact truncated power series over Python integers.
 - ``products``: Pochhammer factors, Euler products, theta functions, the
   evaluator for sums of quotients of them (chi, the Rogers-Ramanujan
-  quotient, products of Pochhammer factors), and the three generating
-  functions, from their Eisenstein divisor-sum closed forms.
+  quotient, products of Pochhammer factors), the three generating
+  functions, from their Eisenstein divisor-sum closed forms, and the
+  sequences' sign census.
 - ``partitions``: the t-core oracle, a lattice-vector search free of
   series arithmetic, and partitions with their hook numbers.
 - ``dissection``: residue-class dissections.
@@ -29,14 +30,14 @@ _EXPORTS = {
     **dict.fromkeys(("BFile", "BFileParseError", "first_discrepancy", "format_bfile",
                      "parse_bfile"), "bfile"),
     **dict.fromkeys(("Dissection", "dissect"), "dissection"),
-    **dict.fromkeys(("DEFAULT_KMAX", "DEFAULT_ORDER", "CensusResult", "UnknownIdentity",
-                     "UnknownSequence", "check_congruence", "record_ids", "register",
-                     "sequence", "sign_census", "summarize", "unregister", "verify",
+    **dict.fromkeys(("DEFAULT_KMAX", "DEFAULT_ORDER", "UnknownIdentity", "check_congruence",
+                     "record_ids", "register", "summarize", "unregister", "verify",
                      "verify_all"), "identities"),
     **dict.fromkeys(("Partition", "count_t_cores", "t_cores"), "partitions"),
-    **dict.fromkeys(("PochhammerFactor", "ThetaSpec", "euler_f", "evaluate_side",
-                     "expand_pochhammer", "gen_a5bar", "gen_b5bar", "gen_c5", "phi", "psi",
-                     "theta_general", "triple_product"), "products"),
+    **dict.fromkeys(("CensusResult", "PochhammerFactor", "ThetaSpec", "UnknownSequence",
+                     "euler_f", "evaluate_side", "expand_pochhammer", "gen_a5bar", "gen_b5bar",
+                     "gen_c5", "phi", "psi", "sequence", "sign_census", "theta_general",
+                     "triple_product"), "products"),
     **dict.fromkeys(("CORE", "EXTENDED", "Record"), "registry"),
     **dict.fromkeys(("EXACT_MATCH", "MISMATCH", "SKIPPED", "VerificationReport"), "reports"),
     **dict.fromkeys(("NonUnitConstantTerm", "TruncatedSeries", "first_mismatch"), "series"),

@@ -58,8 +58,8 @@ def parse_bfile(text: str) -> BFile:
     return BFile(tuple(entries))
 
 
-def format_bfile(values: Sequence[int], start: int = 0) -> str:
-    return "".join(f"{start + n} {v}\n" for n, v in enumerate(values))
+def format_bfile(values: Sequence[int]) -> str:
+    return "".join(f"{n} {v}\n" for n, v in enumerate(values))
 
 
 def first_discrepancy(bfile: BFile, values: Sequence[int]):

@@ -9,7 +9,7 @@ Every parameter has one spelling with its default in the parser, but for
 expand's order: N or -N, never both, and DEFAULT_EXPAND_ORDER without one.
 
 A subcommand imports what it runs when it runs: the registry and the
-evaluator only for verify and census, the b-file module only for bfile,
+evaluator only for verify, the b-file module only for bfile,
 the t-core oracle only for oracle, and json only for --format json.
 """
 
@@ -21,7 +21,7 @@ import re
 import sys
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5
+from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5, sign_census
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -170,14 +170,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    from . import identities
-
     order = args.order
     seq = _SEQ_ALIASES.get(args.name)
     if seq is None:
         raise UsageError(f"unknown sequence {args.name!r}; choose from "
                          + ", ".join(sorted(_SEQ_ALIASES)))
-    census = identities.sign_census(seq, order)
+    census = sign_census(seq, order)
     payload = {
         "sequence": args.name,
         "order": order,

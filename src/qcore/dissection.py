@@ -22,13 +22,10 @@ class Dissection(namedtuple("Dissection", "modulus components")):
         m = self.modulus
         out = [0] * (order + 1)
         for r, comp in enumerate(self.components):
-            if m * comp.order + r + m <= order:
+            count = len(range(r, order + 1, m))
+            if comp.order + 1 < count:
                 raise ValueError(f"component {r} too short to reassemble at order {order}")
-            for n, c in enumerate(comp.coeffs):
-                idx = m * n + r
-                if idx > order:
-                    break
-                out[idx] = c
+            out[r::m] = comp.coeffs[:count]
         return TruncatedSeries(out, order)
 
 

@@ -5,20 +5,21 @@ VerificationReport; a mismatch carries the smallest offending index.
 Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
 their common denominator so that none divides.  A family, a relation that
-holds a K, is the same check at each k = 2..kmax.  Everything is computed
-in exact integer or rational arithmetic, including the census frequencies.
+holds a K, is the same check at each k = 2..kmax.  A census record reads
+``products.sign_census``.  Before a record is checked, ``_prefetch`` reads
+each sequence it uses once, to the largest index it reads.  Everything is
+computed in exact integer or rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import SEQUENCES, P, evaluate_side
+from .products import SEQUENCES, P, evaluate_side, sequence, sign_census
 from .registry import (
     CensusRecord,
     Record,
@@ -29,17 +30,12 @@ from .registry import (
     build_registry,
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
-from .series import TruncatedSeries, first_mismatch
 
 REGISTRY: dict[str, Record] = build_registry()
 
 
 class UnknownIdentity(KeyError):
     """No record with the requested id."""
-
-
-class UnknownSequence(KeyError):
-    """No named coefficient sequence with the requested name."""
 
 
 def register(record: Record) -> None:
@@ -53,14 +49,6 @@ def unregister(record_id: str) -> None:
 
 def record_ids(tier: str = "all") -> list[str]:
     return [rid for rid, rec in REGISTRY.items() if tier in ("all", rec.tier)]
-
-
-def sequence(name: str, order: int) -> TruncatedSeries:
-    try:
-        builder = SEQUENCES[name]
-    except KeyError:
-        raise UnknownSequence(name) from None
-    return builder(order)
 
 
 # -- one comparator for every side ------------------------------------------
@@ -93,6 +81,15 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
             for side in sides]
 
 
+def _first_difference(a: tuple, b: tuple, step: int) -> int | None:
+    """The first n where a[n] and b[n] differ, or with a step > 0 where
+    a[n] - b[n] is not a multiple of it; None where there is none."""
+    if a == b:
+        return None
+    return next((n for n, (x, y) in enumerate(zip(a, b))
+                 if x != y and (not step or (x - y) % step)), None)
+
+
 def _compare(sides: Sequence[tuple], order: int,
              modulus: int = 0) -> tuple[int, object, object] | None:
     """The first n <= order where a side differs from the first, as
@@ -102,78 +99,34 @@ def _compare(sides: Sequence[tuple], order: int,
     Sides are expanded times the lcm of their coefficients' denominators, so
     the series stay integral; values are reported as reduced fractions.
     They are compared with their denominators cleared (``_cleared``), which
-    finds the same first n without a division; on a mismatch the sides are
-    expanded again as written, for the values at n."""
+    finds the same first n without a division; on a mismatch the two sides
+    involved are expanded again as written, to the mismatch index, for the
+    values at n."""
     den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
     if den > 1:
         sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
                  for side in sides]
-
-    def first_difference(sides):
-        reference, *others = [evaluate_side(side, order) for side in sides]
-        for other in others:
-            if modulus:
-                for n, (a, b) in enumerate(zip(reference.coeffs, other.coeffs)):
-                    if (a - b) % (den * modulus):
-                        return n, _plain(a - b, den), f"0 (mod {modulus})"
-            elif (bad := first_mismatch(reference, other)) is not None:
-                n, a, b = bad
-                return n, _plain(a, den), _plain(b, den)
-        return None
-
-    cleared = _cleared(sides)
-    bad = first_difference(cleared)
-    if bad is None or cleared is sides:
-        return bad
-    as_written = first_difference(sides)
-    if as_written is None:
-        raise ArithmeticError(f"sides differ at n={bad[0]} with denominators cleared "
-                              "but agree as written")
-    return as_written
+    step = den * modulus
+    reference, *others = [evaluate_side(side, order).coeffs for side in _cleared(sides)]
+    for i, other in enumerate(others, 1):
+        n = _first_difference(reference, other, step)
+        if n is None:
+            continue
+        lhs, rhs = (evaluate_side(sides[j], n).coeffs for j in (0, i))
+        if _first_difference(lhs, rhs, step) != n:
+            raise ArithmeticError(f"sides differ first at n={n} with denominators cleared "
+                                  "but not as written")
+        if modulus:
+            return n, _plain(lhs[n] - rhs[n], den), f"0 (mod {modulus})"
+        return n, _plain(lhs[n], den), _plain(rhs[n], den)
+    return None
 
 
 def _coverage(sides: Sequence[tuple], order: int) -> int:
     """The largest n at which every sequence term's index m*n + r is at most
-    the order; negative when no n is covered.
-
-    Each sequence is first read to the order itself, so that the relations
-    of one run share one expansion per sequence however their coverages
-    differ."""
-    atoms = [atom for side in sides for _, _, factors in side for atom, _ in factors]
-    for name in dict.fromkeys(atom[0] for atom in atoms):
-        sequence(name, order)
-    return min((order - r) // m for _, m, r, _, _ in atoms)
-
-
-# -- census -------------------------------------------------------------------
-
-
-# Exact sign frequencies of a sequence over indices 1..order.
-CensusResult = namedtuple("CensusResult", "seq order zero positive negative")
-
-
-def sign_census(seq_name: str, order: int) -> CensusResult:
-    """Exact rational sign frequencies over indices 1..order.
-
-    A frequency here is evidence at finite range, not a limit statement:
-    the registry's census bounds are asymptotic claims checked empirically
-    at the order the caller fixes.
-    """
-    if order < 1:
-        raise ValueError("census needs order >= 1")
-    coeffs = sequence(seq_name, order).coeffs
-    zero = positive = negative = 0
-    for c in coeffs[1:]:
-        if c == 0:
-            zero += 1
-        elif c > 0:
-            positive += 1
-        else:
-            negative += 1
-    return CensusResult(
-        seq_name, order,
-        Fraction(zero, order), Fraction(positive, order), Fraction(negative, order),
-    )
+    the order; negative when no n is covered."""
+    return min((order - r) // m
+               for side in sides for _, _, factors in side for (_, m, r, _, _), _ in factors)
 
 
 # -- verification dispatch -----------------------------------------------------
@@ -246,8 +199,10 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
 
 
 def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
-    """``_verify_record`` with its elapsed seconds on the report."""
+    """``_verify_record``, after the prefetch of the sequences it reads, with
+    its elapsed seconds on the report."""
     start = time.perf_counter()
+    _prefetch([record], order)
     report = _verify_record(record, order, kmax)
     return report._replace(elapsed=time.perf_counter() - start)
 
@@ -257,7 +212,7 @@ def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
     order reads, to that index: a series equality reads the sequence of an
     atom (name, m, r, s, k) to m*(order // k) + r, as ``products`` slices
     it, and a relation, a family at every k, reads each of its sequences to
-    the order (``_coverage``), as does a census."""
+    the order, as does a census."""
     if isinstance(record, SeriesEquality):
         for side in record.sides:
             for _, _, factors in side:
@@ -273,21 +228,25 @@ def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
         yield record.seq, order
 
 
-def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
-               kmax: int = DEFAULT_KMAX) -> list[VerificationReport]:
-    """Verify every record of a tier, one after another, in registration order.
-
-    Each sequence is first read to the largest index that any of the
-    records reads it to, so the prefix cache builds it once per run rather
-    than once per rising order."""
-    ids = record_ids(tier)
+def _prefetch(records: Iterable[Record], order: int) -> None:
+    """Read each sequence to the largest index that any of the records reads
+    it to, so the prefix cache builds it once rather than once per rising
+    order; every later read is a truncation."""
     reach: dict[str, int] = {}
-    for rid in ids:
-        for name, top in _reach(REGISTRY[rid], order):
+    for record in records:
+        for name, top in _reach(record, order):
             reach[name] = max(reach.get(name, top), top)
     for name, top in reach.items():
         if top >= 0:
             sequence(name, top)
+
+
+def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
+               kmax: int = DEFAULT_KMAX) -> list[VerificationReport]:
+    """Verify every record of a tier, one after another, in registration
+    order, after one prefetch for all of them."""
+    ids = record_ids(tier)
+    _prefetch([REGISTRY[rid] for rid in ids], order)
     return [verify(rid, order, kmax) for rid in ids]
 
 

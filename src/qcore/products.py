@@ -20,7 +20,8 @@ The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
 only they keep their results: one prefix cache holds the longest expansion
 of each and serves every lower order by truncation, which gives the same
 coefficients as a fresh build.  Series are immutable, so sharing them
-across callers is safe.
+across callers is safe.  ``sequence`` reads one of them by name, and
+``sign_census`` counts its signs, so a census needs no registry.
 """
 
 from __future__ import annotations
@@ -437,6 +438,40 @@ def gen_b5bar(order: int) -> TruncatedSeries:
 
 
 SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
+
+
+class UnknownSequence(KeyError):
+    """No named coefficient sequence with the requested name."""
+
+
+def sequence(name: str, order: int) -> TruncatedSeries:
+    try:
+        builder = SEQUENCES[name]
+    except KeyError:
+        raise UnknownSequence(name) from None
+    return builder(order)
+
+
+# Exact sign frequencies of a sequence over indices 1..order.
+CensusResult = namedtuple("CensusResult", "seq order zero positive negative")
+
+
+def sign_census(seq_name: str, order: int) -> CensusResult:
+    """Exact rational sign frequencies over indices 1..order.
+
+    A frequency here is evidence at finite range, not a limit statement:
+    the registry's census bounds are asymptotic claims checked empirically
+    at the order the caller fixes.
+    """
+    from fractions import Fraction      # only a census loads fractions
+
+    if order < 1:
+        raise ValueError("census needs order >= 1")
+    coeffs = sequence(seq_name, order).coeffs[1:]
+    zero = coeffs.count(0)
+    positive = sum(c > 0 for c in coeffs)
+    return CensusResult(seq_name, order, Fraction(zero, order), Fraction(positive, order),
+                        Fraction(order - zero - positive, order))
 
 
 # -- Jacobi triple product ---------------------------------------------------

@@ -58,11 +58,12 @@ def _at(value, k: int):
     return quotient
 
 
-class SeriesEquality(namedtuple("SeriesEquality", "id tier statement sides kind")):
+class SeriesEquality(namedtuple("SeriesEquality", "id tier statement sides")):
     __slots__ = ()
+    kind = "series-equality"
 
-    def __new__(cls, id, tier, statement, sides, kind="series-equality"):
-        return super().__new__(cls, id, tier, statement, tuple(map(tuple, sides)), kind)
+    def __new__(cls, id, tier, statement, sides):
+        return super().__new__(cls, id, tier, statement, tuple(map(tuple, sides)))
 
 
 class Relation(namedtuple("Relation", "id tier statement lhs rhs modulus", defaults=((), 0))):
@@ -98,8 +99,10 @@ class Relation(namedtuple("Relation", "id tier statement lhs rhs modulus", defau
                              modulus=_at(self.modulus, k))
 
 
-CensusRecord = namedtuple("CensusRecord", "id tier statement seq zero_min positive_min "
-                                          "negative_min kind", defaults=("census",))
+class CensusRecord(namedtuple("CensusRecord",
+                              "id tier statement seq zero_min positive_min negative_min")):
+    __slots__ = ()
+    kind = "census"
 
 
 Record = SeriesEquality | Relation | CensusRecord

@@ -241,8 +241,7 @@ class TruncatedSeries:
             raise ValueError("series order too small to contain residue class")
         if m == 1:
             return self
-        order = (self.order - r) // m
-        return TruncatedSeries([self.coeffs[m * n + r] for n in range(order + 1)], order)
+        return TruncatedSeries(self.coeffs[r::m], (self.order - r) // m)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k; order is preserved, the top k coefficients fall off."""
@@ -255,9 +254,9 @@ class TruncatedSeries:
 
     def alternate(self) -> "TruncatedSeries":
         """Substitute q -> -q: negate the odd-index coefficients."""
-        return TruncatedSeries(
-            [c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs)], self.order
-        )
+        coeffs = list(self.coeffs)
+        coeffs[1::2] = [-c for c in coeffs[1::2]]
+        return TruncatedSeries(coeffs, self.order)
 
     # -- operators -------------------------------------------------------
 

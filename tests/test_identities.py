@@ -133,6 +133,24 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
     assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
 
 
+@pytest.mark.parametrize("rid, order, builds", [
+    ("thm2.recurrence", 300, [("b5", 300)]),
+    ("ext.b5.before_last", 60, [("b5", 1522)]),
+])
+def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds):
+    # a family reads b5 to N at every k; before_last reads it to 25N+22 and
+    # to 5N+2: each is read once, to its largest index, before the check
+    class Recording(dict):
+        def __setitem__(self, name, series):
+            built.append((name, series.order))
+            super().__setitem__(name, series)
+
+    built = []
+    monkeypatch.setattr(products, "_EXPANSIONS", Recording())
+    assert verify(rid, order).ok
+    assert built == builds
+
+
 def test_check_congruence_families():
     assert check_congruence("a5", 10, (20, 6), 600).ok
     assert check_congruence("a5", 10, (20, 14), 600).ok
@@ -253,6 +271,25 @@ def test_mismatch_report_shapes(record, line):
         assert verify(record.id, 800).to_line() == line
     finally:
         unregister(record.id)
+
+
+def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
+    # the cleared sides are expanded to N once; then only the two sides that
+    # differ are expanded as written, and only to the first differing index
+    orders = []
+
+    def recording(side, order):
+        orders.append(order)
+        return evaluate_side(side, order)
+
+    monkeypatch.setattr(identities, "evaluate_side", recording)
+    record = _bumped_a4b()
+    register(record)
+    try:
+        assert verify(record.id, 800).first_bad_index == 1
+    finally:
+        unregister(record.id)
+    assert orders == [800, 800, 1, 1]
 
 
 def test_series_equalities_divide_only_to_build_sequences(monkeypatch):

@@ -53,6 +53,19 @@ def test_oracle_loads_the_search_and_the_c5_series_only():
         "'qcore.series'] False")
 
 
+def test_census_loads_neither_the_registry_nor_the_evaluator():
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        "code = cli.main(['census', 'b5bar', '-N', '10'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('qcore.')))\n"
+    )
+    assert out.splitlines() == [
+        "b5bar sign census over n=1..10: zero 1/5, positive 3/5, negative 1/5",
+        "0 ['qcore.cli', 'qcore.defaults', 'qcore.products', 'qcore.series']",
+    ]
+
+
 def test_verify_one_record_from_a_fresh_interpreter():
     out = fresh("from qcore import cli\n"
                 "print(cli.main(['verify', 'lemma.c5n4', '-N', '10']))\n")
