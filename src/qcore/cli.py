@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import struct
 import sys
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5, sign_census
+from .products import (CHI, FORMS, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5,
+                       sign_census)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -36,6 +38,19 @@ _SEQ_ALIASES = {"c5": "c5", "a5bar": "a5", "b5bar": "b5"}
 
 class UsageError(Exception):
     pass
+
+
+# A list holds at most sys.maxsize bytes of pointers, and a sequence's closed
+# form reads up to _SHIFT slots past the index asked for.
+_MAX_SLOTS = sys.maxsize // struct.calcsize("P")
+_SHIFT = max(form.shift for form in FORMS.values())
+
+
+def _check_order(order: int, top: int) -> None:
+    """A usage error when no list can hold the slots up to the largest
+    index, top, that a command reads at the order."""
+    if top + _SHIFT >= _MAX_SLOTS:
+        raise UsageError(f"order {order} is too large: no list can hold index {top}")
 
 
 def _at_least(minimum: int):
@@ -101,6 +116,7 @@ def resolve_series(name: str, order: int):
     Each is a one-term side; a malformed prod:SPEC factor is reported as
     such, any other bad name as an unknown series or one that cannot expand.
     """
+    _check_order(order, order)
     if name.startswith("prod:"):
         return evaluate_side((_parse_product_spec(name[5:]),), order)
     head, *rest = name.split(":")
@@ -133,14 +149,14 @@ def _cmd_verify(args) -> int:
     from . import identities
 
     order, selector = args.order, args.selector
-    if selector in ("all", "core", "extended"):
-        reports = identities.verify_all(selector, order, args.kmax)
-    else:
-        try:
-            reports = [identities.verify(selector, order, args.kmax)]
-        except identities.UnknownIdentity:
-            print(f"unknown identity or tier: {selector!r}", file=sys.stderr)
-            return EXIT_USAGE
+    tier = selector in ("all", "core", "extended")
+    if not (tier or selector in identities.REGISTRY):
+        print(f"unknown identity or tier: {selector!r}", file=sys.stderr)
+        return EXIT_USAGE
+    ids = identities.record_ids(selector) if tier else [selector]
+    _check_order(order, identities.largest_index(ids, order))
+    reports = (identities.verify_all(selector, order, args.kmax) if tier
+               else [identities.verify(selector, order, args.kmax)])
     if args.format == "json":
         import json
         print(json.dumps([r.to_dict(include_elapsed=args.timing) for r in reports],
@@ -175,6 +191,7 @@ def _cmd_census(args) -> int:
     if seq is None:
         raise UsageError(f"unknown sequence {args.name!r}; choose from "
                          + ", ".join(sorted(_SEQ_ALIASES)))
+    _check_order(order, order)
     census = sign_census(seq, order)
     payload = {
         "sequence": args.name,

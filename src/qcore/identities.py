@@ -228,6 +228,12 @@ def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
         yield record.seq, order
 
 
+def largest_index(ids: Iterable[str], order: int) -> int:
+    """The largest index that verifying the records at the order reads: of
+    a sequence, or the order itself."""
+    return max([order, *(top for rid in ids for _, top in _reach(REGISTRY[rid], order))])
+
+
 def _prefetch(records: Iterable[Record], order: int) -> None:
     """Read each sequence to the largest index that any of the records reads
     it to, so the prefix cache builds it once rather than once per rising

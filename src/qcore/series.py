@@ -8,10 +8,11 @@ never approximates it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd, log2
-from sys import int_info
+from sys import byteorder, int_info
 
 
 class NonUnitConstantTerm(ValueError):
@@ -115,14 +116,13 @@ class TruncatedSeries:
     # -- ring operations -----------------------------------------------
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries([a[i] + b[i] for i in range(order + 1)], order)
+        # each coeffs tuple holds order + 1 slots: map stops at the smaller order
+        return TruncatedSeries(list(map(operator.add, self.coeffs, other.coeffs)),
+                               min(self.order, other.order))
 
     def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries([a[i] - b[i] for i in range(order + 1)], order)
+        return TruncatedSeries(list(map(operator.sub, self.coeffs, other.coeffs)),
+                               min(self.order, other.order))
 
     def scale(self, k: int) -> "TruncatedSeries":
         if k == 1:
@@ -141,7 +141,9 @@ class TruncatedSeries:
         Of the two kernels, ``_convolve_shifted`` costs about one pass over
         the packed denser factor per nonzero term of the sparser one,
         ``_convolve_packed`` about one Karatsuba multiply of both packed
-        factors, D^log2(3) for D digits; ``mul`` runs the cheaper.
+        factors, D^log2(3) for D digits; ``mul`` runs the cheaper.  Both
+        are priced at the slot width the kernel packs with, the bits it
+        needs rounded up to 1, 2, 4 or 8 bytes (``_slot_width``).
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
@@ -158,9 +160,9 @@ class TruncatedSeries:
             b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
         if len(ib) < len(ia):
             a, ia, b = b, ib, a
-        digits = (sub + 1) / int_info.bits_per_digit     # per bit of slot width
-        shifted = len(ia) * digits * _shifted_slot_bits(a, ia, b)
-        packed = (digits * _packed_slot_bits(a, b, sub + 1)) ** log2(3)
+        digits = (sub + 1) * 8 / int_info.bits_per_digit     # per byte of slot width
+        shifted = len(ia) * digits * _slot_width(_shifted_slot_bits(a, ia, b))
+        packed = (digits * _slot_width(_packed_slot_bits(a, b, sub + 1))) ** log2(3)
         if shifted < packed:
             out = _convolve_shifted(a, ia, b, sub)
         else:
@@ -360,6 +362,19 @@ def _shifted_slot_bits(a, ia, b) -> int:
     return _magnitude(b).bit_length() + sum(abs(a[i]) for i in ia).bit_length() + 1
 
 
+# array typecode of each native slot width in bytes: C's signed char, short,
+# int and long long (the tests check each itemsize).  ``array`` is imported by
+# the first pack or unpack, so a command that multiplies nothing never loads it.
+_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _slot_width(bits: int) -> int:
+    """Bytes of a slot of at least ``bits`` bits: 1, 2, 4 or 8 while that
+    is enough, so that the slots move through ``array``; whole bytes past 8."""
+    width = (bits + 7) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
 def _half(width: int, count: int) -> int:
     """H, with 2^(W-1) in each of count slots of W = 8 * width bits."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -368,11 +383,22 @@ def _half(width: int, count: int) -> int:
 def _pack(vals, width: int) -> int:
     """The integer sum v_k 2^(Wk), W = 8 * width, for |v_k| < 2^(W-1).
 
-    T, read from the bytes of each v_k in two's complement, counts a
-    negative v_k as v_k + 2^W, and (T ^ H) - H takes that 2^W back.
+    The slots are written in two's complement through ``array`` at a
+    native width (1, 2, 4 or 8 bytes), one ``to_bytes`` each past that.
+    T, read from those bytes, counts a negative v_k as v_k + 2^W, and
+    (T ^ H) - H takes that 2^W back.
     """
-    t = int.from_bytes(b"".join([v.to_bytes(width, "little", signed=True) for v in vals]),
-                       "little")
+    code = _TYPECODES.get(width)
+    if code is None:
+        raw = b"".join([v.to_bytes(width, "little", signed=True) for v in vals])
+    else:
+        from array import array     # see _TYPECODES
+
+        slots = array(code, vals)
+        if byteorder == "big":
+            slots.byteswap()
+        raw = slots.tobytes()
+    t = int.from_bytes(raw, "little")
     half = _half(width, len(vals))
     return (t ^ half) - half
 
@@ -381,13 +407,23 @@ def _unpack(p: int, width: int, count: int) -> list:
     """The low count slots p_k of p = sum p_k 2^(Wk), for |p_k| < 2^(W-1).
 
     The low count slots of p + H are p_k + 2^(W-1) exactly, whatever p
-    holds above them, and xor with H leaves each p_k in two's complement.
+    holds above them, and xor with H leaves each p_k in two's complement,
+    read through ``array`` at a native width, one ``from_bytes`` each
+    past that.
     """
     total = width * count
     half = _half(width, count)
     raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
-    return [int.from_bytes(raw[i : i + width], "little", signed=True)
-            for i in range(0, total, width)]
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i : i + width], "little", signed=True)
+                for i in range(0, total, width)]
+    from array import array         # see _TYPECODES
+
+    slots = array(code, raw)
+    if byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _convolve_shifted(a, ia, b, order):
@@ -401,7 +437,7 @@ def _convolve_shifted(a, ia, b, order):
     sum is sum_i a_i b_(k-i), at most (sum |a_i|) max|b| in magnitude,
     which fits the slot; digits past the order are dropped on reading.
     """
-    width = (_shifted_slot_bits(a, ia, b) + 7) // 8
+    width = _slot_width(_shifted_slot_bits(a, ia, b))
     packed = _pack(b, width)
     step = 8 * width
     copies = {}     # coefficient value of a -> sum of the copies of B it scales
@@ -420,6 +456,6 @@ def _convolve_packed(a, b, order):
     once.
     """
     count = order + 1
-    width = (_packed_slot_bits(a, b, count) + 7) // 8
+    width = _slot_width(_packed_slot_bits(a, b, count))
     pa = _pack(a, width)
     return _unpack(pa * (pa if b is a else _pack(b, width)), width, count)

@@ -271,6 +271,27 @@ def test_malformed_input_is_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify all -N {N}",
+    "verify lemma.A4B -N {N}",
+    "expand c5 {N}",
+    "expand f -N {N}",
+    "census b5bar -N {N}",
+    "bfile export c5 {path} -N {N}",
+    "bfile check a5bar {path} -N {N}",
+])
+def test_order_too_large_to_index_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "b.txt"
+    path.write_text("0 1\n")
+    argv = argv.format(N=99999999999999999999, path=path).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: order 99999999999999999999 is too large")
+    assert err.count("\n") == 1
+    assert path.read_text() == "0 1\n"
+
+
 def test_closed_stdout_is_io_error_without_traceback():
     # the coefficients of c5 to q^20000 fill more than a pipe buffer, so the
     # write hits the closed pipe after the reader has taken 20 bytes

@@ -1,3 +1,4 @@
+from array import array
 from math import isqrt
 
 import pytest
@@ -10,7 +11,8 @@ import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 from qcore import series as series_module
 from qcore.products import euler_f, phi
-from qcore.series import _convolve_packed, _convolve_shifted
+from qcore.series import (_TYPECODES, _convolve_packed, _convolve_shifted, _pack, _slot_width,
+                          _unpack)
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -268,9 +270,10 @@ def test_dense_mul_uses_packed_path_correctly():
 #
 # The packed kernel reads each product digit back as a signed slot of
 # bits(max|a|) + bits(max|b|) + bits(order + 1) + 1 bits, the shifted kernel
-# as one of bits(max|b|) + bits(sum |a_i|) + 1 bits, each rounded up to whole
-# bytes.  Constant operands of the largest magnitude for their bit lengths put
-# the top digit within a factor 2 of the slot's range.
+# as one of bits(max|b|) + bits(sum |a_i|) + 1 bits, each rounded up to 1, 2,
+# 4 or 8 bytes, or to whole bytes past 8.  Constant operands of the largest
+# magnitude for their bit lengths put the top digit within a factor 2 of the
+# bound the slot is sized from.
 
 
 def _extremal_pairs(ma, mb, count):
@@ -352,6 +355,26 @@ def test_packed_kernel_squaring_path():
     assert list(x.pow(2).coeffs) == square
     y = x.inflate(3)   # squared after deflation to every third coefficient
     assert list(y.mul(y).coeffs) == brute.convolve(list(y.coeffs), list(y.coeffs), y.order)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_pack_unpack_round_trip_at_every_width(width):
+    # 1, 2, 4 and 8 bytes go through array, 3, 5, 6, 7, 9 and 10 through bytes
+    top = 2 ** (8 * width - 1) - 1
+    for vals in ([0], [top], [-top], [0, top, -top, 0, -1, 1, top, -top],
+                 [top, 0, 5, -top]):   # the last slot negative
+        assert _unpack(_pack(vals, width), width, len(vals)) == vals
+    # the low slots read back whatever the packed integer holds above them
+    vals = [-top, top, -1]
+    assert _unpack(_pack(vals + [top, -top], width), width, 3) == vals
+
+
+def test_native_widths_map_to_array_typecodes_of_that_size():
+    assert sorted(_TYPECODES) == [1, 2, 4, 8]
+    for width, code in _TYPECODES.items():
+        assert array(code).itemsize == width
+    assert [_slot_width(8 * w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
+    assert [_slot_width(bits) for bits in (1, 9, 17, 33, 65)] == [1, 2, 4, 8, 9]
 
 
 def _kernels_run(monkeypatch):

@@ -34,7 +34,8 @@ def test_expand_leaves_the_registry_and_its_imports_out():
         "import sys\n"
         "from qcore import cli\n"
         "code = cli.main(['expand', 'f', '5'])\n"
-        "names = ('qcore.registry', 'qcore.identities', 'dataclasses', 'fractions', 'json')\n"
+        "names = ('qcore.registry', 'qcore.identities', 'dataclasses', 'fractions', 'json',\n"
+        "         'array')\n"
         "print(code, [m for m in names if m in sys.modules])\n"
     )
     assert out.splitlines() == ["1 -1 -1 0 0 1", "0 []"]
