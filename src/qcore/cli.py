@@ -2,11 +2,12 @@
 
 Subcommands: expand, verify, oracle, census, bfile export|check.
 Exit codes: 0 success, 1 verification mismatch or value discrepancy,
-2 usage error, 3 I/O error.  Output for a fixed invocation is
-byte-identical across runs; timing is opt-in via --timing.  Every series
-name, prod:SPEC included, is one side for ``products.evaluate_side``.
-Every parameter has one spelling with its default in the parser, but for
-expand's order: N or -N, never both, and DEFAULT_EXPAND_ORDER without one.
+2 usage error (an order past the machine's memory included), 3 I/O
+error.  Output for a fixed invocation is byte-identical across runs;
+timing is opt-in via --timing.  Every series name, prod:SPEC included,
+is one side for ``products.evaluate_side``.  Every parameter has one
+spelling with its default in the parser, but for expand's order: N or
+-N, never both, and DEFAULT_EXPAND_ORDER without one.
 
 A subcommand imports what it runs when it runs: the registry and the
 evaluator only for verify, the b-file module only for bfile,
@@ -318,6 +319,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # an order under _check_order's bound can still outgrow the machine
+        print("error: out of memory; try a smaller order", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,10 +9,11 @@ never approximates it.
 from __future__ import annotations
 
 import operator
+import struct
 from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd, log2
-from sys import byteorder, int_info
+from sys import int_info
 
 
 class NonUnitConstantTerm(ValueError):
@@ -132,41 +133,46 @@ class TruncatedSeries:
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact product, truncated to the smaller order.
 
-        When every nonzero exponent of both factors is a multiple of some
-        g > 1, the product is a series in q^g: the kernel multiplies
-        ``coeffs[::g]`` at order ``order // g`` and the result is spread
-        back over every g-th slot.  The skipped slots are zero, so this is
-        exact.  A square, ``x.mul(x)``, packs its operand once.
+        Each factor is read once.  Nonzero counts pick the sparser factor,
+        a, and only its support is listed.  When every nonzero exponent of
+        both factors is a multiple of some g > 1, the product is a series
+        in q^g: the kernel multiplies ``coeffs[::g]`` at order
+        ``order // g`` and the result is spread back over every g-th slot.
+        The skipped slots are zero, so this is exact.  A q^1 term in either
+        factor makes g = 1 without listing the denser factor's support.  A
+        square, ``x.mul(x)``, packs its operand once.
 
         Of the two kernels, ``_convolve_shifted`` costs about one pass over
         the packed denser factor per nonzero term of the sparser one,
         ``_convolve_packed`` about one Karatsuba multiply of both packed
         factors, D^log2(3) for D digits; ``mul`` runs the cheaper.  Both
         are priced at the slot width the kernel packs with, the bits it
-        needs rounded up to 1, 2, 4 or 8 bytes (``_slot_width``).
+        needs rounded up to 1, 2, 4 or 8 bytes, and ``_widths`` gives both
+        widths from a's nonzero values and max|b|; the chosen kernel takes
+        its width from there rather than sizing its slots itself.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
         b = a if other is self else other.coeffs[: order + 1]
-        ia = _support(a)
-        ib = ia if b is a else _support(b)
-        if not ia or not ib:
+        na = len(a) - a.count(0)
+        nb = na if b is a else len(b) - b.count(0)
+        if not na or not nb:
             return TruncatedSeries.zero(order)
-        g = gcd(*ia, *ib)
+        if nb < na:
+            a, b = b, a
+        ia = _support(a)
+        g = 1 if order and (a[1] or b[1]) else gcd(*ia, *_support(b))
         sub = order
         if g > 1:
             square = b is a
             a, ia, sub = a[::g], [i // g for i in ia], order // g
-            b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
-        if len(ib) < len(ia):
-            a, ia, b = b, ib, a
+            b = a if square else b[::g]
+        shifted_width, packed_width = _widths(a, ia, b, sub + 1)
         digits = (sub + 1) * 8 / int_info.bits_per_digit     # per byte of slot width
-        shifted = len(ia) * digits * _slot_width(_shifted_slot_bits(a, ia, b))
-        packed = (digits * _slot_width(_packed_slot_bits(a, b, sub + 1))) ** log2(3)
-        if shifted < packed:
-            out = _convolve_shifted(a, ia, b, sub)
+        if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
+            out = _convolve_shifted(a, ia, b, sub, shifted_width)
         else:
-            out = _convolve_packed(a, b, sub)
+            out = _convolve_packed(a, b, sub, packed_width)
         return TruncatedSeries(_spread(out, g, order), order)
 
     def invert(self) -> "TruncatedSeries":
@@ -343,34 +349,30 @@ def _divide(a, b, order):
     return out
 
 
-def _magnitude(vals) -> int:
-    """max |v| over vals."""
-    return max(max(vals), -min(vals))
+def _widths(a, ia, b, count: int) -> tuple:
+    """Slot widths (``_slot_width``) of the shifted and the packed kernel
+    for a * b over count slots, a nonzero at the indices ia, from one read
+    of a's nonzero values and one of max|b|.
+
+    A slot of W bits holds a signed digit below 2^(W-1): the shifted
+    kernel's digits are at most (sum |a_i|) max|b|, the packed kernel's
+    at most count max|a| max|b|.
+    """
+    mags = list(map(abs, map(a.__getitem__, ia)))
+    mag_a = max(mags, default=0)
+    bits_b = (mag_a if b is a else max(max(b), -min(b))).bit_length()
+    return (_slot_width(bits_b + sum(mags).bit_length() + 1),
+            _slot_width(mag_a.bit_length() + bits_b + count.bit_length() + 1))
 
 
-def _packed_slot_bits(a, b, count: int) -> int:
-    """Bits of a signed slot that holds every digit of a * b over count slots:
-    |p_k| <= count max|a| max|b| < 2^(bits - 1)."""
-    mag_a = _magnitude(a)
-    mag_b = mag_a if b is a else _magnitude(b)
-    return mag_a.bit_length() + mag_b.bit_length() + count.bit_length() + 1
-
-
-def _shifted_slot_bits(a, ia, b) -> int:
-    """Bits of a signed slot that holds every digit of a * b, a nonzero at
-    the indices ia: |p_k| <= (sum |a_i|) max|b| < 2^(bits - 1)."""
-    return _magnitude(b).bit_length() + sum(abs(a[i]) for i in ia).bit_length() + 1
-
-
-# array typecode of each native slot width in bytes: C's signed char, short,
-# int and long long (the tests check each itemsize).  ``array`` is imported by
-# the first pack or unpack, so a command that multiplies nothing never loads it.
-_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# struct code of each native slot width in bytes, at the standard sizes of
+# the "<" format (the tests check each size).
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _slot_width(bits: int) -> int:
     """Bytes of a slot of at least ``bits`` bits: 1, 2, 4 or 8 while that
-    is enough, so that the slots move through ``array``; whole bytes past 8."""
+    is enough, so that the slots move through ``struct``; whole bytes past 8."""
     width = (bits + 7) // 8
     return 1 << (width - 1).bit_length() if width <= 8 else width
 
@@ -383,53 +385,45 @@ def _half(width: int, count: int) -> int:
 def _pack(vals, width: int) -> int:
     """The integer sum v_k 2^(Wk), W = 8 * width, for |v_k| < 2^(W-1).
 
-    The slots are written in two's complement through ``array`` at a
-    native width (1, 2, 4 or 8 bytes), one ``to_bytes`` each past that.
-    T, read from those bytes, counts a negative v_k as v_k + 2^W, and
-    (T ^ H) - H takes that 2^W back.
+    The slots are written in little-endian two's complement by one
+    ``struct.pack`` at a native width (1, 2, 4 or 8 bytes), one
+    ``to_bytes`` each past that.  T, read from those bytes, counts a
+    negative v_k as v_k + 2^W, and (T ^ H) - H takes that 2^W back.
     """
-    code = _TYPECODES.get(width)
+    code = _CODES.get(width)
     if code is None:
         raw = b"".join([v.to_bytes(width, "little", signed=True) for v in vals])
     else:
-        from array import array     # see _TYPECODES
-
-        slots = array(code, vals)
-        if byteorder == "big":
-            slots.byteswap()
-        raw = slots.tobytes()
+        raw = struct.pack(f"<{len(vals)}{code}", *vals)
     t = int.from_bytes(raw, "little")
     half = _half(width, len(vals))
     return (t ^ half) - half
 
 
 def _unpack(p: int, width: int, count: int) -> list:
-    """The low count slots p_k of p = sum p_k 2^(Wk), for |p_k| < 2^(W-1).
+    """The low count slots p_k of p = sum p_k 2^(Wk), for |p_k| < 2^(W-1),
+    as a list.
 
     The low count slots of p + H are p_k + 2^(W-1) exactly, whatever p
-    holds above them, and xor with H leaves each p_k in two's complement,
-    read through ``array`` at a native width, one ``from_bytes`` each
-    past that.
+    holds above them, and xor with H leaves each p_k in little-endian two's
+    complement, read by one ``struct.unpack`` at a native width, one
+    ``from_bytes`` each past that.
     """
     total = width * count
     half = _half(width, count)
     raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
-    code = _TYPECODES.get(width)
+    code = _CODES.get(width)
     if code is None:
         return [int.from_bytes(raw[i : i + width], "little", signed=True)
                 for i in range(0, total, width)]
-    from array import array         # see _TYPECODES
-
-    slots = array(code, raw)
-    if byteorder == "big":
-        slots.byteswap()
-    return slots.tolist()
+    return list(struct.unpack(f"<{count}{code}", raw))
 
 
-def _convolve_shifted(a, ia, b, order):
+def _convolve_shifted(a, ia, b, order, width):
     """Exact convolution of a, nonzero at the indices ia, with b of
-    order + 1 coefficients: b is packed once and the sum of a_i (B << Wi)
-    over i in ia is read back once.
+    order + 1 coefficients, in slots of ``width`` bytes (``_widths``): b
+    is packed once and the sum of a_i (B << Wi) over i in ia is read back
+    once.
 
     The copies of B are summed per coefficient value of a before they are
     multiplied by it, so a theta or Euler factor, whose values are +-1 or
@@ -437,7 +431,6 @@ def _convolve_shifted(a, ia, b, order):
     sum is sum_i a_i b_(k-i), at most (sum |a_i|) max|b| in magnitude,
     which fits the slot; digits past the order are dropped on reading.
     """
-    width = _slot_width(_shifted_slot_bits(a, ia, b))
     packed = _pack(b, width)
     step = 8 * width
     copies = {}     # coefficient value of a -> sum of the copies of B it scales
@@ -447,15 +440,15 @@ def _convolve_shifted(a, ia, b, order):
     return _unpack(sum(c * copy for c, copy in copies.items()), width, order + 1)
 
 
-def _convolve_packed(a, b, order):
+def _convolve_packed(a, b, order, width):
     """Exact convolution by one big-integer multiply (signed Kronecker
-    substitution), for a and b of order + 1 coefficients each.
+    substitution), for a and b of order + 1 coefficients each, in slots of
+    ``width`` bytes (``_widths``), wide enough for every digit of the
+    product.
 
-    Both operands are packed into slots wide enough for every digit of the
-    product, multiplied once and read back.  A square packs its operand
-    once.
+    Both operands are packed, multiplied once and read back.  A square
+    packs its operand once.
     """
     count = order + 1
-    width = _slot_width(_packed_slot_bits(a, b, count))
     pa = _pack(a, width)
     return _unpack(pa * (pa if b is a else _pack(b, width)), width, count)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import _brute as brute
-from qcore import register, unregister
+from qcore import products, register, unregister
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
 
@@ -290,6 +290,29 @@ def test_order_too_large_to_index_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: order 99999999999999999999 is too large")
     assert err.count("\n") == 1
     assert path.read_text() == "0 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "verify all -N 10",
+    "verify thm3.b5_20n_15 -N 10",
+    "expand c5 10",
+    "census b5bar -N 10",
+    "bfile export c5 {path} -N 10",
+])
+def test_out_of_memory_is_usage_error_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    # an order past the machine's memory ends in a MemoryError wherever the
+    # allocation fails; building a sequence stands in for it here
+    def no_memory(form, order):
+        raise MemoryError
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", no_memory)
+    path = tmp_path / "b.txt"
+    code, out, err = run_cli(capsys, *argv.format(path=path).split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: out of memory; try a smaller order\n"
+    assert not path.exists()
 
 
 def test_closed_stdout_is_io_error_without_traceback():

@@ -1,8 +1,9 @@
-from array import array
-from math import isqrt
+import struct
+from math import gcd, isqrt, log2
+from sys import int_info
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import series_strategy, unit_series_strategy
@@ -11,8 +12,8 @@ import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 from qcore import series as series_module
 from qcore.products import euler_f, phi
-from qcore.series import (_TYPECODES, _convolve_packed, _convolve_shifted, _pack, _slot_width,
-                          _unpack)
+from qcore.series import (_CODES, _convolve_packed, _convolve_shifted, _pack, _slot_width,
+                          _unpack, _widths)
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -28,6 +29,17 @@ def S(*coeffs):
 def _support(c):
     """Indices of the nonzero entries, as the shifted kernel takes them."""
     return [i for i, x in enumerate(c) if x]
+
+
+def kernel_shifted(a, b, order):
+    """The shifted kernel on a, at its support, and b, at the width mul gives it."""
+    ia = _support(a)
+    return _convolve_shifted(a, ia, b, order, _widths(a, ia, b, order + 1)[0])
+
+
+def kernel_packed(a, b, order):
+    """The packed kernel on a and b, at the width mul gives it."""
+    return _convolve_packed(a, b, order, _widths(a, _support(a), b, order + 1)[1])
 
 
 # -- construction and access -------------------------------------------------
@@ -255,7 +267,7 @@ def test_mul_matches_brute_convolution(a, b):
 def test_packed_kernel_matches_shifted_kernel(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
-    assert _convolve_packed(a, b, order) == _convolve_shifted(a, _support(a), b, order)
+    assert kernel_packed(a, b, order) == kernel_shifted(a, b, order)
 
 
 def test_dense_mul_uses_packed_path_correctly():
@@ -295,7 +307,7 @@ def test_packed_kernel_at_byte_boundaries(width, extra, count):
     room = 8 * width + extra - 1 - count.bit_length()   # bits(max|a|) + bits(max|b|)
     ma, mb = 2 ** (room // 2) - 1, 2 ** (room - room // 2) - 1
     for a, b in _extremal_pairs(ma, mb, count):
-        assert _convolve_packed(a, b, count - 1) == brute.convolve(a, b, count - 1)
+        assert kernel_packed(a, b, count - 1) == brute.convolve(a, b, count - 1)
 
 
 @pytest.mark.parametrize("terms", [1, 2, 5, 40])
@@ -311,22 +323,22 @@ def test_shifted_kernel_at_byte_boundaries(width, extra, terms):
     for a, b in _extremal_pairs(ma, mb, count):
         a = [c if k % step == 0 and k < terms * step else 0 for k, c in enumerate(a)]
         expected = brute.convolve(a, b, count - 1)
-        assert _convolve_shifted(a, _support(a), b, count - 1) == expected
+        assert kernel_shifted(a, b, count - 1) == expected
 
 
 def test_packed_kernel_with_negative_top_digit():
     # the packed product is a negative integer whenever its top digit is
     for a, b in [([5, -1], [1, 1]), ([0, -1], [0, 1]), ([-3, 0, 0], [0, 0, 1])]:
         order = len(a) - 1
-        assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
-        assert _convolve_shifted(a, _support(a), b, order) == brute.convolve(a, b, order)
-        assert _convolve_shifted(b, _support(b), a, order) == brute.convolve(a, b, order)
+        assert kernel_packed(a, b, order) == brute.convolve(a, b, order)
+        assert kernel_shifted(a, b, order) == brute.convolve(a, b, order)
+        assert kernel_shifted(b, a, order) == brute.convolve(a, b, order)
 
 
 @pytest.mark.parametrize("x, y", [(0, 0), (1, -1), (-1, -1), (-(2 ** 70), 3), (2 ** 64, 2 ** 64 + 1)])
 def test_kernels_at_order_zero(x, y):
-    assert _convolve_packed([x], [y], 0) == [x * y]
-    assert _convolve_shifted([x], _support([x]), [y], 0) == [x * y]
+    assert kernel_packed([x], [y], 0) == [x * y]
+    assert kernel_shifted([x], [y], 0) == [x * y]
     assert S(x).mul(S(y)).coeffs == (x * y,)
 
 
@@ -338,17 +350,17 @@ def test_packed_kernel_above_64_bits(la, lb, shift):
     order = min(len(la), len(lb)) - 1
     a = [c + (2 ** shift if c > 0 else -(2 ** shift) if c < 0 else 0) for c in la[: order + 1]]
     b = lb[: order + 1]
-    assert _convolve_packed(a, b, order) == brute.convolve(a, b, order)
-    assert _convolve_packed(a, a, order) == brute.convolve(a, a, order)
-    assert _convolve_shifted(a, _support(a), b, order) == brute.convolve(a, b, order)
-    assert _convolve_shifted(b, _support(b), a, order) == brute.convolve(a, b, order)
-    assert _convolve_shifted(a, _support(a), a, order) == brute.convolve(a, a, order)
+    assert kernel_packed(a, b, order) == brute.convolve(a, b, order)
+    assert kernel_packed(a, a, order) == brute.convolve(a, a, order)
+    assert kernel_shifted(a, b, order) == brute.convolve(a, b, order)
+    assert kernel_shifted(b, a, order) == brute.convolve(a, b, order)
+    assert kernel_shifted(a, a, order) == brute.convolve(a, a, order)
 
 
 def test_packed_kernel_squaring_path():
     for a in ([2 ** 65 - 1] * 9, [(-1) ** k * (k * k + 1) for k in range(50)], [-7] * 33):
         order = len(a) - 1
-        assert _convolve_packed(a, a, order) == brute.convolve(a, a, order)
+        assert kernel_packed(a, a, order) == brute.convolve(a, a, order)
     x = TruncatedSeries([((-1) ** (n // 3)) * (n % 11 + 1) for n in range(300)])
     square = brute.convolve(list(x.coeffs), list(x.coeffs), 299)
     assert list(x.mul(x).coeffs) == square
@@ -359,7 +371,7 @@ def test_packed_kernel_squaring_path():
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_pack_unpack_round_trip_at_every_width(width):
-    # 1, 2, 4 and 8 bytes go through array, 3, 5, 6, 7, 9 and 10 through bytes
+    # 1, 2, 4 and 8 bytes go through struct, 3, 5, 6, 7, 9 and 10 through bytes
     top = 2 ** (8 * width - 1) - 1
     for vals in ([0], [top], [-top], [0, top, -top, 0, -1, 1, top, -top],
                  [top, 0, 5, -top]):   # the last slot negative
@@ -369,10 +381,10 @@ def test_pack_unpack_round_trip_at_every_width(width):
     assert _unpack(_pack(vals + [top, -top], width), width, 3) == vals
 
 
-def test_native_widths_map_to_array_typecodes_of_that_size():
-    assert sorted(_TYPECODES) == [1, 2, 4, 8]
-    for width, code in _TYPECODES.items():
-        assert array(code).itemsize == width
+def test_native_widths_map_to_struct_codes_of_that_size():
+    assert sorted(_CODES) == [1, 2, 4, 8]
+    for width, code in _CODES.items():
+        assert struct.calcsize("<" + code) == width
     assert [_slot_width(8 * w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
     assert [_slot_width(bits) for bits in (1, 9, 17, 33, 65)] == [1, 2, 4, 8, 9]
 
@@ -416,14 +428,15 @@ def test_shifted_kernel_on_sparse_operands(la, lb):
     order = min(len(la), len(lb)) - 1
     a, b = la[: order + 1], lb[: order + 1]
     expected = brute.convolve(a, b, order)
-    assert _convolve_shifted(a, _support(a), b, order) == expected
-    assert _convolve_shifted(b, _support(b), a, order) == expected
+    assert kernel_shifted(a, b, order) == expected
+    assert kernel_shifted(b, a, order) == expected
 
 
 def test_shifted_kernel_drops_terms_past_the_order():
     a, b = [1, 2, 0, 5], [3, 0, 1, 4]
-    assert _convolve_shifted(a, [0, 1, 3], b, 3) == [3, 6, 1, 21]
-    assert _convolve_shifted(a, [0, 1, 3], b[:1], 0) == [3]
+    ia = [0, 1, 3]
+    assert _convolve_shifted(a, ia, b, 3, _widths(a, ia, b, 4)[0]) == [3, 6, 1, 21]
+    assert _convolve_shifted(a, ia, b[:1], 0, _widths(a, ia, b[:1], 1)[0]) == [3]
 
 
 # -- which kernel mul runs ---------------------------------------------------------
@@ -453,8 +466,9 @@ def test_two_dense_factors_take_packed_kernel(monkeypatch, order):
     assert ran == ["_convolve_packed"]
 
 
-@pytest.mark.parametrize("x", [euler_f(1, 1500), euler_f(1, 1500).invert()],
-                         ids=["shifted", "packed"])
+@pytest.mark.parametrize("x", [euler_f(1, 1500), euler_f(1, 1500).invert(),
+                               euler_f(1, 750).invert().inflate(2)],
+                         ids=["shifted", "packed", "deflated"])
 def test_square_packs_its_operand_once(monkeypatch, x):
     packed = []
     pack = series_module._pack
@@ -464,6 +478,115 @@ def test_square_packs_its_operand_once(monkeypatch, x):
     assert len(packed) == 1
     assert list(square.coeffs[:41]) == brute.convolve(list(x.coeffs[:41]),
                                                       list(x.coeffs[:41]), 40)
+
+
+# -- mul prices as it did when it scanned each factor per kernel ----------------
+#
+# The slot formulas as they stood when the cost model and each kernel read
+# the factors' magnitudes themselves, and the choice mul made from them.
+
+
+def _magnitude(vals):
+    return max(max(vals), -min(vals))
+
+
+def _packed_slot_bits(a, b, count):
+    mag_a = _magnitude(a)
+    mag_b = mag_a if b is a else _magnitude(b)
+    return mag_a.bit_length() + mag_b.bit_length() + count.bit_length() + 1
+
+
+def _shifted_slot_bits(a, ia, b):
+    return _magnitude(b).bit_length() + sum(abs(a[i]) for i in ia).bit_length() + 1
+
+
+def _reference_choice(x, y):
+    """The kernel and slot width of x * y from both supports and the
+    formulas above; None when a factor is zero and no kernel runs."""
+    order = min(x.order, y.order)
+    a = x.coeffs[: order + 1]
+    b = a if y is x else y.coeffs[: order + 1]
+    ia = _support(a)
+    ib = ia if b is a else _support(b)
+    if not ia or not ib:
+        return None
+    g = gcd(*ia, *ib)
+    sub = order
+    if g > 1:
+        square = b is a
+        a, ia, sub = a[::g], [i // g for i in ia], order // g
+        b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
+    if len(ib) < len(ia):
+        a, ia, b = b, ib, a
+    digits = (sub + 1) * 8 / int_info.bits_per_digit
+    shifted_width = _slot_width(_shifted_slot_bits(a, ia, b))
+    packed_width = _slot_width(_packed_slot_bits(a, b, sub + 1))
+    if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
+        return "_convolve_shifted", shifted_width
+    return "_convolve_packed", packed_width
+
+
+@st.composite
+def _priced_operand(draw, max_order=120, g=None):
+    """A series in q^g (g drawn from 1, 2, 3, 5 unless given) whose slots
+    hold 0 or one of a few values, up to a drawn bound, at a drawn density."""
+    g = draw(st.sampled_from((1, 2, 3, 5))) if g is None else g
+    bound = draw(st.sampled_from((1, 2, 60, 2 ** 40, 2 ** 70)))
+    values = draw(st.lists(st.integers(-bound, bound).filter(bool), min_size=1, max_size=3))
+    zeros = draw(st.sampled_from((0, 1, 12)))      # zero slots per value slot
+    order = draw(st.integers(0, max_order // g))
+    slots = st.sampled_from([0] * zeros * len(values) + values)
+    x = TruncatedSeries(draw(st.lists(slots, min_size=order + 1, max_size=order + 1)))
+    return x.inflate(g, x.order * g + draw(st.integers(0, g - 1)))
+
+
+def _with_q1(x):
+    """x with a nonzero coefficient at q^1 (x itself at order 0)."""
+    if x.order < 1 or x[1]:
+        return x
+    return x + TruncatedSeries.monomial(x.order, 1, 1)
+
+
+_PRICING_CASES = {
+    "independent": st.tuples(_priced_operand(), _priced_operand()),
+    "common-g": st.sampled_from((2, 3, 5)).flatmap(
+        lambda g: st.tuples(_priced_operand(g=g), _priced_operand(g=g))),
+    "square": _priced_operand().map(lambda x: (x, x)),
+    "order-0": st.tuples(_priced_operand(max_order=0, g=1), _priced_operand()),
+    "zero": _priced_operand().map(lambda x: (x, TruncatedSeries.zero(x.order))),
+    "q1-in-one": st.tuples(_priced_operand(g=1).map(_with_q1),
+                           st.sampled_from((2, 3, 5)).flatmap(lambda g: _priced_operand(g=g))),
+}
+
+_DENSE_150 = TruncatedSeries([n % 7 - 3 or 9 for n in range(151)])
+
+
+@pytest.mark.parametrize("case", _PRICING_CASES)
+def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
+    ran = []
+    for name in ("_convolve_shifted", "_convolve_packed"):
+        def record(*args, _name=name, _kernel=getattr(series_module, name)):
+            ran.append((_name, args[-1]))
+            return _kernel(*args)
+        monkeypatch.setattr(series_module, name, record)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_PRICING_CASES[case])
+    @example((_DENSE_150, _DENSE_150.shift(3)))                  # packed
+    @example((euler_f(1, 150), _DENSE_150))                      # shifted
+    @example((euler_f(1, 150).inflate(2, 151), _DENSE_150))      # q^1 in one factor
+    @example((S(127, *[1] * 7, *[0] * 33), S(*[127] * 8, *[0] * 33)))   # tie: x stays a, 2 bytes
+    def check(pair):
+        x, y = pair
+        ran.clear()
+        product = x.mul(y)
+        expected = _reference_choice(x, y)
+        assert ran == ([] if expected is None else [expected])
+        order = min(x.order, y.order)
+        assert list(product.coeffs) == brute.convolve(list(x.coeffs[: order + 1]),
+                                                      list(y.coeffs[: order + 1]), order)
+
+    check()
 
 
 # -- deflated operands and the division agree with the naive helpers -----------
