@@ -6,8 +6,9 @@ Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
 their common denominator so that none divides.  A family, a relation that
 holds a K, is the same check at each k = 2..kmax.  A census record reads
-``products.sign_census``.  Before a record is checked, ``_prefetch`` reads
-each sequence it uses once, to the largest index it reads.  Everything is
+``products.sign_census``.  Before a record is checked, ``_prefetch`` builds
+each sequence prefix it uses once, to the largest index up to the order
+that it reads; a deeper progression is evaluated on its own.  Everything is
 computed in exact integer or rational arithmetic.
 """
 
@@ -210,9 +211,9 @@ def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
 def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
     """(name, index) for every sequence that verifying the record at the
     order reads, to that index: a series equality reads the sequence of an
-    atom (name, m, r, s, k) to m*(order // k) + r, as ``products`` slices
-    it, and a relation, a family at every k, reads each of its sequences to
-    the order, as does a census."""
+    atom (name, m, r, s, k) to m*(order // k) + r, and a relation, a family
+    at every k, reads each of its sequences to the order, as does a
+    census."""
     if isinstance(record, SeriesEquality):
         for side in record.sides:
             for _, _, factors in side:
@@ -235,13 +236,16 @@ def largest_index(ids: Iterable[str], order: int) -> int:
 
 
 def _prefetch(records: Iterable[Record], order: int) -> None:
-    """Read each sequence to the largest index that any of the records reads
-    it to, so the prefix cache builds it once rather than once per rising
-    order; every later read is a truncation."""
+    """Build each sequence's prefix to the largest index up to the order
+    that any of the records reads, so the cache builds it once rather
+    than once per rising order; every later read at or below it is a slice.
+    A read past the order, such as b5(25n + 22), is a progression that
+    ``products`` evaluates on its own n."""
     reach: dict[str, int] = {}
     for record in records:
         for name, top in _reach(record, order):
-            reach[name] = max(reach.get(name, top), top)
+            if top <= order:
+                reach[name] = max(reach.get(name, top), top)
     for name, top in reach.items():
         if top >= 0:
             sequence(name, top)

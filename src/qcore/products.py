@@ -17,18 +17,23 @@ so equal specs of the two kinds are equal; their atoms stay distinct by
 their heads, ``"theta_general"`` and ``"expand_pochhammer"``.
 
 The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
-only they keep their results: one prefix cache holds the longest expansion
-of each and serves every lower order by truncation, which gives the same
-coefficients as a fresh build.  Series are immutable, so sharing them
-across callers is safe.  ``sequence`` reads one of them by name, and
-``sign_census`` counts its signs, so a census needs no registry.
+only they keep their results.  ``_closed_form`` evaluates a sequence on any
+progression m*n + r, the prefix being m = 1, r = 0.  One cache, keyed by
+(name, m, r), holds the longest evaluation of each and serves every lower
+order by truncation, which gives the same coefficients as a fresh build.
+The prefix is read through its constructor in ``SEQUENCES``; another
+progression is sliced from the prefix when the cached prefix reaches it,
+and a deeper one, such as b5(25n + 22), is evaluated on its own n.  Series
+are immutable, so sharing them across callers is safe.  ``sequence`` reads
+one of them by name, and ``sign_census`` counts its signs, so a census
+needs no registry.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, count, islice, repeat
-from math import isqrt
+from itertools import accumulate, count, repeat
+from math import gcd, isqrt
 from operator import add, floordiv
 
 from .series import TruncatedSeries
@@ -257,9 +262,9 @@ def P(coeff: int, shift: int, *factors) -> tuple:
 def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     """Expand one atom to the given order.
 
-    A sequence atom slices its progression out of the sequence's expansion
-    to m*(order // k) + r; the plain atom (name, 1, 0, 1, 1) is that
-    expansion itself.
+    A sequence atom reads its progression to order // k: the prefix from
+    its constructor in ``SEQUENCES``, any other through ``_progression``;
+    the plain atom (name, 1, 0, 1, 1) is the cached prefix itself.
     """
     head, *args = atom
     if head == "euler_f":
@@ -274,17 +279,14 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     if head == "expand_pochhammer":
         return expand_pochhammer(args[0], order)
     m, r, s, k = args
-    if (m, r, s, k) == (1, 0, 1, 1):
-        return SEQUENCES[head](order)
     inner = order // k                  # the progression's own order
-    first = max(0, -(r // m))           # the first n with m*n + r >= 0
-    top = m * inner + r
-    vals = [0] * min(first, inner + 1)
-    if top >= 0:
-        vals += SEQUENCES[head](top).coeffs[m * first + r::m]
+    if (m, r) == (1, 0):
+        series = SEQUENCES[head](inner)
+    else:
+        series = _progression(head, m, r, inner)
     if s == -1:
-        vals[1::2] = [-c for c in vals[1::2]]
-    return TruncatedSeries(vals, inner).inflate(k, order)
+        series = series.alternate()
+    return series.inflate(k, order)
 
 
 def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
@@ -382,44 +384,91 @@ FORMS = {
 _LEGENDRE_5 = (0, 1, -1, -1, 1)     # (n | 5) at n mod 5
 
 
-def _closed_form(form: ModularForm, order: int) -> TruncatedSeries:
-    """The form's series to the order.  With chi = (. | 5) and big the
-    largest t (t | 4), big times its closed form at m is the sum over d*e = m
-    of chi(e)*d*alpha[d % 4] + chi(d)*d*beta[e % 4]: c*s51(m/t) adds c*big/t
-    to alpha where t | d, c*s15(m/t) adds c*big to beta where t | e.  Each
-    d <= sqrt(top) meets its cofactors e >= d in acc[d*d::d] as (d, e) and
-    (e, d), summing to c0 + c1*e with c0, c1 periodic in e mod 20; so a
-    residue class of e adds one arithmetic progression to one slice, and the
-    whole is O(top log top) element operations in C."""
-    top = order + form.shift
+def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeries:
+    """The form's sequence at m*n + r for n = 0..order, 0 at a negative
+    index; m = 1, r = 0 is its prefix.
+
+    With chi = (. | 5) and big the largest t (every t divides big), big
+    times the closed form at x = m*n + r + shift is the sum over d*e = x of
+    chi(e)*d*alpha[d % big] + chi(d)*d*beta[e % big]: c*s51(x/t) adds c*big/t
+    to alpha where t | d, c*s15(x/t) adds c*big to beta where t | e.  Each
+    d <= sqrt(x) meets its cofactors e >= d as (d, e) and (e, d), summing to
+    c0 + c1*e with c0, c1 periodic in e mod 5*big.  The n with d | x form one
+    residue class mod d/gcd(d, m), along which e steps by m/gcd(d, m), so a
+    residue class of e adds one arithmetic progression to one slice of the
+    accumulator.  That is O(order log x) element operations in C and at most
+    5*big Python steps per d <= sqrt(x), for x up to m*order + r + shift, so
+    a progression costs about 1/m of the prefix it could be sliced from.
+    x = 0 is E15's constant term -1/5 alone."""
     big = max(t for _, t, _ in form.terms)
-    alpha = [sum(c * big // t for kind, t, c in form.terms if kind == "s51" and r % t == 0)
-             for r in range(4)]
-    beta = [sum(c * big for kind, t, c in form.terms if kind == "s15" and r % t == 0)
-            for r in range(4)]
-    acc = [0] * (top + 1)
-    acc[0] = -sum(c * big for kind, _, c in form.terms if kind == "s15") // 5  # E15(0) = -1/5
-    for d in range(1, isqrt(top) + 1):
-        chi_d, a_d, b_d = _LEGENDRE_5[d % 5], d * alpha[d % 4], beta[d % 4]
-        for e in range(d, min(d + 20, top // d + 1)):
+    period = 5 * big
+    alpha = [sum(c * big // t for kind, t, c in form.terms if kind == "s51" and i % t == 0)
+             for i in range(big)]
+    beta = [sum(c * big for kind, t, c in form.terms if kind == "s15" and i % t == 0)
+            for i in range(big)]
+    offset = r + form.shift             # x = m*n + offset
+    acc = [0] * (order + 1)             # big times the closed form at n
+    first = max(0, -(r // m))           # the first n with m*n + r >= 0
+    if m * first + offset == 0 and first <= order:     # x = 0: E15(0) = -1/5
+        acc[first] = -sum(c * big for kind, _, c in form.terms if kind == "s15") // 5
+        first += 1
+    x0 = m * first + offset             # x at n = first
+    for d in range(1, isqrt(max(m * order + offset, 0)) + 1):
+        g = gcd(d, m)
+        if x0 % g:
+            continue
+        step, de = d // g, m // g       # n steps by step over d | x, and e by de
+        n = first + (-(x0 // g) * pow(de, -1, step) % step)
+        e = (m * n + offset) // d
+        if e < d:
+            lift = -((e - d) // de)
+            n, e = n + lift * step, e + lift * de
+        chi_d, a_d, b_d = _LEGENDRE_5[d % 5], d * alpha[d % big], beta[d % big]
+        if e == d and n <= order:       # (d, d) is one pair, added twice below
+            acc[n] -= chi_d * (a_d + d * b_d)
+        stride = period * step
+        for start in range(n, min(n + stride, order + 1), step):
             chi_e = _LEGENDRE_5[e % 5]
-            c0 = chi_e * a_d + chi_d * d * beta[e % 4]
-            c1 = chi_d * alpha[e % 4] + chi_e * b_d
-            acc[d * e::20 * d] = map(add, acc[d * e::20 * d], count(c0 + c1 * e, 20 * c1))
-        acc[d * d] -= chi_d * (a_d + d * b_d)
-    return TruncatedSeries(map(floordiv, islice(acc, form.shift, None),
-                               repeat(big * form.divisor)), order)
+            c0 = chi_e * a_d + chi_d * d * beta[e % big]
+            c1 = chi_d * alpha[e % big] + chi_e * b_d
+            acc[start::stride] = map(add, acc[start::stride],
+                                     count(c0 + c1 * e, period * de * c1))
+            e += de
+    return TruncatedSeries(map(floordiv, acc, repeat(big * form.divisor)), order)
 
 
-# sequence name -> its longest expansion so far; a lower order is read off by truncation
+# (name, m, r) -> the longest progression name(m*n + r) evaluated so far, the
+# prefix being (name, 1, 0); a lower order is read off by truncation
 _EXPANSIONS: dict = {}
 
 
 def _expansion(name: str, order: int) -> TruncatedSeries:
-    longest = _EXPANSIONS.get(name)
+    longest = _EXPANSIONS.get((name, 1, 0))
     if longest is None or longest.order < order:
-        longest = _EXPANSIONS[name] = _closed_form(FORMS[name], order)
+        longest = _EXPANSIONS[name, 1, 0] = _closed_form(FORMS[name], 1, 0, order)
     return longest.truncate(order)
+
+
+def _progression(name: str, m: int, r: int, order: int) -> TruncatedSeries:
+    """name(m*n + r) for n = 0..order, (m, r) not (1, 0), 0 at a negative
+    index: the cache entry (name, m, r) when it reaches the order, else a
+    slice of the prefix ``SEQUENCES`` gives when the cached prefix reaches
+    m*order + r, else the progression evaluated on its own n and cached.
+    So a read at a lower order, as when a mismatch is expanded again,
+    comes from the same source as the one it truncates."""
+    longest = _EXPANSIONS.get((name, m, r))
+    if longest is not None and longest.order >= order:
+        return longest.truncate(order)
+    top = m * order + r
+    prefix = _EXPANSIONS.get((name, 1, 0))
+    if top >= 0 and (prefix is None or prefix.order < top):
+        longest = _EXPANSIONS[name, m, r] = _closed_form(FORMS[name], m, r, order)
+        return longest
+    first = max(0, -(r // m))           # the first n with m*n + r >= 0
+    vals = [0] * min(first, order + 1)
+    if top >= 0:
+        vals += SEQUENCES[name](top).coeffs[m * first + r::m]
+    return TruncatedSeries(vals, order)
 
 
 def gen_c5(order: int) -> TruncatedSeries:

@@ -302,7 +302,7 @@ def test_order_too_large_to_index_is_usage_error(tmp_path, capsys, argv):
 def test_out_of_memory_is_usage_error_without_traceback(tmp_path, monkeypatch, capsys, argv):
     # an order past the machine's memory ends in a MemoryError wherever the
     # allocation fails; building a sequence stands in for it here
-    def no_memory(form, order):
+    def no_memory(form, m, r, order):
         raise MemoryError
 
     monkeypatch.setattr(products, "_EXPANSIONS", {})

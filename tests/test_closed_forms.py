@@ -9,9 +9,12 @@ equals the quotient once their first sturm + 1 coefficients agree.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcore import evaluate_side, products, verify_all
 from qcore.products import FORMS, SEQUENCES, F, P
@@ -126,8 +129,53 @@ def test_a_wrong_exponent_or_term_fails_the_certificate(name, changes, failing):
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_evaluator_matches_the_divisor_sum_definitions(name):
     form = FORMS[name]
-    series = products._closed_form(form, 300)
+    series = products._closed_form(form, 1, 0, 300)
     assert all(series[n] == closed_form(form, n + form.shift) for n in range(301))
+
+
+# the deepest index the progressions below read
+DEEPEST = 130 * 300 + 1000
+
+
+@cache
+def prefix(name: str) -> tuple:
+    return products._closed_form(FORMS[name], 1, 0, DEEPEST).coeffs
+
+
+def test_the_prefix_is_the_divisor_sum_sieve():
+    # every n <= DEEPEST, against s51 and s15 sieved over every divisor d,
+    # with E15's constant -1/5 at 0
+    top = DEEPEST + max(form.shift for form in FORMS.values())
+    sums = {"s51": [0] * (top + 1), "s15": [0] * (top + 1)}
+    for d in range(1, top + 1):
+        sums["s15"][d::d] = [v + LEGENDRE_5[d % 5] * d for v in sums["s15"][d::d]]
+        sums["s51"][d::d] = [v + LEGENDRE_5[e % 5] * d
+                             for e, v in enumerate(sums["s51"][d::d], 1)]
+    for name, form in FORMS.items():
+        sieved = [closed_form(form, 0) * form.divisor] + [
+            sum(c * sums[kind][x // t] for kind, t, c in form.terms if x % t == 0)
+            for x in range(1, DEEPEST + form.shift + 1)]
+        assert [form.divisor * v for v in prefix(name)] == sieved[form.shift:], name
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FORMS)), st.integers(1, 130), st.integers(-300, 1000),
+       st.integers(0, 300))
+@example("a5", 7, 0, 5)         # a5(0) = 1, E15's constant alone, at n = 0
+@example("a5", 3, -6, 9)        # a5(0) at n = 2, after two negative indices
+@example("b5", 1, -3, 4)        # x = 0 at index -3, which is 0; index 0 reads x = 3
+@example("c5", 130, -300, 2)    # every index negative
+@example("c5", 1, -1, 0)
+@example("b5", 25, 22, 300)     # the progression ext.b5.before_last reads
+@example("a5", 5, 0, 300)
+@example("b5", 1, 0, 0)
+def test_a_progression_is_the_slice_of_the_prefix(name, m, r, order):
+    # the one evaluator on n = 0..order at m*n + r, against the prefix it
+    # evaluates at m = 1, r = 0, which the tests above pin to the divisor
+    # sums and the product side; a negative index is 0
+    series = products._closed_form(FORMS[name], m, r, order)
+    expected = [prefix(name)[m * n + r] if m * n + r >= 0 else 0 for n in range(order + 1)]
+    assert series.order == order and list(series.coeffs) == expected
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
@@ -145,8 +193,9 @@ def test_closed_forms_at_the_smallest_orders(order, monkeypatch):
         series = gen(order)
         assert series.order == order
         assert series == evaluate_side(FORMS[name].side, order), (name, order)
-    assert products._closed_form(FORMS["a5"], order)[0] == 1
-    assert list(products._closed_form(FORMS["b5"], order).coeffs) == [1, 1, 1, 2, 3][:order + 1]
+    assert products._closed_form(FORMS["a5"], 1, 0, order)[0] == 1
+    assert list(products._closed_form(FORMS["b5"], 1, 0, order).coeffs) == [1, 1, 1, 2, 3][
+        :order + 1]
 
 
 @pytest.mark.parametrize("name, record", [
@@ -158,9 +207,9 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
     # the registry ties each sequence to products in every run
     closed = products._closed_form
 
-    def corrupted(form, order):
-        series = closed(form, order)
-        if form is not FORMS[name] or order < 100:
+    def corrupted(form, m, r, order):
+        series = closed(form, m, r, order)
+        if form is not FORMS[name] or (m, r) != (1, 0) or order < 100:
             return series
         coeffs = list(series.coeffs)
         coeffs[100] += 1
@@ -170,3 +219,22 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
     monkeypatch.setattr(products, "_closed_form", corrupted)
     mismatches = [r.id for r in verify_all("all", 300) if not r.ok]
     assert record in mismatches, mismatches
+
+
+def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
+    # b5(25n + 22) is evaluated on its own n, not sliced from a prefix: one
+    # wrong value there fails exactly the two records that read it, at that n
+    closed = products._closed_form
+
+    def corrupted(form, m, r, order):
+        series = closed(form, m, r, order)
+        if form is not FORMS["b5"] or (m, r) != (25, 22) or order < 7:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[7] += 1
+        return type(series)(coeffs, order)
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", corrupted)
+    mismatches = {r.id: r.first_bad_index for r in verify_all("all", 300) if not r.ok}
+    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7}

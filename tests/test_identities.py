@@ -117,33 +117,37 @@ def test_series_equalities_at_small_orders(order):
 
 
 def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
-    # relations read each sequence to N, and series equalities also read a5
-    # to 5N and b5 to 5N+2 and 25N+22: verify_all first reads each sequence
-    # to the largest of these, so it is built once, and every lower order
-    # is served by truncation
+    # relations read each sequence to N, and series equalities also read
+    # a5(5n), b5(5n+2) and b5(25n+22) for n <= N: verify_all first builds
+    # each prefix to N, so it is built once, and every lower order is served
+    # by truncation; each deeper progression is evaluated once, at its own
+    # N+1 points, not as a prefix to 5N or 25N+22
     class Recording(dict):
-        def __setitem__(self, name, series):
-            builds.append((name, series.order))
-            super().__setitem__(name, series)
+        def __setitem__(self, key, series):
+            builds.append((key, series.order))
+            super().__setitem__(key, series)
 
     builds = []
     monkeypatch.setattr(products, "_EXPANSIONS", Recording())
     verify_all("all", 300)
-    assert sorted(builds) == [("a5", 1500), ("b5", 7522), ("c5", 300)]
-    assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
+    assert sorted(builds) == [(("a5", 1, 0), 300), (("a5", 5, 0), 300),
+                              (("b5", 1, 0), 300), (("b5", 5, 2), 300),
+                              (("b5", 25, 22), 300), (("c5", 1, 0), 300)]
+    assert sorted(products._EXPANSIONS) == sorted(key for key, _ in builds)
 
 
 @pytest.mark.parametrize("rid, order, builds", [
-    ("thm2.recurrence", 300, [("b5", 300)]),
-    ("ext.b5.before_last", 60, [("b5", 1522)]),
+    ("thm2.recurrence", 300, [(("b5", 1, 0), 300)]),
+    ("ext.b5.before_last", 60, [(("b5", 25, 22), 60), (("b5", 5, 2), 60)]),
 ])
 def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds):
-    # a family reads b5 to N at every k; before_last reads it to 25N+22 and
-    # to 5N+2: each is read once, to its largest index, before the check
+    # a family reads b5 to N at every k, so its prefix is built once, to N;
+    # before_last reads b5(25n+22) and b5(5n+2) for n <= N and no prefix:
+    # each progression is evaluated once, at N+1 points
     class Recording(dict):
-        def __setitem__(self, name, series):
-            built.append((name, series.order))
-            super().__setitem__(name, series)
+        def __setitem__(self, key, series):
+            built.append((key, series.order))
+            super().__setitem__(key, series)
 
     built = []
     monkeypatch.setattr(products, "_EXPANSIONS", Recording())

@@ -120,7 +120,7 @@ def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):
     first = evaluate_side((P(1, 0, SEQ("b5")),), 40)
     again = evaluate_side((P(1, 0, SEQ("b5")),), 30)
     assert again == first.truncate(30) and gen_b5bar(40) is first
-    assert list(products._EXPANSIONS) == ["b5"]
+    assert list(products._EXPANSIONS) == [("b5", 1, 0)]
 
 
 # -- Euler products --------------------------------------------------------------
@@ -414,14 +414,14 @@ def test_b5bar_zero_slots():
 
 
 def test_named_constructors_memoize(monkeypatch):
-    # one prefix cache: rising orders build once each; a lower order builds
+    # one cache: rising orders build once each; a lower order builds
     # nothing and equals a fresh build
     builds = []
     closed_form = products._closed_form
 
-    def counting(form, order):
+    def counting(form, m, r, order):
         builds.append(order)
-        return closed_form(form, order)
+        return closed_form(form, m, r, order)
 
     monkeypatch.setattr(products, "_EXPANSIONS", {})
     monkeypatch.setattr(products, "_closed_form", counting)
