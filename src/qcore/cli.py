@@ -41,18 +41,15 @@ class UsageError(Exception):
     pass
 
 
-# The bound on the largest index a command reads: a list holds at most
-# sys.maxsize bytes of pointers, and a sequence's closed form reads up to
-# _SHIFT slots past an index.  A prefix is a list through its largest index;
-# a deeper progression, such as b5(25n + 22), is evaluated on its own n, so
-# there the bound is on the index read, not on a list that holds it.
+# A list holds at most sys.maxsize bytes of pointers, and a sequence's closed
+# form reads up to _SHIFT slots past the index asked for.
 _MAX_SLOTS = sys.maxsize // struct.calcsize("P")
 _SHIFT = max(form.shift for form in FORMS.values())
 
 
 def _check_order(order: int, top: int) -> None:
-    """A usage error when the largest index, top, that a command reads at
-    the order is past the bound."""
+    """A usage error when no list can hold the slots up to the largest
+    index, top, that a command reads at the order."""
     if top + _SHIFT >= _MAX_SLOTS:
         raise UsageError(f"order {order} is too large: no list can hold index {top}")
 

@@ -20,11 +20,12 @@ The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
 only they keep their results.  ``_closed_form`` evaluates a sequence on any
 progression m*n + r, the prefix being m = 1, r = 0.  One cache, keyed by
 (name, m, r), holds the longest evaluation of each and serves every lower
-order by truncation, which gives the same coefficients as a fresh build.
-The prefix is read through its constructor in ``SEQUENCES``; another
-progression is sliced from the prefix when the cached prefix reaches it,
-and a deeper one, such as b5(25n + 22), is evaluated on its own n.  Series
-are immutable, so sharing them across callers is safe.  ``sequence`` reads
+order by truncation, which gives the same coefficients as a fresh build;
+a progression inside the cached prefix is a slice of it, and a deeper
+one, such as b5(25n + 22), is evaluated on its own n.  Every read goes
+through the constructors in ``SEQUENCES``, which give the prefix or, with
+a modulus m, the terms at exponents r mod m alone.  Series are immutable,
+so sharing them across callers is safe.  ``sequence`` reads
 one of them by name, and ``sign_census`` counts its signs, so a census
 needs no registry.
 """
@@ -262,9 +263,12 @@ def P(coeff: int, shift: int, *factors) -> tuple:
 def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     """Expand one atom to the given order.
 
-    A sequence atom reads its progression to order // k: the prefix from
-    its constructor in ``SEQUENCES``, any other through ``_progression``;
-    the plain atom (name, 1, 0, 1, 1) is the cached prefix itself.
+    A sequence atom reads its progression to order // k through the
+    constructor in ``SEQUENCES``: the prefix, or the part of the
+    generating function at the progression's residue, to its largest
+    index.  So a wrapper of a constructor, such as a tracer or an injected
+    fault, sees every value an atom reads at that value's own index.  The
+    plain atom (name, 1, 0, 1, 1) is the cached prefix itself.
     """
     head, *args = atom
     if head == "euler_f":
@@ -283,7 +287,11 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     if (m, r) == (1, 0):
         series = SEQUENCES[head](inner)
     else:
-        series = _progression(head, m, r, inner)
+        first = max(0, -(r // m))       # the first n with m*n + r >= 0
+        vals = (0,) * min(first, inner + 1)
+        if first <= inner:
+            vals += SEQUENCES[head](m * inner + r, m, r).coeffs[m * first + r::m]
+        series = TruncatedSeries(vals, inner)
     if s == -1:
         series = series.alternate()
     return series.inflate(k, order)
@@ -442,48 +450,50 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
 _EXPANSIONS: dict = {}
 
 
-def _expansion(name: str, order: int) -> TruncatedSeries:
-    longest = _EXPANSIONS.get((name, 1, 0))
-    if longest is None or longest.order < order:
-        longest = _EXPANSIONS[name, 1, 0] = _closed_form(FORMS[name], 1, 0, order)
-    return longest.truncate(order)
-
-
-def _progression(name: str, m: int, r: int, order: int) -> TruncatedSeries:
-    """name(m*n + r) for n = 0..order, (m, r) not (1, 0), 0 at a negative
-    index: the cache entry (name, m, r) when it reaches the order, else a
-    slice of the prefix ``SEQUENCES`` gives when the cached prefix reaches
-    m*order + r, else the progression evaluated on its own n and cached.
-    So a read at a lower order, as when a mismatch is expanded again,
-    comes from the same source as the one it truncates."""
+def _expansion(name: str, m: int, r: int, order: int) -> TruncatedSeries:
+    """name(m*n + r) for n = 0..order, 0 <= r < m: the cache entry (name, m, r)
+    when it reaches the order, else a slice of the cached prefix when that
+    reaches m*order + r, else ``_closed_form``'s evaluation, cached.  The
+    own entry comes first, so a read at a lower order, as when a mismatch
+    is expanded again, comes from the same source as the one it truncates."""
     longest = _EXPANSIONS.get((name, m, r))
     if longest is not None and longest.order >= order:
         return longest.truncate(order)
-    top = m * order + r
     prefix = _EXPANSIONS.get((name, 1, 0))
-    if top >= 0 and (prefix is None or prefix.order < top):
-        longest = _EXPANSIONS[name, m, r] = _closed_form(FORMS[name], m, r, order)
-        return longest
-    first = max(0, -(r // m))           # the first n with m*n + r >= 0
-    vals = [0] * min(first, order + 1)
-    if top >= 0:
-        vals += SEQUENCES[name](top).coeffs[m * first + r::m]
-    return TruncatedSeries(vals, order)
+    if prefix is not None and prefix.order >= m * order + r:
+        return TruncatedSeries(prefix.coeffs[r::m], order)
+    longest = _EXPANSIONS[name, m, r] = _closed_form(FORMS[name], m, r, order)
+    return longest
 
 
-def gen_c5(order: int) -> TruncatedSeries:
-    """Generating function of 5-core counts, f5^5 / f1, by Garvan-Kim-Stanton's closed form."""
-    return _expansion("c5", order)
+def _part(name: str, order: int, m: int, r: int) -> TruncatedSeries:
+    """The terms name(x)*q^x of the generating function with x = r (mod m),
+    to q^order; with m = 1, the whole series."""
+    if m == 1:
+        return _expansion(name, 1, 0, order)
+    r %= m
+    coeffs = [0] * (order + 1)
+    if order >= r:
+        coeffs[r::m] = _expansion(name, m, r, (order - r) // m).coeffs
+    return TruncatedSeries(coeffs, order)
 
 
-def gen_a5bar(order: int) -> TruncatedSeries:
-    """Generating function phi(-q^5)^5 / phi(-q), from its closed form."""
-    return _expansion("a5", order)
+def gen_c5(order: int, m: int = 1, r: int = 0) -> TruncatedSeries:
+    """Generating function of 5-core counts, f5^5 / f1, by Garvan-Kim-Stanton's
+    closed form; its terms at exponents = r (mod m) alone when m > 1."""
+    return _part("c5", order, m, r)
 
 
-def gen_b5bar(order: int) -> TruncatedSeries:
-    """Generating function psi(-q^5)^5 / psi(-q), from its closed form."""
-    return _expansion("b5", order)
+def gen_a5bar(order: int, m: int = 1, r: int = 0) -> TruncatedSeries:
+    """Generating function phi(-q^5)^5 / phi(-q), from its closed form; its
+    terms at exponents = r (mod m) alone when m > 1."""
+    return _part("a5", order, m, r)
+
+
+def gen_b5bar(order: int, m: int = 1, r: int = 0) -> TruncatedSeries:
+    """Generating function psi(-q^5)^5 / psi(-q), from its closed form; its
+    terms at exponents = r (mod m) alone when m > 1."""
+    return _part("b5", order, m, r)
 
 
 SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}

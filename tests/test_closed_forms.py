@@ -223,7 +223,9 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
 
 def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
     # b5(25n + 22) is evaluated on its own n, not sliced from a prefix: one
-    # wrong value there fails exactly the two records that read it, at that n
+    # wrong value there, b5(197), fails exactly the records that read it
+    # after the evaluation: the two that read b5(25n + 22), at n = 7, and
+    # ext.b25n72, whose b5(25n + 72) is read from the same entry, at n = 5
     closed = products._closed_form
 
     def corrupted(form, m, r, order):
@@ -237,4 +239,4 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
     monkeypatch.setattr(products, "_EXPANSIONS", {})
     monkeypatch.setattr(products, "_closed_form", corrupted)
     mismatches = {r.id: r.first_bad_index for r in verify_all("all", 300) if not r.ok}
-    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7}
+    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}

@@ -155,6 +155,28 @@ def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds
     assert built == builds
 
 
+def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeypatch):
+    # every sequence value is read through its constructor in SEQUENCES, at
+    # its own index: one wrong b5(297) = b5(25*11 + 22) = b5(5*59 + 2) in
+    # what gen_b5bar returns fails ext.b5.before_last at N = 100, at n = 11,
+    # though the b5 prefix is built only to 100
+    gen = products.gen_b5bar
+
+    def corrupted(order, m=1, r=0):
+        series = gen(order, m, r)
+        if order < 297:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[297] += 1
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "gen_b5bar", corrupted)
+    monkeypatch.setitem(products.SEQUENCES, "b5", corrupted)
+    report = verify("ext.b5.before_last", 100)
+    assert not report.ok and report.first_bad_index == 11
+
+
 def test_check_congruence_families():
     assert check_congruence("a5", 10, (20, 6), 600).ok
     assert check_congruence("a5", 10, (20, 14), 600).ok

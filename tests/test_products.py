@@ -123,6 +123,29 @@ def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):
     assert list(products._EXPANSIONS) == [("b5", 1, 0)]
 
 
+@pytest.mark.parametrize("m, r, order", [
+    (5, 2, 52), (25, 22, 120), (25, 72, 120), (4, -3, 30), (3, 4, 2), (7, 0, 0), (25, 22, 10)])
+@pytest.mark.parametrize("source", ["evaluated", "sliced"])
+def test_a_constructor_with_a_modulus_keeps_the_terms_at_that_residue(monkeypatch, source,
+                                                                      m, r, order):
+    # gen(M, m, r) is the generating function to q^M with every term whose
+    # exponent is not r mod m set to 0, whether the terms are evaluated on
+    # their own or sliced from a cached prefix that reaches M
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    for gen, name in ((gen_c5, "c5"), (gen_a5bar, "a5"), (gen_b5bar, "b5")):
+        full = gen(order)
+        expected = [c if x % m == r % m else 0 for x, c in enumerate(full.coeffs)]
+        products._EXPANSIONS.clear()
+        if source == "sliced":
+            gen(order)
+        part = gen(order, m, r)
+        assert part.order == order and list(part.coeffs) == expected, name
+        keys = {"sliced": [(name, 1, 0)],
+                "evaluated": [(name, m, r % m)] if order >= r % m else []}[source]
+        assert list(products._EXPANSIONS) == keys
+        products._EXPANSIONS.clear()
+
+
 # -- Euler products --------------------------------------------------------------
 
 
