@@ -23,8 +23,7 @@ import struct
 import sys
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import (CHI, FORMS, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5,
-                       sign_census)
+from .products import CHI, PHI, POCH, PSI, SEQ, F, P, R, evaluate_side, gen_c5, sign_census
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,16 +40,15 @@ class UsageError(Exception):
     pass
 
 
-# A list holds at most sys.maxsize bytes of pointers, and a sequence's closed
-# form reads up to _SHIFT slots past the index asked for.
+# A list holds at most sys.maxsize bytes of pointers; the longest list a read
+# to index top allocates has top + 1 slots.
 _MAX_SLOTS = sys.maxsize // struct.calcsize("P")
-_SHIFT = max(form.shift for form in FORMS.values())
 
 
 def _check_order(order: int, top: int) -> None:
     """A usage error when no list can hold the slots up to the largest
     index, top, that a command reads at the order."""
-    if top + _SHIFT >= _MAX_SLOTS:
+    if top >= _MAX_SLOTS:
         raise UsageError(f"order {order} is too large: no list can hold index {top}")
 
 

@@ -6,10 +6,10 @@ Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
 their common denominator so that none divides.  A family, a relation that
 holds a K, is the same check at each k = 2..kmax.  A census record reads
-``products.sign_census``.  Before a record is checked, ``_prefetch`` builds
-each sequence prefix it uses once, to the largest index up to the order
-that it reads; a deeper progression is evaluated on its own.  Everything is
-computed in exact integer or rational arithmetic.
+``products.sign_census``.  ``verify_all`` first builds each sequence's
+prefix to the order, once, where every later read at or below the order is
+a slice; a lone record builds only the progressions it reads.  Everything
+is computed in exact integer or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .registry import (
     build_registry,
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
+from .series import first_mismatch
 
 REGISTRY: dict[str, Record] = build_registry()
 
@@ -82,15 +83,6 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
             for side in sides]
 
 
-def _first_difference(a: tuple, b: tuple, step: int) -> int | None:
-    """The first n where a[n] and b[n] differ, or with a step > 0 where
-    a[n] - b[n] is not a multiple of it; None where there is none."""
-    if a == b:
-        return None
-    return next((n for n, (x, y) in enumerate(zip(a, b))
-                 if x != y and (not step or (x - y) % step)), None)
-
-
 def _compare(sides: Sequence[tuple], order: int,
              modulus: int = 0) -> tuple[int, object, object] | None:
     """The first n <= order where a side differs from the first, as
@@ -108,18 +100,20 @@ def _compare(sides: Sequence[tuple], order: int,
         sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
                  for side in sides]
     step = den * modulus
-    reference, *others = [evaluate_side(side, order).coeffs for side in _cleared(sides)]
+    reference, *others = [evaluate_side(side, order) for side in _cleared(sides)]
     for i, other in enumerate(others, 1):
-        n = _first_difference(reference, other, step)
-        if n is None:
+        bad = first_mismatch(reference, other, step)
+        if bad is None:
             continue
-        lhs, rhs = (evaluate_side(sides[j], n).coeffs for j in (0, i))
-        if _first_difference(lhs, rhs, step) != n:
+        n = bad[0]
+        bad = first_mismatch(*(evaluate_side(sides[j], n) for j in (0, i)), step)
+        if bad is None or bad[0] != n:
             raise ArithmeticError(f"sides differ first at n={n} with denominators cleared "
                                   "but not as written")
+        _, lhs, rhs = bad
         if modulus:
-            return n, _plain(lhs[n] - rhs[n], den), f"0 (mod {modulus})"
-        return n, _plain(lhs[n], den), _plain(rhs[n], den)
+            return n, _plain(lhs - rhs, den), f"0 (mod {modulus})"
+        return n, _plain(lhs, den), _plain(rhs, den)
     return None
 
 
@@ -140,53 +134,59 @@ def _mismatch(record: Record, order: int, bad: tuple[int, object, object] | None
                               lhs_value=lhs, rhs_value=rhs, detail=detail)
 
 
-def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
+def _checks(record: Record, order: int, kmax: int) -> Iterator[tuple]:
+    """(k, sides, top, modulus) for each comparison that verifying the record
+    at the order makes, to n = top: a series equality's sides to the order,
+    and a relation's, at each k = 2..kmax for a family, to its coverage."""
     if isinstance(record, SeriesEquality):
-        bad = _compare(record.sides, order)
-        if bad is not None:
-            return _mismatch(record, order, bad)
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
-
-    if isinstance(record, Relation):
-        family = record.family
-        if family and kmax < 2:
+        yield None, record.sides, order, 0
+    elif isinstance(record, Relation):
+        if record.family and kmax < 2:
             raise ValueError("kmax must be >= 2")
-        checked = []
-        for k in range(2, kmax + 1) if family else [None]:
+        for k in range(2, kmax + 1) if record.family else [None]:
             instance = record.at(k)
             sides = (instance.lhs, instance.rhs)
-            covered = _coverage(sides, order)
-            if covered < 0:
-                continue
-            bad = _compare(sides, covered, instance.modulus)
-            if bad is not None:
-                return _mismatch(record, order, bad, f"k={k}" if family else "")
-            checked.append(k)
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                  detail=f"k in {checked}" if family else "")
+            yield k, sides, _coverage(sides, order), instance.modulus
+    else:
+        raise TypeError(f"unhandled record type {type(record)!r}")
 
+
+def _census(record: CensusRecord, order: int) -> VerificationReport:
+    """The record's sign frequencies over n = 1..order against its bounds."""
+    if order < 1:
+        return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
+                                  detail="no indices in range (vacuous)")
+    census = sign_census(record.seq, order)
+    detail = (f"zero={census.zero} positive={census.positive} "
+              f"negative={census.negative} over n=1..{order}")
+    failures = [
+        name
+        for name, got, bound in (
+            ("zero", census.zero, record.zero_min),
+            ("positive", census.positive, record.positive_min),
+            ("negative", census.negative, record.negative_min),
+        )
+        if got < bound
+    ]
+    if failures:
+        return _mismatch(record, order, None, f"{detail}; below bound: {failures}")
+    return VerificationReport(record.id, record.kind, order, EXACT_MATCH, detail=detail)
+
+
+def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
     if isinstance(record, CensusRecord):
-        if order < 1:
-            return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                      detail="no indices in range (vacuous)")
-        census = sign_census(record.seq, order)
-        detail = (f"zero={census.zero} positive={census.positive} "
-                  f"negative={census.negative} over n=1..{order}")
-        failures = [
-            name
-            for name, got, bound in (
-                ("zero", census.zero, record.zero_min),
-                ("positive", census.positive, record.positive_min),
-                ("negative", census.negative, record.negative_min),
-            )
-            if got < bound
-        ]
-        if failures:
-            return _mismatch(record, order, None, f"{detail}; below bound: {failures}")
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                  detail=detail)
-
-    raise TypeError(f"unhandled record type {type(record)!r}")
+        return _census(record, order)
+    family = isinstance(record, Relation) and record.family
+    checked = []
+    for k, sides, top, modulus in _checks(record, order, kmax):
+        if top < 0:
+            continue
+        bad = _compare(sides, top, modulus)
+        if bad is not None:
+            return _mismatch(record, order, bad, f"k={k}" if family else "")
+        checked.append(k)
+    return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
+                              detail=f"k in {checked}" if family else "")
 
 
 def verify(record_id: str, order: int = DEFAULT_ORDER,
@@ -200,64 +200,38 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
 
 
 def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
-    """``_verify_record``, after the prefetch of the sequences it reads, with
-    its elapsed seconds on the report."""
+    """``_verify_record``, with its elapsed seconds on the report."""
     start = time.perf_counter()
-    _prefetch([record], order)
     report = _verify_record(record, order, kmax)
     return report._replace(elapsed=time.perf_counter() - start)
 
 
-def _reach(record: Record, order: int) -> Iterator[tuple[str, int]]:
-    """(name, index) for every sequence that verifying the record at the
-    order reads, to that index: a series equality reads the sequence of an
-    atom (name, m, r, s, k) to m*(order // k) + r, and a relation, a family
-    at every k, reads each of its sequences to the order, as does a
-    census."""
-    if isinstance(record, SeriesEquality):
-        for side in record.sides:
-            for _, _, factors in side:
-                for atom, _ in factors:
-                    if atom[0] in SEQUENCES:
-                        name, m, r, _, k = atom
-                        yield name, m * (order // k) + r
-    elif isinstance(record, Relation):
-        for _, _, factors in (*record.lhs, *record.rhs):
-            for atom, _ in factors:
-                yield atom[0], order
-    elif isinstance(record, CensusRecord) and order >= 1:
-        yield record.seq, order
-
-
 def largest_index(ids: Iterable[str], order: int) -> int:
-    """The largest index that verifying the records at the order reads: of
-    a sequence, or the order itself."""
-    return max([order, *(top for rid in ids for _, top in _reach(REGISTRY[rid], order))])
-
-
-def _prefetch(records: Iterable[Record], order: int) -> None:
-    """Build each sequence's prefix to the largest index up to the order
-    that any of the records reads, so the cache builds it once rather
-    than once per rising order; every later read at or below it is a slice.
-    A read past the order, such as b5(25n + 22), is a progression that
-    ``products`` evaluates on its own n."""
-    reach: dict[str, int] = {}
-    for record in records:
-        for name, top in _reach(record, order):
-            if top <= order:
-                reach[name] = max(reach.get(name, top), top)
-    for name, top in reach.items():
-        if top >= 0:
-            sequence(name, top)
+    """The largest index that verifying the records at the order reads: the
+    order itself, or m*(order // k) + r for a series equality's sequence atom
+    (name, m, r, s, k).  A relation reads no index past the order, since its
+    coverage caps every term's index there, and neither does a census."""
+    top = order
+    for rid in ids:
+        record = REGISTRY[rid]
+        if isinstance(record, SeriesEquality):
+            for side in record.sides:
+                for _, _, factors in side:
+                    for atom, _ in factors:
+                        if atom[0] in SEQUENCES:
+                            _, m, r, _, k = atom
+                            top = max(top, m * (order // k) + r)
+    return top
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
                kmax: int = DEFAULT_KMAX) -> list[VerificationReport]:
     """Verify every record of a tier, one after another, in registration
-    order, after one prefetch for all of them."""
-    ids = record_ids(tier)
-    _prefetch([REGISTRY[rid] for rid in ids], order)
-    return [verify(rid, order, kmax) for rid in ids]
+    order, after building each sequence's prefix to the order once, so that
+    the records slice it rather than build it again at each rising order."""
+    for name in SEQUENCES:
+        sequence(name, order)
+    return [verify(rid, order, kmax) for rid in record_ids(tier)]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> str:

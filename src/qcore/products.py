@@ -18,16 +18,16 @@ their heads, ``"theta_general"`` and ``"expand_pochhammer"``.
 
 The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
 only they keep their results.  ``_closed_form`` evaluates a sequence on any
-progression m*n + r, the prefix being m = 1, r = 0.  One cache, keyed by
-(name, m, r), holds the longest evaluation of each and serves every lower
-order by truncation, which gives the same coefficients as a fresh build;
-a progression inside the cached prefix is a slice of it, and a deeper
-one, such as b5(25n + 22), is evaluated on its own n.  Every read goes
-through the constructors in ``SEQUENCES``, which give the prefix or, with
-a modulus m, the terms at exponents r mod m alone.  Series are immutable,
-so sharing them across callers is safe.  ``sequence`` reads
-one of them by name, and ``sign_census`` counts its signs, so a census
-needs no registry.
+progression m*n + r with 0 <= r < m, the prefix being m = 1, r = 0.  One
+cache, keyed by (name, m, r), holds the longest evaluation of each and
+serves every lower order by truncation, which gives the same coefficients
+as a fresh build; a progression inside the cached prefix is a slice of it,
+and a deeper one, such as b5(25n + 22), is evaluated on its own n.  Every
+read goes through the constructors in ``SEQUENCES``, which give the prefix
+or, with a modulus m, the terms at exponents r mod m alone.  Series are
+immutable, so sharing them across callers is safe.  ``sequence`` reads one
+of them by name, and ``sign_census`` counts its signs, so a census needs no
+registry.
 """
 
 from __future__ import annotations
@@ -121,25 +121,16 @@ def theta_general(spec: ThetaSpec, order: int) -> TruncatedSeries:
     n >= 1 and for n <= -1 (since e1 + e2 >= 1), so each direction stops
     at the first exponent past the order.
     """
+    s1, e1, s2, e2 = spec
     out = [0] * (order + 1)
-
-    def accumulate(n: int) -> bool:
-        t1 = n * (n + 1) // 2
-        t2 = n * (n - 1) // 2
-        exp = spec.e1 * t1 + spec.e2 * t2
-        if exp > order:
-            return False
-        sign = (spec.s1 if t1 % 2 else 1) * (spec.s2 if t2 % 2 else 1)
-        out[exp] += sign
-        return True
-
-    accumulate(0)
-    n = 1
-    while accumulate(n):
-        n += 1
-    n = -1
-    while accumulate(n):
-        n -= 1
+    for ns in (count(0), count(-1, -1)):
+        for n in ns:
+            t1 = n * (n + 1) // 2
+            t2 = n * (n - 1) // 2
+            exp = e1 * t1 + e2 * t2
+            if exp > order:
+                break
+            out[exp] += (s1 if t1 % 2 else 1) * (s2 if t2 % 2 else 1)
     return TruncatedSeries(out, order)
 
 
@@ -268,7 +259,8 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     generating function at the progression's residue, to its largest
     index.  So a wrapper of a constructor, such as a tracer or an injected
     fault, sees every value an atom reads at that value's own index.  The
-    plain atom (name, 1, 0, 1, 1) is the cached prefix itself.
+    terms at a negative index are the zeros put in here, the only place that
+    meets one.  The plain atom (name, 1, 0, 1, 1) is the cached prefix itself.
     """
     head, *args = atom
     if head == "euler_f":
@@ -393,8 +385,8 @@ _LEGENDRE_5 = (0, 1, -1, -1, 1)     # (n | 5) at n mod 5
 
 
 def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeries:
-    """The form's sequence at m*n + r for n = 0..order, 0 at a negative
-    index; m = 1, r = 0 is its prefix.
+    """The form's sequence at m*n + r for n = 0..order, 0 <= r < m; m = 1,
+    r = 0 is its prefix.
 
     With chi = (. | 5) and big the largest t (every t divides big), big
     times the closed form at x = m*n + r + shift is the sum over d*e = x of
@@ -416,12 +408,11 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
             for i in range(big)]
     offset = r + form.shift             # x = m*n + offset
     acc = [0] * (order + 1)             # big times the closed form at n
-    first = max(0, -(r // m))           # the first n with m*n + r >= 0
-    if m * first + offset == 0 and first <= order:     # x = 0: E15(0) = -1/5
-        acc[first] = -sum(c * big for kind, _, c in form.terms if kind == "s15") // 5
-        first += 1
+    first = 0 if offset else 1          # the first n with x > 0
+    if not offset:                      # x = 0 at n = 0: E15(0) = -1/5
+        acc[0] = -sum(c * big for kind, _, c in form.terms if kind == "s15") // 5
     x0 = m * first + offset             # x at n = first
-    for d in range(1, isqrt(max(m * order + offset, 0)) + 1):
+    for d in range(1, isqrt(m * order + offset) + 1):
         g = gcd(d, m)
         if x0 % g:
             continue

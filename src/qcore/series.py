@@ -305,14 +305,17 @@ class TruncatedSeries:
 
 
 def first_mismatch(
-    a: TruncatedSeries, b: TruncatedSeries
+    a: TruncatedSeries, b: TruncatedSeries, modulus: int = 0
 ) -> tuple[int, int, int] | None:
-    """Smallest index where a and b differ (up to the shared order), or None."""
-    order = min(a.order, b.order)
+    """The smallest n up to the shared order where a[n] and b[n] differ, as
+    (n, a[n], b[n]), or None; with a modulus m > 0, where a[n] - b[n] is not
+    a multiple of m."""
     ca, cb = a.coeffs, b.coeffs
-    for n in range(order + 1):
-        if ca[n] != cb[n]:
-            return n, ca[n], cb[n]
+    if ca == cb:
+        return None
+    for n, (x, y) in enumerate(zip(ca, cb)):
+        if x != y and (not modulus or (x - y) % modulus):
+            return n, x, y
     return None
 
 

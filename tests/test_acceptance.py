@@ -5,8 +5,14 @@ pass lines and timings.  Census and congruence sweeps run at N=10000, the
 identity tiers at their stated orders; the module takes a few seconds.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from conftest import THETA_CORPUS
 
@@ -176,6 +182,32 @@ def test_criterion_10_fault_injection(capsys):
     finally:
         unregister("selftest.acceptance.corrupt")
     _passed(10, "corrupted registry entry reports first bad index, exit code nonzero")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("fault, argv, check", [
+    ("--corrupt gen_b5bar:297", "verify ext.b5.before_last -N 100",
+     lambda code, out, err: code == EXIT_MISMATCH and "mismatch N=100 index=11 " in out),
+    ("--crash euler_f", "verify lemma.A4B -N 100",
+     lambda code, out, err: code == EXIT_MISMATCH
+     and err.endswith("RuntimeError: injected crash in euler_f\n")),
+    ("--corrupt gen_b5bar:306", "expand b5bar 500",
+     lambda code, out, err: code == 0 and out.split()[306] == "1"),
+])
+def test_benchmark_faults_reach_the_values_they_corrupt(fault, argv, check):
+    # perfbench's self-test injects these faults by wrapping a constructor
+    # wherever a qcore module holds it, SEQUENCES included: a sequence value
+    # must be read through its constructor at its own index, and an F atom
+    # through products.euler_f, for the fault to reach the report
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launcher.py"), *fault.split(), "--",
+         *argv.split()],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert check(proc.returncode, proc.stdout, proc.stderr), (proc.returncode, proc.stdout,
+                                                              proc.stderr[-500:])
 
 
 def test_criterion_11_performance_envelope():

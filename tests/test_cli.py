@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import _brute as brute
-from qcore import products, register, unregister
+from qcore import cli, products, register, unregister
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
 
@@ -292,9 +292,17 @@ def test_order_too_large_to_index_is_usage_error(tmp_path, capsys, argv):
     assert path.read_text() == "0 1\n"
 
 
+def test_check_order_refuses_the_first_index_no_list_can_hold():
+    # a read to index top allocates top + 1 slots at most; the bound itself is
+    # checked without allocating anything
+    cli._check_order(0, cli._MAX_SLOTS - 1)
+    with pytest.raises(cli.UsageError, match=f"no list can hold index {cli._MAX_SLOTS}$"):
+        cli._check_order(0, cli._MAX_SLOTS)
+
+
 @pytest.mark.parametrize("argv", [
     "verify all -N 10",
-    "verify thm3.b5_20n_15 -N 10",
+    "verify thm3.b5_20n_15 -N 15",
     "expand c5 10",
     "census b5bar -N 10",
     "bfile export c5 {path} -N 10",

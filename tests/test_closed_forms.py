@@ -11,13 +11,14 @@ equals the quotient once their first sturm + 1 coefficients agree.
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcore import evaluate_side, products, verify_all
-from qcore.products import FORMS, SEQUENCES, F, P
+from qcore.products import FORMS, SEQ, SEQUENCES, F, P
 
 LEGENDRE_5 = (0, 1, -1, -1, 1)
 
@@ -170,10 +171,12 @@ def test_the_prefix_is_the_divisor_sum_sieve():
 @example("a5", 5, 0, 300)
 @example("b5", 1, 0, 0)
 def test_a_progression_is_the_slice_of_the_prefix(name, m, r, order):
-    # the one evaluator on n = 0..order at m*n + r, against the prefix it
-    # evaluates at m = 1, r = 0, which the tests above pin to the divisor
-    # sums and the product side; a negative index is 0
-    series = products._closed_form(FORMS[name], m, r, order)
+    # a sequence atom on n = 0..order at m*n + r, read from an empty cache,
+    # so through the one evaluator at its own progression, against the
+    # evaluator's prefix (m = 1, r = 0), which the tests above pin to the
+    # divisor sums and the product side; a negative index is 0
+    with patch.dict(products._EXPANSIONS, clear=True):
+        series = evaluate_side((P(1, 0, SEQ(name, m, r)),), order)
     expected = [prefix(name)[m * n + r] if m * n + r >= 0 else 0 for n in range(order + 1)]
     assert series.order == order and list(series.coeffs) == expected
 

@@ -30,7 +30,7 @@ from qcore.cli import EXIT_MISMATCH, EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# cor.census misses its zero bound at these unaligned orders (ROADMAP item 5)
+# cor.census misses its zero bound at these unaligned orders (ROADMAP item 2)
 CENSUS_FAILS = (1, 7, 61)
 
 EXPAND_NAMES = (

@@ -137,13 +137,17 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
 
 
 @pytest.mark.parametrize("rid, order, builds", [
-    ("thm2.recurrence", 300, [(("b5", 1, 0), 300)]),
+    ("thm2.recurrence", 300, [(("b5", 25, 22), 11), (("b5", 5, 2), 11), (("b5", 1, 0), 9)]),
     ("ext.b5.before_last", 60, [(("b5", 25, 22), 60), (("b5", 5, 2), 60)]),
+    ("thm3.b5_20n_15", 10, []),
 ])
 def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds):
-    # a family reads b5 to N at every k, so its prefix is built once, to N;
-    # before_last reads b5(25n+22) and b5(5n+2) for n <= N and no prefix:
-    # each progression is evaluated once, at N+1 points
+    # a lone record builds only the progressions it reads, each once.  At
+    # N = 300 the family covers n <= 9 at k = 2, reading b5(25n+72), b5(5n+12)
+    # and b5(n), and nothing at k = 3: b5(25n+72) is the entry (b5, 25, 22)
+    # to n = 11 and b5(5n+12) the entry (b5, 5, 2) to n = 11.  before_last
+    # reads b5(25n+22) and b5(5n+2) for n <= N and no prefix.  b5(20n+15)
+    # covers no n <= 10, so reads nothing and builds nothing
     class Recording(dict):
         def __setitem__(self, key, series):
             built.append((key, series.order))
@@ -159,7 +163,7 @@ def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeyp
     # every sequence value is read through its constructor in SEQUENCES, at
     # its own index: one wrong b5(297) = b5(25*11 + 22) = b5(5*59 + 2) in
     # what gen_b5bar returns fails ext.b5.before_last at N = 100, at n = 11,
-    # though the b5 prefix is built only to 100
+    # though no b5 prefix is built
     gen = products.gen_b5bar
 
     def corrupted(order, m=1, r=0):

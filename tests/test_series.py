@@ -706,3 +706,11 @@ def test_first_mismatch():
     b = S(1, 2, 7, 4)
     assert first_mismatch(a, b) == (2, 3, 7)
     assert first_mismatch(a, a) is None
+    # with a modulus, only a difference that is not a multiple of it counts
+    assert first_mismatch(a, b, 4) is None
+    assert first_mismatch(a, b, 3) == (2, 3, 7)
+    assert first_mismatch(S(1, 5, 3, 4), b, 4) == (1, 5, 2)
+    assert first_mismatch(a, a, 5) is None
+    # up to the shared order
+    assert first_mismatch(S(1, 2), b) is None
+    assert first_mismatch(S(1, 2, 3, 4, 9), a) is None
