@@ -8,8 +8,13 @@ their common denominator so that none divides.  A family, a relation that
 holds a K, is the same check at each k = 2..kmax.  A census record reads
 ``products.sign_census``.  ``verify_all`` first builds each sequence's
 prefix to the order, once, where every later read at or below the order is
-a slice; a lone record builds only the progressions it reads.  Everything
-is computed in exact integer or rational arithmetic.
+a slice; a lone record builds only the progressions it reads.
+``verify_all`` also plans every side it will compare (``compared_sides``)
+and runs its records with one run-scoped table of products
+(``products.shared_products``): a product that several sides need is made
+once and held only until the last of them has read it, and nothing of it
+outlives the call.  Everything is computed in exact integer or rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import SEQUENCES, P, evaluate_side, sequence, sign_census
+from .products import (
+    SEQUENCES,
+    P,
+    evaluate_side,
+    sequence,
+    shared_products,
+    sign_census,
+)
 from .registry import (
     CensusRecord,
     Record,
@@ -83,6 +95,16 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
             for side in sides]
 
 
+def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:
+    """(den, the sides times den), den the lcm of the denominators of the
+    sides' coefficients, so that every coefficient is an integer."""
+    den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
+    if den > 1:
+        sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
+                 for side in sides]
+    return den, sides
+
+
 def _compare(sides: Sequence[tuple], order: int,
              modulus: int = 0) -> tuple[int, object, object] | None:
     """The first n <= order where a side differs from the first, as
@@ -95,10 +117,7 @@ def _compare(sides: Sequence[tuple], order: int,
     finds the same first n without a division; on a mismatch the two sides
     involved are expanded again as written, to the mismatch index, for the
     values at n."""
-    den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
-    if den > 1:
-        sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
-                 for side in sides]
+    den, sides = _integral(sides)
     step = den * modulus
     reference, *others = [evaluate_side(side, order) for side in _cleared(sides)]
     for i, other in enumerate(others, 1):
@@ -224,14 +243,35 @@ def largest_index(ids: Iterable[str], order: int) -> int:
     return top
 
 
+def compared_sides(ids: Iterable[str], order: int, kmax: int) -> list[tuple]:
+    """(side, n) for each side that verifying the records at the order
+    expands, to n, in the order ``_compare`` expands them: the sides of each
+    comparison of ``_checks``, with the denominators multiplied through and
+    cleared."""
+    return [(side, top) for rid in ids if not isinstance(REGISTRY[rid], CensusRecord)
+            for _, sides, top, _ in _checks(REGISTRY[rid], order, kmax) if top >= 0
+            for side in _cleared(_integral(sides)[1])]
+
+
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
                kmax: int = DEFAULT_KMAX) -> list[VerificationReport]:
     """Verify every record of a tier, one after another, in registration
     order, after building each sequence's prefix to the order once, so that
-    the records slice it rather than build it again at each rising order."""
+    the records slice it rather than build it again at each rising order.
+
+    The records run inside one ``shared_products`` block over the sides of
+    their series equalities (``compared_sides``): a product of atom powers
+    that several sides need is made by the first and read by the others,
+    and held only until the last of them has read it.  A relation's terms
+    are one sequence atom each, so its sides make no product to share.
+    Each record is still one ``verify`` call with its own report, and its
+    elapsed time counts a shared product only in the record that made it."""
+    ids = record_ids(tier)
     for name in SEQUENCES:
         sequence(name, order)
-    return [verify(rid, order, kmax) for rid in record_ids(tier)]
+    equalities = [rid for rid in ids if isinstance(REGISTRY[rid], SeriesEquality)]
+    with shared_products(compared_sides(equalities, order, kmax)):
+        return [verify(rid, order, kmax) for rid in ids]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> str:

@@ -8,7 +8,11 @@ exponents fit under the truncation order; there are no heuristic cutoffs.
 ``euler_f``, ``phi`` and ``psi`` are its specializations.
 
 Every named series is a side: a sum of product terms over atoms, which
-``evaluate_side`` expands.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
+``evaluate_side`` expands by running the side's plan (``plan_side``), its
+products as (monomial, left, right) steps.  Inside a ``shared_products``
+block, as in ``identities.verify_all``, a product that several sides of
+the block need is made once and held only until the last of them has read
+it.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
 ``SEQ``, ``POCH``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
 Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
 of Pochhammer factors, such as the Jacobi triple product, is a side of
@@ -17,7 +21,7 @@ so equal specs of the two kinds are equal; their atoms stay distinct by
 their heads, ``"theta_general"`` and ``"expand_pochhammer"``.
 
 The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
-only they keep their results.  ``_closed_form`` evaluates a sequence on any
+only they keep their results past a call.  ``_closed_form`` evaluates a sequence on any
 progression m*n + r with 0 <= r < m, the prefix being m = 1, r = 0.  One
 cache, keyed by (name, m, r), holds the longest evaluation of each and
 serves every lower order by truncation, which gives the same coefficients
@@ -33,6 +37,8 @@ registry.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
+from contextlib import contextmanager
 from itertools import accumulate, count, repeat
 from math import gcd, isqrt
 from operator import add, floordiv
@@ -289,66 +295,214 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
     return series.inflate(k, order)
 
 
-def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
-    """Expand one side, a sum of coeff * q^shift * prod atom^e, to the order.
+# -- evaluating a side: a plan of products ------------------------------------
+#
+# A monomial is a product of atom powers, the frozenset of its (atom, e)
+# pairs, one pair per atom.  An atom's own monomial, {(atom, 1)}, is a leaf:
+# the atom's series, from its constructor.
+
+Plan = namedtuple("Plan", "atoms steps terms common divisors")
+
+
+def _leaf(atom: tuple) -> frozenset:
+    return frozenset(((atom, 1),))
+
+
+def plan_side(side: tuple) -> Plan:
+    """The products that ``evaluate_side`` makes for a side, as data.
 
     Each atom's lowest exponent over the terms (0 where a term lacks it) is
-    factored out of the sum: the terms are summed with nonnegative
-    exponents, the sum is multiplied by every atom common to all terms and
-    only then divided by the common denominator, one atom at a time.  A
-    dense series times a theta or Euler atom costs about one pass over it
-    per nonzero term of the atom (``mul``), where after a division it would
-    be a product of two dense series; a division costs the order times the
-    nonzero terms of one atom rather than of their dense product.
-    ``identities`` clears the denominators of a series identity, so that
-    its sides do not divide at all.  An atom appears at most
-    once per term, as ``P`` writes it.  Powers of an atom are built once
-    per side by squaring: x^2k = (x^k)^2 and x^(k+1) = x^k * x.  A lone
-    term 1 * q^0 leaves the sum as the unit series, which is never
-    multiplied by.  A side with no terms is the zero series.
+    factored out of the sum, except that a lone term 1 * q^0 keeps its
+    positive exponents.  ``terms`` holds each term as (coeff, shift,
+    monomial), the monomial of its remaining exponents or None for 1.
+    ``common`` lists what multiplies the sum: the power of each atom
+    factored out of several terms, one at a time, or a lone term's product
+    of them.  ``divisors`` lists each atom divided by, with how many times.
+    ``steps`` maps each monomial that is a product to its (left, right)
+    factors, a factor before the product it makes: a power of an atom by
+    squaring, x^2k = x^k * x^k and x^(k+1) = x^k * x, and a product of
+    powers by chaining them in the order the atoms are first seen in the
+    side.
+    """
+    exponents = [dict(factors) for _, _, factors in side]
+    atoms = tuple(dict.fromkeys(atom for term in exponents for atom in term))
+    low = {atom: min(term.get(atom, 0) for term in exponents) for atom in atoms}
+    lone = len(side) == 1
+    if lone and side[0][:2] == (1, 0):
+        low = {atom: min(e, 0) for atom, e in low.items()}
+    steps = {}
+
+    def power(atom, e):
+        mono = frozenset(((atom, e),))
+        if e > 1 and mono not in steps:
+            if e % 2:
+                left, right = power(atom, e - 1), power(atom, 1)
+            else:
+                left = right = power(atom, e // 2)
+            steps[mono] = left, right
+        return mono
+
+    def product(pairs):
+        mono = None
+        for atom, e in pairs:
+            if e:
+                factor = power(atom, e)
+                if mono is None:
+                    mono = factor
+                else:
+                    left, mono = mono, mono | factor
+                    steps.setdefault(mono, (left, factor))
+        return mono
+
+    terms = tuple((coeff, shift, product((atom, term.get(atom, 0) - low[atom]) for atom in atoms))
+                  for (coeff, shift, _), term in zip(side, exponents))
+    positive = [(atom, e) for atom, e in low.items() if e > 0]
+    if lone:
+        common = (product(positive),) if positive else ()
+    else:
+        common = tuple(power(atom, e) for atom, e in positive)
+    divisors = tuple((atom, -e) for atom, e in low.items() if e < 0)
+    return Plan(atoms, steps, terms, common, divisors)
+
+
+def _reads(plan: Plan, held) -> dict:
+    """How many times evaluating the plan reads each monomial, when the run
+    already holds the products for which ``held`` is true: once for each
+    term, entry of ``common`` and divisor that uses it, and once for each
+    of its uses as a factor of a product that the side makes itself.  A
+    held product is read, not made, so the side reads no factor for it."""
+    reads = {}
+
+    def read(mono):
+        reads[mono] = reads.get(mono, 0) + 1
+        if reads[mono] == 1 and mono in plan.steps and not held(mono):
+            for factor in plan.steps[mono]:
+                read(factor)
+
+    for _, _, mono in plan.terms:
+        if mono is not None:
+            read(mono)
+    for mono in plan.common:
+        read(mono)
+    for atom, _ in plan.divisors:
+        read(_leaf(atom))
+    return reads
+
+
+RunPlan = namedtuple("RunPlan", "touches products")
+
+
+def plan_run(sides: Iterable[tuple]) -> RunPlan:
+    """The products of evaluating each (side, order) of ``sides`` in turn,
+    where a side reads a product that an earlier side made rather than make
+    it again.  ``touches`` maps each (monomial, order) made to the number of
+    sides that touch it, the one that makes it and each later one that
+    reads it; ``products`` counts the ``mul`` calls of the whole run, one
+    per product made and one per entry of a side's ``common``."""
+    made, touches, products = set(), {}, 0
+    for side, order in sides:
+        plan = plan_side(side)
+        products += len(plan.common)
+        for mono in _reads(plan, lambda mono: (mono, order) in made):
+            if mono in plan.steps:
+                key = mono, order
+                touches[key] = touches.get(key, 0) + 1
+                made.add(key)
+    return RunPlan(touches, products + len(touches))
+
+
+# (monomial, order) -> [sides still to touch it, its series or None]: the
+# products that more than one side of the running ``shared_products`` block
+# touches, each held from the side that makes it to the last that reads it
+_RUN: dict = {}
+
+
+@contextmanager
+def shared_products(sides: Iterable[tuple]):
+    """Run the block, which evaluates each (side, order) of ``sides`` in
+    turn, with each product that more than one of them touches
+    (``plan_run``) made once.  A product is held from the side that makes
+    it until the last side that reads it has read it, and the table is
+    empty when the block ends, however it ends."""
+    _RUN.update((key, [n, None]) for key, n in plan_run(sides).touches.items() if n > 1)
+    try:
+        yield
+    finally:
+        _RUN.clear()
+
+
+def _share(key: tuple, make) -> TruncatedSeries:
+    """The product at key, from the run's table or from ``make``; counted as
+    one side's touch, and held only while a later side still needs it."""
+    entry = _RUN.get(key)
+    if entry is None:
+        return make()
+    if entry[1] is None:
+        entry[1] = make()
+    entry[0] -= 1
+    if not entry[0]:
+        del _RUN[key]
+    return entry[1]
+
+
+def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
+    """Expand one side, a sum of coeff * q^shift * prod atom^e, to the order,
+    by running its plan (``plan_side``).
+
+    The terms are summed with nonnegative exponents, the sum is multiplied
+    by every atom common to all terms and only then divided by the common
+    denominator, one atom at a time.  A dense series times a theta or Euler
+    atom costs about one pass over it per nonzero term of the atom
+    (``mul``), where after a division it would be a product of two dense
+    series; a division costs the order times the nonzero terms of one atom
+    rather than of their dense product.  ``identities`` clears the
+    denominators of a series identity, so that its sides do not divide at
+    all.  An atom appears at most once per term, as ``P`` writes it.
+
+    Every atom is expanded by its constructor once per side.  A product is
+    made once per side and dropped after its last read there; inside a
+    ``shared_products`` block, one that an earlier side of the block made
+    is read from the block's table instead.  A lone term 1 * q^0 leaves the
+    sum as the unit series, which is never multiplied by.  A side with no
+    terms is the zero series.
     """
     if not side:
         return TruncatedSeries.zero(order)
-    atoms = dict.fromkeys(atom for _, _, factors in side for atom, _ in factors)
-    low = {atom: min(dict(factors).get(atom, 0) for _, _, factors in side)
-           for atom in atoms}
-    powers = {}
+    plan = plan_side(side)
+    reads = _reads(plan, lambda mono: (mono, order) in _RUN and _RUN[mono, order][1] is not None)
+    values = {}
+    for atom in plan.atoms:     # read or not, so that a wrapped constructor sees it
+        series = _atom_series(atom, order)
+        if _leaf(atom) in reads:
+            values[_leaf(atom)] = series
 
-    def power(atom, e):
-        table = powers.get(atom)
-        if table is None:
-            table = powers[atom] = {1: _atom_series(atom, order)}
-        if e not in table:
-            if e % 2:
-                table[e] = power(atom, e - 1).mul(table[1])
-            else:
-                half = power(atom, e // 2)
-                table[e] = half.mul(half)
-        return table[e]
+    def make(mono):
+        left, right = plan.steps[mono]
+        return take(left).mul(take(right))
+
+    def take(mono):
+        value = values.get(mono)
+        if value is None:
+            value = values[mono] = _share((mono, order), lambda: make(mono))
+        reads[mono] -= 1
+        if not reads[mono]:
+            del values[mono]
+        return value
 
     total = None    # the sum so far; None while it is the unit series
-    for coeff, shift, factors in side:
-        exponents = dict(factors)
-        product = None
-        for atom in atoms:
-            e = exponents.get(atom, 0) - low[atom]
-            if e:
-                factor = power(atom, e)
-                product = factor if product is None else product.mul(factor)
-        if product is None:
-            if len(side) == 1 and coeff == 1 and shift == 0:
-                continue
+    for coeff, shift, mono in plan.terms:
+        if mono is not None:
+            product = take(mono)
+        elif len(side) == 1 and coeff == 1 and shift == 0:
+            continue
+        else:
             product = TruncatedSeries.one(order)
         term = product.shift(shift).scale(coeff)
         total = term if total is None else total.add(term)
-    for atom, e in low.items():
-        if e > 0:
-            total = power(atom, e) if total is None else total.mul(power(atom, e))
-    # only the atoms divided by are needed from here on; x^2 and x^4 of a
-    # lone x^5 need not stay alive through the divisions
-    divisors = [(power(atom, 1), -e) for atom, e in low.items() if e < 0]
-    powers.clear()
-    for x, times in divisors:
+    for mono in plan.common:
+        total = total.mul(take(mono))
+    for atom, times in plan.divisors:
+        x = take(_leaf(atom))
         for _ in range(times):
             total = x.invert() if total is None else total.div(x)
     return TruncatedSeries.one(order) if total is None else total

@@ -12,7 +12,7 @@ import operator
 import struct
 from collections.abc import Iterable, Iterator
 from itertools import compress
-from math import gcd, log2
+from math import gcd, isqrt, log2
 from sys import int_info
 
 
@@ -139,8 +139,9 @@ class TruncatedSeries:
         in q^g: the kernel multiplies ``coeffs[::g]`` at order
         ``order // g`` and the result is spread back over every g-th slot.
         The skipped slots are zero, so this is exact.  A q^1 term in either
-        factor makes g = 1 without listing the denser factor's support.  A
-        square, ``x.mul(x)``, packs its operand once.
+        factor makes g = 1, and otherwise ``_deflation`` finds g without
+        listing the denser factor's support.  A square, ``x.mul(x)``, packs
+        its operand once.
 
         Of the two kernels, ``_convolve_shifted`` costs about one pass over
         the packed denser factor per nonzero term of the sparser one,
@@ -161,7 +162,7 @@ class TruncatedSeries:
         if nb < na:
             a, b = b, a
         ia = _support(a)
-        g = 1 if order and (a[1] or b[1]) else gcd(*ia, *_support(b))
+        g = 1 if order and (a[1] or b[1]) else _deflation(ia, b, max(na, nb))
         sub = order
         if g > 1:
             square = b is a
@@ -325,6 +326,26 @@ def first_mismatch(
 def _support(coeffs) -> list:
     """Indices of the nonzero coefficients, ascending."""
     return list(compress(range(len(coeffs)), coeffs))
+
+
+def _deflation(ia: list, b, nb: int) -> int:
+    """gcd(*ia, *support of b), for b with nb nonzero terms.
+
+    With g0 = gcd(*ia), that is the largest divisor d of g0 for which
+    ``b[::d]`` holds all nb nonzero terms of b, each tried from the largest
+    down at the cost of one slice.  When ia is [0], g0 = 0 and the gcd is
+    taken over b's support."""
+    g0 = gcd(*ia)
+    if not g0:
+        return gcd(*_support(b))
+    small = [d for d in range(1, isqrt(g0) + 1) if g0 % d == 0]
+    for d in dict.fromkeys([g0 // d for d in small] + small[::-1]):
+        if d == 1:
+            break
+        picked = b[::d]
+        if len(picked) - picked.count(0) == nb:
+            return d
+    return 1
 
 
 def _spread(vals: list, g: int, order: int) -> list:

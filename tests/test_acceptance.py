@@ -5,11 +5,13 @@ pass lines and timings.  Census and congruence sweeps run at N=10000, the
 identity tiers at their stated orders; the module takes a few seconds.
 """
 
+import json
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,9 @@ from qcore import (
     verify_all,
 )
 from qcore.cli import EXIT_MISMATCH, main as cli_main
+from qcore.defaults import DEFAULT_KMAX
+from qcore.identities import compared_sides, record_ids
+from qcore.products import plan_run
 from qcore.registry import SEQ, F, P, SeriesEquality
 
 
@@ -208,6 +213,24 @@ def test_benchmark_faults_reach_the_values_they_corrupt(fault, argv, check):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert check(proc.returncode, proc.stdout, proc.stderr), (proc.returncode, proc.stdout,
                                                               proc.stderr[-500:])
+
+
+def test_a_traced_verify_all_has_one_verify_span_per_record(tmp_path):
+    # perfbench/run.py builds its per-record metrics from identities.verify
+    # spans, so verify_all must call verify once per record; and the run
+    # makes each product of its plan once, one series.mul span each
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launcher.py"), "--trace", str(trace), "--",
+         "verify", "all", "-N", "100"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    spans = Counter(span[0] for span in json.loads(trace.read_text())["spans"])
+    ids = record_ids("all")
+    assert spans["identities.verify"] == len(ids) == 74
+    plan = plan_run(compared_sides(ids, 100, DEFAULT_KMAX))
+    assert spans["series.mul"] == plan.products
 
 
 def test_criterion_11_performance_envelope():

@@ -18,6 +18,7 @@ from qcore import (
 )
 from qcore import NonUnitConstantTerm, identities, products
 from qcore.cli import resolve_series
+from qcore.defaults import DEFAULT_KMAX
 from qcore.identities import REGISTRY
 from qcore.registry import SEQ, F, K, P, Relation, SeriesEquality, T
 from qcore.series import TruncatedSeries
@@ -320,6 +321,88 @@ def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
     finally:
         unregister(record.id)
     assert orders == [800, 800, 1, 1]
+
+
+# -- one run-scoped table of products -------------------------------------------
+
+
+def _counting_mul(monkeypatch):
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(TruncatedSeries, "mul", counted)
+    return calls
+
+
+def test_verify_all_makes_each_product_of_its_plan_once(monkeypatch):
+    # the sides that ext.a5.* and ext.b5.* rewrite share their products
+    # (f10^5, psi(-q) psi(-q^5)^3, phi(-q^5)^3, ...): the run makes each
+    # distinct one once, where its records verified one by one make more
+    ids = record_ids("all")
+    plan = products.plan_run(identities.compared_sides(ids, 1500, DEFAULT_KMAX))
+    alone = sum(products.plan_run([pair]).products
+                for pair in identities.compared_sides(ids, 1500, DEFAULT_KMAX))
+    calls = _counting_mul(monkeypatch)
+    assert all(report.ok for report in verify_all("all", 1500))
+    assert len(calls) == plan.products < alone
+    assert products._RUN == {}
+
+
+@pytest.mark.parametrize("rid", ["dissection.inv_f1_5", "ext.b5.before_last", "thm3.b5_10n"])
+def test_a_lone_verify_plans_only_its_own_sides(monkeypatch, rid):
+    # outside verify_all each side is its own run: it makes its products
+    # once, and none of another side's
+    pairs = identities.compared_sides([rid], 300, DEFAULT_KMAX)
+    calls = _counting_mul(monkeypatch)
+    assert verify(rid, 300).ok
+    assert len(calls) == sum(products.plan_run([pair]).products for pair in pairs)
+
+
+def test_the_run_table_is_empty_after_every_run(monkeypatch):
+    assert verify_all("all", 300)
+    assert products._RUN == {}
+    # an error partway through, while the table holds products for later
+    # records, leaves it empty too
+    euler, held = products.euler_f, []
+
+    def failing(*args):
+        held.append(sum(value is not None for _, value in products._RUN.values()))
+        if held[-1]:
+            raise RuntimeError("injected crash in euler_f")
+        return euler(*args)
+
+    monkeypatch.setattr(products, "euler_f", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        verify_all("all", 300)
+    assert held[-1] > 0
+    assert products._RUN == {}
+
+
+def test_a_wrong_record_among_records_that_share_its_products(monkeypatch):
+    # ext.b5.eliminate_2 with 4 for its last coefficient 5, placed right
+    # after it, reads the products that its neighbours make: it fails where
+    # it fails alone, with the same values, and its neighbours still match
+    base = REGISTRY["ext.b5.eliminate_2"]
+    lhs, rhs = base.sides
+    wrong = SeriesEquality("selftest.eliminate_2", "selftest", "eliminate_2 with 4 for 5",
+                           (lhs, rhs[:-1] + ((4, *rhs[-1][1:]),)))
+    expected = [report._replace(elapsed=None) for report in verify_all("all", 600)]
+    registry = {}
+    for rid, record in REGISTRY.items():
+        registry[rid] = record
+        if rid == base.id:
+            registry[wrong.id] = wrong
+    monkeypatch.setattr(identities, "REGISTRY", registry)
+    shared = products.plan_run(identities.compared_sides([base.id, wrong.id], 600, DEFAULT_KMAX))
+    assert max(shared.touches.values()) > 1
+    alone = verify(wrong.id, 600)
+    assert not alone.ok and alone.first_bad_index is not None
+    reports = [report._replace(elapsed=None) for report in verify_all("all", 600)]
+    assert reports.pop(list(registry).index(wrong.id)) == alone._replace(elapsed=None)
+    assert reports == expected
 
 
 def test_series_equalities_divide_only_to_build_sequences(monkeypatch):

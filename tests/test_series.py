@@ -589,6 +589,31 @@ def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
     check()
 
 
+_DEFLATION_CASES = st.one_of(
+    *_PRICING_CASES.values(),
+    # a constant sparser factor: its support [0] leaves g to the other's
+    st.tuples(st.integers(-9, 9).filter(bool),
+              st.sampled_from((1, 2, 3, 5, 6)).flatmap(lambda g: _priced_operand(g=g))).map(
+        lambda cy: (TruncatedSeries.monomial(cy[1].order, cy[0]), cy[1])),
+    st.tuples(_priced_operand(), _priced_operand(g=1).map(_with_q1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEFLATION_CASES)
+@example((TruncatedSeries.one(40), euler_f(1, 20).inflate(2, 40)))
+@example((euler_f(2, 60).inflate(3, 180), euler_f(1, 30).inflate(6, 180)))
+def test_deflation_is_the_gcd_of_both_supports(pair):
+    # mul's g from the sparser factor's support and slices of the other,
+    # for either factor as the sparser one
+    x, y = pair
+    order = min(x.order, y.order)
+    a, b = x.coeffs[: order + 1], y.coeffs[: order + 1]
+    for a, b in ((a, b), (b, a)):
+        nb = len(b) - b.count(0)
+        assert series_module._deflation(_support(a), b, nb) == gcd(*_support(a), *_support(b))
+
+
 # -- deflated operands and the division agree with the naive helpers -----------
 #
 # Operands in q^g are multiplied and divided on every g-th coefficient.
