@@ -36,8 +36,8 @@ _EXPORTS = {
     **dict.fromkeys(("Partition", "count_t_cores", "t_cores"), "partitions"),
     **dict.fromkeys(("CensusResult", "PochhammerFactor", "ThetaSpec", "UnknownSequence",
                      "euler_f", "evaluate_side", "expand_pochhammer", "gen_a5bar", "gen_b5bar",
-                     "gen_c5", "phi", "psi", "sequence", "sign_census", "theta_general",
-                     "triple_product"), "products"),
+                     "gen_c5", "phi", "psi", "sequence", "sign_census", "theta_general"),
+                    "products"),
     **dict.fromkeys(("CORE", "EXTENDED", "Record"), "registry"),
     **dict.fromkeys(("EXACT_MATCH", "MISMATCH", "SKIPPED", "VerificationReport"), "reports"),
     **dict.fromkeys(("NonUnitConstantTerm", "TruncatedSeries", "first_mismatch"), "series"),

@@ -312,12 +312,12 @@ def plan_side(side: tuple) -> Plan:
     """The products that ``evaluate_side`` makes for a side, as data.
 
     Each atom's lowest exponent over the terms (0 where a term lacks it) is
-    factored out of the sum, except that a lone term 1 * q^0 keeps its
-    positive exponents.  ``terms`` holds each term as (coeff, shift,
-    monomial), the monomial of its remaining exponents or None for 1.
-    ``common`` lists what multiplies the sum: the power of each atom
-    factored out of several terms, one at a time, or a lone term's product
-    of them.  ``divisors`` lists each atom divided by, with how many times.
+    factored out of the sum, except that a one-term side keeps its positive
+    exponents.  ``terms`` holds each term as (coeff, shift, monomial), the
+    monomial of its remaining exponents or None for 1.  ``common`` lists
+    the power of each atom factored out of several terms, which multiplies
+    the sum, one at a time.  ``divisors`` lists each atom divided by, with
+    how many times.
     ``steps`` maps each monomial that is a product to its (left, right)
     factors, a factor before the product it makes: a power of an atom by
     squaring, x^2k = x^k * x^k and x^(k+1) = x^k * x, and a product of
@@ -327,8 +327,7 @@ def plan_side(side: tuple) -> Plan:
     exponents = [dict(factors) for _, _, factors in side]
     atoms = tuple(dict.fromkeys(atom for term in exponents for atom in term))
     low = {atom: min(term.get(atom, 0) for term in exponents) for atom in atoms}
-    lone = len(side) == 1
-    if lone and side[0][:2] == (1, 0):
+    if len(side) == 1:
         low = {atom: min(e, 0) for atom, e in low.items()}
     steps = {}
 
@@ -356,11 +355,7 @@ def plan_side(side: tuple) -> Plan:
 
     terms = tuple((coeff, shift, product((atom, term.get(atom, 0) - low[atom]) for atom in atoms))
                   for (coeff, shift, _), term in zip(side, exponents))
-    positive = [(atom, e) for atom, e in low.items() if e > 0]
-    if lone:
-        common = (product(positive),) if positive else ()
-    else:
-        common = tuple(power(atom, e) for atom, e in positive)
+    common = tuple(power(atom, e) for atom, e in low.items() if e > 0)
     divisors = tuple((atom, -e) for atom, e in low.items() if e < 0)
     return Plan(atoms, steps, terms, common, divisors)
 
@@ -462,9 +457,9 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     Every atom is expanded by its constructor once per side.  A product is
     made once per side and dropped after its last read there; inside a
     ``shared_products`` block, one that an earlier side of the block made
-    is read from the block's table instead.  A lone term 1 * q^0 leaves the
-    sum as the unit series, which is never multiplied by.  A side with no
-    terms is the zero series.
+    is read from the block's table instead.  A one-term side multiplies
+    nothing into its term's product: its coefficient and power of q are a
+    ``scale`` and a ``shift``.  A side with no terms is the zero series.
     """
     if not side:
         return TruncatedSeries.zero(order)
@@ -489,14 +484,9 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
             del values[mono]
         return value
 
-    total = None    # the sum so far; None while it is the unit series
+    total = None
     for coeff, shift, mono in plan.terms:
-        if mono is not None:
-            product = take(mono)
-        elif len(side) == 1 and coeff == 1 and shift == 0:
-            continue
-        else:
-            product = TruncatedSeries.one(order)
+        product = TruncatedSeries.one(order) if mono is None else take(mono)
         term = product.shift(shift).scale(coeff)
         total = term if total is None else total.add(term)
     for mono in plan.common:
@@ -504,8 +494,8 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     for atom, times in plan.divisors:
         x = take(_leaf(atom))
         for _ in range(times):
-            total = x.invert() if total is None else total.div(x)
-    return TruncatedSeries.one(order) if total is None else total
+            total = total.div(x)
+    return total
 
 
 # -- headline generating functions ------------------------------------------
@@ -677,34 +667,3 @@ def sign_census(seq_name: str, order: int) -> CensusResult:
     return CensusResult(seq_name, order, Fraction(zero, order), Fraction(positive, order),
                         Fraction(order - zero - positive, order))
 
-
-# -- Jacobi triple product ---------------------------------------------------
-
-
-def _poch_factors_for(coeff_sign: int, coeff_exp: int, base_sign: int, base_exp: int):
-    """POCH atoms of (c; Q)_inf with c = coeff_sign*q^coeff_exp, Q = base_sign*q^base_exp.
-
-    A negative base splits over even/odd k into two factors on modulus
-    2*base_exp.
-    """
-    if coeff_exp < 1:
-        raise ValueError("triple product expansion needs strictly positive exponents")
-    if base_sign == 1:
-        return (POCH(coeff_sign, coeff_exp, base_exp),)
-    return (
-        POCH(coeff_sign, coeff_exp, 2 * base_exp),
-        POCH(-coeff_sign, coeff_exp + base_exp, 2 * base_exp),
-    )
-
-
-def triple_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
-    """Expand f(a, b) through (-a; ab)(-b; ab)(ab; ab) as a side of Pochhammer
-    atoms; a factor that repeats, as in phi, is expanded once and squared."""
-    ab_sign = spec.s1 * spec.s2
-    ab_exp = spec.e1 + spec.e2
-    factors = (
-        _poch_factors_for(-spec.s1, spec.e1, ab_sign, ab_exp)
-        + _poch_factors_for(-spec.s2, spec.e2, ab_sign, ab_exp)
-        + _poch_factors_for(ab_sign, ab_exp, ab_sign, ab_exp)
-    )
-    return evaluate_side((P(1, 0, *factors),), order)

@@ -121,10 +121,6 @@ class TruncatedSeries:
         return TruncatedSeries(list(map(operator.add, self.coeffs, other.coeffs)),
                                min(self.order, other.order))
 
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries(list(map(operator.sub, self.coeffs, other.coeffs)),
-                               min(self.order, other.order))
-
     def scale(self, k: int) -> "TruncatedSeries":
         if k == 1:
             return self
@@ -274,34 +270,9 @@ class TruncatedSeries:
             return self.add(other)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.sub(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.mul(other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        if isinstance(k, int):
-            return self.pow(k)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.div(other)
         return NotImplemented
 
 

@@ -1,7 +1,10 @@
 """Small, deliberately naive helpers used to derive expected test values.
 
-Nothing here imports the package under test: straight loops over plain
-coefficient lists, so these stay an independent cross-check.
+Nothing here imports the package under test, but for the triple product:
+straight loops over plain coefficient lists, so these stay an independent
+cross-check.  ``triple_product`` is the reference for ``theta_general``'s
+bilateral sum: the Jacobi triple product, a side of the package's
+Pochhammer atoms.
 """
 
 
@@ -110,3 +113,36 @@ def t_core_counts(t, order):
     """Coefficients of prod_k (1 - q^{tk})^t / (1 - q^k) to q^order."""
     return convolve(power(pochhammer(1, t, t, order), t, order),
                     invert(pochhammer(1, 1, 1, order), order), order)
+
+
+def _poch_factors_for(coeff_sign, coeff_exp, base_sign, base_exp):
+    """POCH atoms of (c; Q)_inf with c = coeff_sign*q^coeff_exp, Q = base_sign*q^base_exp.
+
+    A negative base splits over even/odd k into two factors on modulus
+    2*base_exp.
+    """
+    from qcore.products import POCH
+
+    if coeff_exp < 1:
+        raise ValueError("triple product expansion needs strictly positive exponents")
+    if base_sign == 1:
+        return (POCH(coeff_sign, coeff_exp, base_exp),)
+    return (
+        POCH(coeff_sign, coeff_exp, 2 * base_exp),
+        POCH(-coeff_sign, coeff_exp + base_exp, 2 * base_exp),
+    )
+
+
+def triple_product(spec, order):
+    """Expand f(a, b) through (-a; ab)(-b; ab)(ab; ab) as a side of Pochhammer
+    atoms; a factor that repeats, as in phi, is expanded once and squared."""
+    from qcore.products import P, evaluate_side
+
+    ab_sign = spec.s1 * spec.s2
+    ab_exp = spec.e1 + spec.e2
+    factors = (
+        _poch_factors_for(-spec.s1, spec.e1, ab_sign, ab_exp)
+        + _poch_factors_for(-spec.s2, spec.e2, ab_sign, ab_exp)
+        + _poch_factors_for(ab_sign, ab_exp, ab_sign, ab_exp)
+    )
+    return evaluate_side((P(1, 0, *factors),), order)

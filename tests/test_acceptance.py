@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import THETA_CORPUS
+from _brute import triple_product
 
 from qcore import (
     PochhammerFactor,
@@ -35,7 +36,6 @@ from qcore import (
     sign_census,
     summarize,
     theta_general,
-    triple_product,
     unregister,
     verify,
     verify_all,

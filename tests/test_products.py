@@ -3,6 +3,7 @@ import pytest
 from conftest import THETA_CORPUS
 
 import _brute as brute
+from _brute import triple_product
 from qcore import (
     PochhammerFactor,
     ThetaSpec,
@@ -16,10 +17,10 @@ from qcore import (
     phi,
     psi,
     theta_general,
-    triple_product,
 )
 from qcore import products
 from qcore.products import CHI, PHI, POCH, PSI, SEQ, THETA, F, P, R
+from qcore.registry import T
 
 # frozen via _brute.py (qproduct / theta_sum / partition counts)
 R_OF_Q_16 = [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2, -3, 2, 0, -2, 4, -4]
@@ -335,8 +336,8 @@ def test_evaluate_side_powers_match_pow(atom):
 
 
 def test_side_multiplies_before_it_divides(monkeypatch):
-    # 4q chi(q) f5 f20 = 4q f(q) f5 f20 / f2: the sum times f(q), f5 and f20,
-    # then one division by f2
+    # 4q chi(q) f5 f20 = 4q f(q) f5 f20 / f2: the term's product of f(q),
+    # f5 and f20, shifted and scaled, then one division by f2
     ops = []
     for name in ("mul", "div"):
         def record(self, other, _name=name, _op=getattr(TruncatedSeries, name)):
@@ -345,10 +346,32 @@ def test_side_multiplies_before_it_divides(monkeypatch):
         monkeypatch.setattr(TruncatedSeries, name, record)
     rhs = P(4, 1, *CHI(1, 1), F(5), F(20))
     value = evaluate_side((rhs,), 200)
-    assert ops == ["mul", "mul", "mul", "div"]
+    assert ops == ["mul", "mul", "div"]
     monkeypatch.undo()
     product = euler_f(1, 200, 1).mul(euler_f(5, 200)).mul(euler_f(20, 200))
     assert value == product.div(euler_f(2, 200)).shift(1).scale(4)
+
+
+@pytest.mark.parametrize("term, atom", [
+    (P(4, 1, SEQ("b5")), SEQ("b5")),
+    (T("c5", 10, 2, 10), SEQ("c5", 10, 2)),     # thm1.a20n6's right side
+], ids=["4q b5", "10 c5(10n+2)"])
+def test_lone_scaled_term_is_shifted_and_scaled(monkeypatch, term, atom):
+    # a one-term side's coefficient c * q^s multiplies nothing: the atom is
+    # shifted and scaled
+    order = 200
+    coeff, shift, _ = term
+    expected = side(atom, order=order).shift(shift).scale(coeff)
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counting(self, other):
+        calls.append((self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", counting)
+    assert evaluate_side((term,), order) == expected
+    assert calls == []
 
 
 def test_empty_side_is_zero():
@@ -383,8 +406,8 @@ def test_sequence_atom_reads(atom, order, expected):
 
 
 def test_lone_unit_term_is_not_multiplied(monkeypatch):
-    # x^5 costs three products, as pow does, and x itself none: the unit
-    # series a lone term 1 * q^0 leaves is never multiplied by
+    # x^5 costs three products, as pow does, and x itself none: a one-term
+    # side's value is its term's product, never multiplied by a unit series
     x = euler_f(5, 200)
     calls = []
     mul = TruncatedSeries.mul
