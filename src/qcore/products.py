@@ -26,7 +26,9 @@ progression m*n + r with 0 <= r < m, the prefix being m = 1, r = 0.  One
 cache, keyed by (name, m, r), holds the longest evaluation of each and
 serves every lower order by truncation, which gives the same coefficients
 as a fresh build; a progression inside the cached prefix is a slice of it,
-and a deeper one, such as b5(25n + 22), is evaluated on its own n.  Every
+and a deeper one is evaluated on its own n, through U_5 where m and the
+argument's offset share a power of 5: b5(25n + 22) costs what the prefix
+b5(n) to the same order costs.  Every
 read goes through the constructors in ``SEQUENCES``, which give the prefix
 or, with a modulus m, the terms at exponents r mod m alone.  Series are
 immutable, so sharing them across callers is safe.  ``sequence`` reads one
@@ -528,29 +530,44 @@ FORMS = {
 _LEGENDRE_5 = (0, 1, -1, -1, 1)     # (n | 5) at n mod 5
 
 
+def _u5(m: int, offset: int) -> tuple:
+    """U_5 on x = m*n + offset: (m / 5^w, offset / 5^w, 5^w) for the
+    largest 5^w dividing both.  With y = x / 5^w, s51(x) = 5^w s51(y) and
+    s15(x) = s15(y), since s51's local factor at 5^e is 5^e and s15's is
+    1, and a t prime to 5 divides x exactly when it divides y."""
+    power = 1
+    while m % (5 * power) == 0 and offset % (5 * power) == 0:
+        power *= 5
+    return m // power, offset // power, power
+
+
 def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeries:
     """The form's sequence at m*n + r for n = 0..order, 0 <= r < m; m = 1,
     r = 0 is its prefix.
 
+    The sum runs on x = m*n + offset, after ``_u5`` has divided m and
+    r + shift by the largest 5^w that divides both, giving m and offset,
+    and weighted the s51 terms by 5^w: so b5(25n + 22), b5(5n + 2) and
+    a5(5n) each run over x <= order + 1, as a prefix to the order does.
     With chi = (. | 5) and big the largest t (every t divides big), big
-    times the closed form at x = m*n + r + shift is the sum over d*e = x of
-    chi(e)*d*alpha[d % big] + chi(d)*d*beta[e % big]: c*s51(x/t) adds c*big/t
-    to alpha where t | d, c*s15(x/t) adds c*big to beta where t | e.  Each
-    d <= sqrt(x) meets its cofactors e >= d as (d, e) and (e, d), summing to
-    c0 + c1*e with c0, c1 periodic in e mod 5*big.  The n with d | x form one
-    residue class mod d/gcd(d, m), along which e steps by m/gcd(d, m), so a
-    residue class of e adds one arithmetic progression to one slice of the
-    accumulator.  That is O(order log x) element operations in C and at most
-    5*big Python steps per d <= sqrt(x), for x up to m*order + r + shift, so
-    a progression costs about 1/m of the prefix it could be sliced from.
-    x = 0 is E15's constant term -1/5 alone."""
+    times the closed form at x is the sum over d*e = x of
+    chi(e)*d*alpha[d % big] + chi(d)*d*beta[e % big]: c*s51(x/t) adds
+    c*big/t to alpha where t | d, c*s15(x/t) adds c*big to beta where t | e.
+    Each d <= sqrt(x) meets its cofactors e >= d as (d, e) and (e, d),
+    summing to c0 + c1*e with c0, c1 periodic in e mod 5*big.  The n with
+    d | x form one residue class mod d/gcd(d, m), along which e steps by
+    m/gcd(d, m), so a residue class of e adds one arithmetic progression to
+    one slice of the accumulator.  That is O(order log x) element
+    operations in C and at most 5*big Python steps per d <= sqrt(x), for x
+    up to m*order + offset.  x = 0 is E15's constant term -1/5 alone."""
+    m, offset, weight = _u5(m, r + form.shift)      # x = m*n + offset
     big = max(t for _, t, _ in form.terms)
     period = 5 * big
-    alpha = [sum(c * big // t for kind, t, c in form.terms if kind == "s51" and i % t == 0)
+    alpha = [weight * sum(c * big // t for kind, t, c in form.terms
+                          if kind == "s51" and i % t == 0)
              for i in range(big)]
     beta = [sum(c * big for kind, t, c in form.terms if kind == "s15" and i % t == 0)
             for i in range(big)]
-    offset = r + form.shift             # x = m*n + offset
     acc = [0] * (order + 1)             # big times the closed form at n
     first = 0 if offset else 1          # the first n with x > 0
     if not offset:                      # x = 0 at n = 0: E15(0) = -1/5

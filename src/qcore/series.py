@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import struct
 from collections.abc import Iterable, Iterator
-from itertools import compress
+from itertools import compress, count, islice
 from math import gcd, isqrt, log2
 from sys import int_info
 
@@ -130,23 +130,26 @@ class TruncatedSeries:
         """Exact product, truncated to the smaller order.
 
         Each factor is read once.  Nonzero counts pick the sparser factor,
-        a, and only its support is listed.  When every nonzero exponent of
-        both factors is a multiple of some g > 1, the product is a series
-        in q^g: the kernel multiplies ``coeffs[::g]`` at order
-        ``order // g`` and the result is spread back over every g-th slot.
-        The skipped slots are zero, so this is exact.  A q^1 term in either
-        factor makes g = 1, and otherwise ``_deflation`` finds g without
-        listing the denser factor's support.  A square, ``x.mul(x)``, packs
-        its operand once.
+        a, and only its support is listed; ``_period`` finds the gcd G of
+        the denser factor b's nonzero exponents from slices of b.  When
+        g = gcd(G, support of a) > 1, the product is a series in q^g: it is
+        made from ``coeffs[::g]`` at order ``order // g`` and spread back
+        over every g-th slot, which are zero.  A factor still in q^P after
+        that, P > 1, dissects the product (``_dissect``): b's period
+        always, since each pass of the shifted kernel over b gets P times
+        shorter and a packed multiply splits into P smaller ones; a's only
+        when the undissected product is priced packed, since the shifted
+        kernel would make the same passes over b in P pieces.  A square,
+        ``x.mul(x)``, packs its operand once.
 
         Of the two kernels, ``_convolve_shifted`` costs about one pass over
         the packed denser factor per nonzero term of the sparser one,
         ``_convolve_packed`` about one Karatsuba multiply of both packed
-        factors, D^log2(3) for D digits; ``mul`` runs the cheaper.  Both
-        are priced at the slot width the kernel packs with, the bits it
-        needs rounded up to 1, 2, 4 or 8 bytes, and ``_widths`` gives both
-        widths from a's nonzero values and max|b|; the chosen kernel takes
-        its width from there rather than sizing its slots itself.
+        factors, D^log2(3) for D digits; ``_price`` picks the cheaper.
+        Both are priced at the slot width the kernel packs with, the bits it
+        needs in whole bytes, and ``_widths`` gives both widths from a's
+        nonzero values and max|b|; the chosen kernel takes its width from
+        there rather than sizing its slots itself.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
@@ -156,20 +159,24 @@ class TruncatedSeries:
         if not na or not nb:
             return TruncatedSeries.zero(order)
         if nb < na:
-            a, b = b, a
+            a, b, nb = b, a, na
         ia = _support(a)
-        g = 1 if order and (a[1] or b[1]) else _deflation(ia, b, max(na, nb))
+        period = _period(b, nb)
+        g = gcd(period, *ia)
         sub = order
         if g > 1:
             square = b is a
-            a, ia, sub = a[::g], [i // g for i in ia], order // g
+            a, ia, sub, period = a[::g], [i // g for i in ia], order // g, period // g
             b = a if square else b[::g]
-        shifted_width, packed_width = _widths(a, ia, b, sub + 1)
-        digits = (sub + 1) * 8 / int_info.bits_per_digit     # per byte of slot width
-        if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
-            out = _convolve_shifted(a, ia, b, sub, shifted_width)
+        if period > 1:
+            out = _dissect(a, b, period, sub)
         else:
-            out = _convolve_packed(a, b, sub, packed_width)
+            price = _price(a, ia, b, sub + 1)
+            period = 1 if price[0] else gcd(*ia)
+            if period > 1:
+                out = _dissect(b, a, period, sub)
+            else:
+                out = _convolve(a, ia, b, sub, price)
         return TruncatedSeries(_spread(out, g, order), order)
 
     def invert(self) -> "TruncatedSeries":
@@ -299,18 +306,17 @@ def _support(coeffs) -> list:
     return list(compress(range(len(coeffs)), coeffs))
 
 
-def _deflation(ia: list, b, nb: int) -> int:
-    """gcd(*ia, *support of b), for b with nb nonzero terms.
-
-    With g0 = gcd(*ia), that is the largest divisor d of g0 for which
-    ``b[::d]`` holds all nb nonzero terms of b, each tried from the largest
-    down at the cost of one slice.  When ia is [0], g0 = 0 and the gcd is
-    taken over b's support."""
-    g0 = gcd(*ia)
-    if not g0:
-        return gcd(*_support(b))
-    small = [d for d in range(1, isqrt(g0) + 1) if g0 % d == 0]
-    for d in dict.fromkeys([g0 // d for d in small] + small[::-1]):
+def _period(b, nb: int) -> int:
+    """The gcd of the nonzero exponents of b, which has nb nonzero terms;
+    0 when b is a constant.  It is the largest divisor d of the first
+    nonzero exponent past 0, k, for which ``b[::d]`` holds all nb nonzero
+    terms, each tried from the largest down at the cost of one slice.  k
+    is found without listing b's support, at once when b has a q^1 term."""
+    k = next(compress(count(1), islice(b, 1, None)), 0)
+    if k < 2:
+        return k
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    for d in dict.fromkeys([k // d for d in small] + small[::-1]):
         if d == 1:
             break
         picked = b[::d]
@@ -364,12 +370,17 @@ def _widths(a, ia, b, count: int) -> tuple:
 # the "<" format (the tests check each size).
 _CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
+# the native width a slot of 1 to 8 bytes moves through: its own, or the
+# next larger one, of whose items it keeps the low bytes
+_NATIVE = {width: next(n for n in _CODES if n >= width) for width in range(1, 9)}
+
+# byte -> the byte that sign-extends it: 0xff when its top bit is set
+_SIGN = bytes(0xFF * (byte >> 7) for byte in range(256))
+
 
 def _slot_width(bits: int) -> int:
-    """Bytes of a slot of at least ``bits`` bits: 1, 2, 4 or 8 while that
-    is enough, so that the slots move through ``struct``; whole bytes past 8."""
-    width = (bits + 7) // 8
-    return 1 << (width - 1).bit_length() if width <= 8 else width
+    """Bytes of a slot of at least ``bits`` bits: whole bytes."""
+    return (bits + 7) // 8
 
 
 def _half(width: int, count: int) -> int:
@@ -381,15 +392,20 @@ def _pack(vals, width: int) -> int:
     """The integer sum v_k 2^(Wk), W = 8 * width, for |v_k| < 2^(W-1).
 
     The slots are written in little-endian two's complement by one
-    ``struct.pack`` at a native width (1, 2, 4 or 8 bytes), one
-    ``to_bytes`` each past that.  T, read from those bytes, counts a
+    ``struct.pack`` at the native width of ``_NATIVE``, of whose items a
+    narrower slot keeps the low bytes, one strided copy per byte; one
+    ``to_bytes`` each past 8 bytes.  T, read from those bytes, counts a
     negative v_k as v_k + 2^W, and (T ^ H) - H takes that 2^W back.
     """
-    code = _CODES.get(width)
-    if code is None:
+    native = _NATIVE.get(width)
+    if native is None:
         raw = b"".join([v.to_bytes(width, "little", signed=True) for v in vals])
     else:
-        raw = struct.pack(f"<{len(vals)}{code}", *vals)
+        raw = struct.pack(f"<{len(vals)}{_CODES[native]}", *vals)
+        if native > width:
+            wide, raw = raw, bytearray(width * len(vals))
+            for j in range(width):
+                raw[j::width] = wide[j::native]
     t = int.from_bytes(raw, "little")
     half = _half(width, len(vals))
     return (t ^ half) - half
@@ -401,17 +417,64 @@ def _unpack(p: int, width: int, count: int) -> list:
 
     The low count slots of p + H are p_k + 2^(W-1) exactly, whatever p
     holds above them, and xor with H leaves each p_k in little-endian two's
-    complement, read by one ``struct.unpack`` at a native width, one
-    ``from_bytes`` each past that.
+    complement, read by one ``struct.unpack`` at the native width of
+    ``_NATIVE``: a narrower slot is copied into the low bytes of its item,
+    one strided copy per byte, and its top byte, mapped through ``_SIGN``,
+    fills the rest.  One ``from_bytes`` each past 8 bytes.
     """
     total = width * count
     half = _half(width, count)
     raw = (((p + half) & ((1 << (8 * total)) - 1)) ^ half).to_bytes(total, "little")
-    code = _CODES.get(width)
-    if code is None:
+    native = _NATIVE.get(width)
+    if native is None:
         return [int.from_bytes(raw[i : i + width], "little", signed=True)
                 for i in range(0, total, width)]
-    return list(struct.unpack(f"<{count}{code}", raw))
+    if native > width:
+        narrow, raw = raw, bytearray(native * count)
+        for j in range(width):
+            raw[j::native] = narrow[j::width]
+        sign = narrow[width - 1::width].translate(_SIGN)
+        for j in range(width, native):
+            raw[j::native] = sign
+    return list(struct.unpack(f"<{count}{_CODES[native]}", raw))
+
+
+def _price(a, ia, b, count: int) -> tuple:
+    """(shifted, width) for a * b over count slots, a nonzero at the indices
+    ia: whether the cost model (``TruncatedSeries.mul``) prices
+    ``_convolve_shifted`` lower than ``_convolve_packed``, and the slot
+    width of the one it picks."""
+    shifted_width, packed_width = _widths(a, ia, b, count)
+    digits = count * 8 / int_info.bits_per_digit       # per byte of slot width
+    if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
+        return True, shifted_width
+    return False, packed_width
+
+
+def _dissect(x, y, period: int, order: int) -> list:
+    """x * y to the given order, for y a series in q^period: the product's
+    slots r mod period are ``x[r::period]`` times ``y[::period]``, each at
+    order (order - r) // period.  Each nonempty class of x is listed and
+    priced on its own (``_price``), and its product is written back with a
+    slice."""
+    out = [0] * (order + 1)
+    y = y[::period]
+    for r in range(min(period, order + 1)):
+        part = x[r::period]
+        support = _support(part)
+        if support:
+            head = y[: len(part)]
+            out[r::period] = _convolve(part, support, head, len(part) - 1,
+                                       _price(part, support, head, len(part)))
+    return out
+
+
+def _convolve(a, ia, b, order: int, price: tuple) -> list:
+    """a * b to the given order by the kernel and width of ``_price``."""
+    shifted, width = price
+    if shifted:
+        return _convolve_shifted(a, ia, b, order, width)
+    return _convolve_packed(a, b, order, width)
 
 
 def _convolve_shifted(a, ia, b, order, width):

@@ -181,6 +181,37 @@ def test_a_progression_is_the_slice_of_the_prefix(name, m, r, order):
     assert series.order == order and list(series.coeffs) == expected
 
 
+# U_5: on a progression whose step and offset share a factor 5^w, the
+# evaluator divides both by 5^w and weights the s51 terms by 5^w
+U5_STEPS = (5, 10, 25, 50, 125)
+U5_ORDERS = (0, 1, 2, 3, 4, 5, 11, 24, 59, 60)
+
+
+def u5_mismatches(name: str, m: int) -> list:
+    """The (r, K), 0 <= r < m and K in U5_ORDERS, at which the evaluator on
+    m*n + r to order K differs from the m = 1 prefix, which ``_u5`` leaves
+    undivided, to m*K + r sliced at [r::m]."""
+    form = FORMS[name]
+    prefix = products._closed_form(form, 1, 0, m * max(U5_ORDERS) + m - 1).coeffs
+    return [(r, order) for r in range(m) for order in U5_ORDERS
+            if products._closed_form(form, m, r, order).coeffs
+            != prefix[r: m * order + r + 1: m]]
+
+
+@pytest.mark.parametrize("m", U5_STEPS)
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_a_progression_divided_by_a_power_of_5_is_the_slice_of_the_prefix(name, m):
+    assert u5_mismatches(name, m) == []
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_a_wrong_u5_weight_is_caught(name, monkeypatch):
+    # with the weight 5^w replaced by 1, every step has a wrong progression
+    u5 = products._u5
+    monkeypatch.setattr(products, "_u5", lambda m, offset: u5(m, offset)[:2] + (1,))
+    assert all(u5_mismatches(name, m) for m in U5_STEPS)
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_closed_forms_match_the_product_definitions(name, monkeypatch):
     # every n <= 5000, against the product side expanded as a side

@@ -12,8 +12,8 @@ import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
 from qcore import series as series_module
 from qcore.products import euler_f, phi
-from qcore.series import (_CODES, _convolve_packed, _convolve_shifted, _pack, _slot_width,
-                          _unpack, _widths)
+from qcore.series import (_CODES, _NATIVE, _convolve_packed, _convolve_shifted, _pack,
+                          _slot_width, _unpack, _widths)
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -371,7 +371,8 @@ def test_packed_kernel_squaring_path():
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_pack_unpack_round_trip_at_every_width(width):
-    # 1, 2, 4 and 8 bytes go through struct, 3, 5, 6, 7, 9 and 10 through bytes
+    # 1, 2, 4 and 8 bytes go through struct, 3, 5, 6 and 7 through the low
+    # bytes of struct's 4 or 8, 9 and 10 through bytes
     top = 2 ** (8 * width - 1) - 1
     for vals in ([0], [top], [-top], [0, top, -top, 0, -1, 1, top, -top],
                  [top, 0, 5, -top]):   # the last slot negative
@@ -385,8 +386,10 @@ def test_native_widths_map_to_struct_codes_of_that_size():
     assert sorted(_CODES) == [1, 2, 4, 8]
     for width, code in _CODES.items():
         assert struct.calcsize("<" + code) == width
-    assert [_slot_width(8 * w) for w in range(1, 11)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10]
-    assert [_slot_width(bits) for bits in (1, 9, 17, 33, 65)] == [1, 2, 4, 8, 9]
+    # a slot is whole bytes; up to 8 it moves through the next native width
+    assert [_slot_width(8 * w) for w in range(1, 11)] == list(range(1, 11))
+    assert [_slot_width(bits) for bits in (1, 9, 17, 33, 65)] == [1, 2, 3, 5, 9]
+    assert _NATIVE == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8}
 
 
 def _kernels_run(monkeypatch):
@@ -500,16 +503,45 @@ def _shifted_slot_bits(a, ia, b):
     return _magnitude(b).bit_length() + sum(abs(a[i]) for i in ia).bit_length() + 1
 
 
+def _reference_price(a, ia, b, sub):
+    """The kernel and slot width of a * b at order sub, a nonzero at ia."""
+    digits = (sub + 1) * 8 / int_info.bits_per_digit
+    shifted_width = _slot_width(_shifted_slot_bits(a, ia, b))
+    packed_width = _slot_width(_packed_slot_bits(a, b, sub + 1))
+    if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
+        return "_convolve_shifted", shifted_width
+    return "_convolve_packed", packed_width
+
+
+def _reference_classes(x, y, period, sub):
+    """The choices of x * y, y a series in q^period, one per nonempty
+    residue class of x mod period, at x[r::period] times y[::period] to
+    order (sub - r) // period."""
+    choices = []
+    for r in range(min(period, sub + 1)):
+        part, top = x[r::period], (sub - r) // period
+        support = [(i - r) // period for i in _support(x) if i % period == r]
+        if support:
+            choices.append(_reference_price(part, support, y[::period][: top + 1], top))
+    return choices
+
+
 def _reference_choice(x, y):
-    """The kernel and slot width of x * y from both supports and the
-    formulas above; None when a factor is zero and no kernel runs."""
+    """The kernels and slot widths of x * y, in the order they run, from
+    both supports and the formulas above; [] when a factor is zero and no
+    kernel runs.  After deflation by the gcd of both supports, a denser
+    factor b that is still a series in q^G, G > 1, dissects the product by
+    G: one priced call per nonempty residue class of the sparser factor a.
+    Otherwise a sparser factor in q^G, G > 1, dissects it by G, one call
+    per class of b, when the undissected product is priced packed; else it
+    is one priced call."""
     order = min(x.order, y.order)
     a = x.coeffs[: order + 1]
     b = a if y is x else y.coeffs[: order + 1]
     ia = _support(a)
     ib = ia if b is a else _support(b)
     if not ia or not ib:
-        return None
+        return []
     g = gcd(*ia, *ib)
     sub = order
     if g > 1:
@@ -517,13 +549,13 @@ def _reference_choice(x, y):
         a, ia, sub = a[::g], [i // g for i in ia], order // g
         b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
     if len(ib) < len(ia):
-        a, ia, b = b, ib, a
-    digits = (sub + 1) * 8 / int_info.bits_per_digit
-    shifted_width = _slot_width(_shifted_slot_bits(a, ia, b))
-    packed_width = _slot_width(_packed_slot_bits(a, b, sub + 1))
-    if len(ia) * digits * shifted_width < (digits * packed_width) ** log2(3):
-        return "_convolve_shifted", shifted_width
-    return "_convolve_packed", packed_width
+        a, ia, b, ib = b, ib, a, ia
+    if gcd(*ib) > 1:
+        return _reference_classes(a, b, gcd(*ib), sub)
+    choice = _reference_price(a, ia, b, sub)
+    if choice[0] == "_convolve_packed" and gcd(*ia) > 1:
+        return _reference_classes(b, a, gcd(*ia), sub)
+    return [choice]
 
 
 @st.composite
@@ -580,8 +612,7 @@ def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
         x, y = pair
         ran.clear()
         product = x.mul(y)
-        expected = _reference_choice(x, y)
-        assert ran == ([] if expected is None else [expected])
+        assert ran == _reference_choice(x, y)
         order = min(x.order, y.order)
         assert list(product.coeffs) == brute.convolve(list(x.coeffs[: order + 1]),
                                                       list(y.coeffs[: order + 1]), order)
@@ -604,14 +635,61 @@ _DEFLATION_CASES = st.one_of(
 @example((TruncatedSeries.one(40), euler_f(1, 20).inflate(2, 40)))
 @example((euler_f(2, 60).inflate(3, 180), euler_f(1, 30).inflate(6, 180)))
 def test_deflation_is_the_gcd_of_both_supports(pair):
-    # mul's g from the sparser factor's support and slices of the other,
-    # for either factor as the sparser one
+    # mul's g from the denser factor's period, found by slices, and the
+    # sparser factor's support, for either factor as the denser one
     x, y = pair
     order = min(x.order, y.order)
     a, b = x.coeffs[: order + 1], y.coeffs[: order + 1]
     for a, b in ((a, b), (b, a)):
         nb = len(b) - b.count(0)
-        assert series_module._deflation(_support(a), b, nb) == gcd(*_support(a), *_support(b))
+        assert series_module._period(b, nb) == gcd(*_support(b))
+        assert gcd(series_module._period(b, nb), *_support(a)) == gcd(*_support(a), *_support(b))
+
+
+# -- a product dissected by a factor's period -----------------------------------
+#
+# After deflation, a factor still in q^P splits the product into P residue
+# classes, each made by its own kernel call.
+
+# (g, G): one operand in q^g, the other in q^G, g dividing G or not
+_PERIOD_PAIRS = ((1, 2), (1, 5), (1, 25), (2, 5), (3, 4), (4, 6), (5, 2), (10, 25), (3, 25))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PERIOD_PAIRS).flatmap(lambda pair: st.one_of(
+    st.tuples(_priced_operand(g=pair[0]), _priced_operand(g=pair[1])),
+    _priced_operand(g=pair[1]).map(lambda y: (y, y)))))
+@example((S(1, 2, 3, 4, 5, 6, 7), S(1, 0, 0, 0, 0, 2, 0)))     # classes of order 1 and 0
+@example((S(1, 0, 0, 3, *[0] * 46), euler_f(1, 10).invert().inflate(5, 49)))  # 3 empty classes
+@example((S(5, 0, 7), S(2, 0, 0)))                               # an order below the period
+@example((euler_f(5, 120), euler_f(1, 120).invert()))           # only the sparser in q^5
+def test_dissected_mul_matches_brute(pair):
+    x, y = pair
+    order = min(x.order, y.order)
+    expected = brute.convolve(list(x.coeffs[: order + 1]), list(y.coeffs[: order + 1]), order)
+    assert list(x.mul(y).coeffs) == expected
+    assert list(y.mul(x).coeffs) == expected
+
+
+def test_dissection_runs_one_kernel_per_nonempty_class(monkeypatch):
+    ran = _kernels_run(monkeypatch)
+    dense_in_q5 = euler_f(1, 60).invert().inflate(5, 300)
+    dense = euler_f(1, 300).invert()
+    two_classes = S(*[1 if n % 35 in (0, 28) else 0 for n in range(301)])    # 0, 3 mod 5
+    assert list(two_classes.mul(dense_in_q5).coeffs) == brute.convolve(
+        list(two_classes.coeffs), list(dense_in_q5.coeffs), 300)
+    assert ran == ["_convolve_shifted"] * 2            # one per class
+    ran.clear()
+    # only the sparser factor in q^5: undissected when priced shifted ...
+    assert list(dense.mul(euler_f(5, 300)).coeffs[:61]) == brute.convolve(
+        list(dense.coeffs[:61]), list(euler_f(5, 60).coeffs), 60)
+    assert ran == ["_convolve_shifted"]
+    ran.clear()
+    # ... and dissected, one packed multiply per class, when priced packed
+    product = dense.mul(dense_in_q5)
+    assert ran == ["_convolve_packed"] * 5
+    assert list(product.coeffs[:61]) == brute.convolve(list(dense.coeffs[:61]),
+                                                       list(dense_in_q5.coeffs[:61]), 60)
 
 
 # -- deflated operands and the division agree with the naive helpers -----------
