@@ -9,12 +9,12 @@ holds a K, is the same check at each k = 2..kmax.  A census record reads
 ``products.sign_census``.  ``verify_all`` first builds each sequence's
 prefix to the order, once, where every later read at or below the order is
 a slice; a lone record builds only the progressions it reads.
-``verify_all`` also plans every side it will compare (``compared_sides``)
-and runs its records with one run-scoped table of products
-(``products.shared_products``): a product that several sides need is made
-once and held only until the last of them has read it, and nothing of it
-outlives the call.  Everything is computed in exact integer or rational
-arithmetic.
+``verify_all`` also plans every side of a series equality that it will
+compare (``compared_sides``) and runs its records with one run-scoped
+table (``products.shared_products``): an atom or product that several
+sides read is made once and held only until the last of them has read it,
+and nothing of it outlives the call.  Everything is computed in exact
+integer or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
             for side in sides]
 
 
-def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:
-    """(den, the sides times den), den the lcm of the denominators of the
-    sides' coefficients, so that every coefficient is an integer."""
+def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple], Sequence[tuple]]:
+    """(den, the sides times den, those sides cleared): den the lcm of the
+    denominators of the sides' coefficients, so that every coefficient is an
+    integer, and the cleared sides those that ``_compare`` expands."""
     den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
     if den > 1:
         sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
                  for side in sides]
-    return den, sides
+    return den, sides, _cleared(sides)
 
 
 def _compare(sides: Sequence[tuple], order: int,
@@ -117,9 +118,9 @@ def _compare(sides: Sequence[tuple], order: int,
     finds the same first n without a division; on a mismatch the two sides
     involved are expanded again as written, to the mismatch index, for the
     values at n."""
-    den, sides = _integral(sides)
+    den, sides, cleared = _integral(sides)
     step = den * modulus
-    reference, *others = [evaluate_side(side, order) for side in _cleared(sides)]
+    reference, *others = [evaluate_side(side, order) for side in cleared]
     for i, other in enumerate(others, 1):
         bad = first_mismatch(reference, other, step)
         if bad is None:
@@ -250,7 +251,7 @@ def compared_sides(ids: Iterable[str], order: int, kmax: int) -> list[tuple]:
     cleared."""
     return [(side, top) for rid in ids if not isinstance(REGISTRY[rid], CensusRecord)
             for _, sides, top, _ in _checks(REGISTRY[rid], order, kmax) if top >= 0
-            for side in _cleared(_integral(sides)[1])]
+            for side in _integral(sides)[2]]
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
@@ -260,12 +261,16 @@ def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
     the records slice it rather than build it again at each rising order.
 
     The records run inside one ``shared_products`` block over the sides of
-    their series equalities (``compared_sides``): a product of atom powers
-    that several sides need is made by the first and read by the others,
-    and held only until the last of them has read it.  A relation's terms
-    are one sequence atom each, so its sides make no product to share.
-    Each record is still one ``verify`` call with its own report, and its
-    elapsed time counts a shared product only in the record that made it."""
+    their series equalities (``compared_sides``): an atom or a product of
+    atom powers that several sides read is made by the first and read by
+    the others, and held only until the last of them has read it.  Each
+    record is still one ``verify`` call with its own report, and its
+    elapsed time counts a shared series only in the record that made it.
+
+    Relations stay out, each side a run of one: a term is one sequence
+    atom, with no product to share, and its read is the check.  Shared,
+    ext.b25n72 would take b5(25n + 72) from thm2.recurrence's slice of the
+    prefix, not from the b5(25n + 22) that ext.b5.before_last evaluates."""
     ids = record_ids(tier)
     for name in SEQUENCES:
         sequence(name, order)

@@ -9,10 +9,11 @@ exponents fit under the truncation order; there are no heuristic cutoffs.
 
 Every named series is a side: a sum of product terms over atoms, which
 ``evaluate_side`` expands by running the side's plan (``plan_side``), its
-products as (monomial, left, right) steps.  Inside a ``shared_products``
-block, as in ``identities.verify_all``, a product that several sides of
-the block need is made once and held only until the last of them has read
-it.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
+products as (monomial, left, right) steps, through one table of the atoms
+and products it reads (``plan_run``).  A ``shared_products`` block, as in
+``identities.verify_all``, has one table for all of its sides, so that a
+series several of them read is made once; any other side is a run of one.
+The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
 ``SEQ``, ``POCH``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
 Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
 of Pochhammer factors, such as the Jacobi triple product, is a side of
@@ -38,9 +39,10 @@ registry.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable
 from contextlib import contextmanager
+from functools import reduce
 from itertools import accumulate, count, repeat
 from math import gcd, isqrt
 from operator import add, floordiv
@@ -303,7 +305,7 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
 # pairs, one pair per atom.  An atom's own monomial, {(atom, 1)}, is a leaf:
 # the atom's series, from its constructor.
 
-Plan = namedtuple("Plan", "atoms steps terms common divisors")
+Plan = namedtuple("Plan", "steps terms common divisors")
 
 
 def _leaf(atom: tuple) -> frozenset:
@@ -359,86 +361,85 @@ def plan_side(side: tuple) -> Plan:
                   for (coeff, shift, _), term in zip(side, exponents))
     common = tuple(power(atom, e) for atom, e in low.items() if e > 0)
     divisors = tuple((atom, -e) for atom, e in low.items() if e < 0)
-    return Plan(atoms, steps, terms, common, divisors)
+    return Plan(steps, terms, common, divisors)
 
 
-def _reads(plan: Plan, held) -> dict:
-    """How many times evaluating the plan reads each monomial, when the run
-    already holds the products for which ``held`` is true: once for each
-    term, entry of ``common`` and divisor that uses it, and once for each
-    of its uses as a factor of a product that the side makes itself.  A
-    held product is read, not made, so the side reads no factor for it."""
-    reads = {}
-
-    def read(mono):
-        reads[mono] = reads.get(mono, 0) + 1
-        if reads[mono] == 1 and mono in plan.steps and not held(mono):
-            for factor in plan.steps[mono]:
-                read(factor)
-
-    for _, _, mono in plan.terms:
-        if mono is not None:
-            read(mono)
-    for mono in plan.common:
-        read(mono)
-    for atom, _ in plan.divisors:
-        read(_leaf(atom))
-    return reads
+def _read(table: dict, key: tuple, steps: dict) -> int:
+    """Count one read of key, a (monomial, order), into the table and, when
+    it is the key's first, one read of each factor that ``steps`` makes
+    the product from; the number of products read for the first time."""
+    entry = table.setdefault(key, [0, None])
+    entry[0] += 1
+    mono, order = key
+    if entry[0] > 1 or mono not in steps:
+        return 0
+    return 1 + sum(_read(table, (factor, order), steps) for factor in steps[mono])
 
 
-RunPlan = namedtuple("RunPlan", "touches products")
+RunPlan = namedtuple("RunPlan", "table sides products")
 
 
 def plan_run(sides: Iterable[tuple]) -> RunPlan:
-    """The products of evaluating each (side, order) of ``sides`` in turn,
-    where a side reads a product that an earlier side made rather than make
-    it again.  ``touches`` maps each (monomial, order) made to the number of
-    sides that touch it, the one that makes it and each later one that
-    reads it; ``products`` counts the ``mul`` calls of the whole run, one
-    per product made and one per entry of a side's ``common``."""
-    made, touches, products = set(), {}, 0
+    """The table for evaluating each (side, order) of ``sides`` in turn.
+
+    ``table`` maps each (monomial, order) that the run reads, leaves and
+    products alike, to [how many times it is read, None].  A side reads the
+    monomial of each term, each entry of its ``common`` and each divisor's
+    leaf; the first side to read a product makes it, and so also reads its
+    two factors, and a later side reads the product alone.  ``sides`` lists
+    each (side, order, plan), the plan from ``plan_side``; ``products``
+    counts the ``mul`` calls of the whole run, one per product in the table
+    and one per entry of a side's ``common``."""
+    table, planned, products = {}, [], 0
     for side, order in sides:
         plan = plan_side(side)
-        products += len(plan.common)
-        for mono in _reads(plan, lambda mono: (mono, order) in made):
-            if mono in plan.steps:
-                key = mono, order
-                touches[key] = touches.get(key, 0) + 1
-                made.add(key)
-    return RunPlan(touches, products + len(touches))
+        reads = [mono for _, _, mono in plan.terms if mono is not None] + list(plan.common)
+        reads += (_leaf(atom) for atom, _ in plan.divisors)
+        products += len(plan.common) + sum(_read(table, (mono, order), plan.steps)
+                                           for mono in reads)
+        planned.append((side, order, plan))
+    return RunPlan(table, planned, products)
 
 
-# (monomial, order) -> [sides still to touch it, its series or None]: the
-# products that more than one side of the running ``shared_products`` block
-# touches, each held from the side that makes it to the last that reads it
+# the running ``shared_products`` block: its table, (monomial, order) ->
+# [reads left, its series or None], and the (side, order, plan) still to run
 _RUN: dict = {}
+_SIDES: deque = deque()
 
 
 @contextmanager
 def shared_products(sides: Iterable[tuple]):
     """Run the block, which evaluates each (side, order) of ``sides`` in
-    turn, with each product that more than one of them touches
-    (``plan_run``) made once.  A product is held from the side that makes
-    it until the last side that reads it has read it, and the table is
-    empty when the block ends, however it ends."""
-    _RUN.update((key, [n, None]) for key, n in plan_run(sides).touches.items() if n > 1)
+    turn, with one table for all of them (``plan_run``): each leaf and
+    product is made once, on its first read, and dropped after its last.
+    The table is empty when the block ends, however it ends."""
+    run = plan_run(sides)
+    _RUN.update(run.table)
+    _SIDES.extend(run.sides)
+    del run             # so that a dropped entry's series is freed
     try:
         yield
     finally:
         _RUN.clear()
+        _SIDES.clear()
 
 
-def _share(key: tuple, make) -> TruncatedSeries:
-    """The product at key, from the run's table or from ``make``; counted as
-    one side's touch, and held only while a later side still needs it."""
-    entry = _RUN.get(key)
-    if entry is None:
-        return make()
+def _take(table: dict, steps: dict, key: tuple) -> TruncatedSeries:
+    """Read key, a (monomial, order), from the table: its series, made on
+    the first read, a leaf by its atom's constructor and a product by one
+    ``mul`` of the factors in ``steps``, and dropped after the last."""
+    entry = table[key]
     if entry[1] is None:
-        entry[1] = make()
+        mono, order = key
+        if mono in steps:
+            left, right = steps[mono]
+            entry[1] = _take(table, steps, (left, order)).mul(_take(table, steps, (right, order)))
+        else:
+            (atom, _), = mono
+            entry[1] = _atom_series(atom, order)
     entry[0] -= 1
     if not entry[0]:
-        del _RUN[key]
+        del table[key]
     return entry[1]
 
 
@@ -456,41 +457,28 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
     denominators of a series identity, so that its sides do not divide at
     all.  An atom appears at most once per term, as ``P`` writes it.
 
-    Every atom is expanded by its constructor once per side.  A product is
-    made once per side and dropped after its last read there; inside a
-    ``shared_products`` block, one that an earlier side of the block made
-    is read from the block's table instead.  A one-term side multiplies
-    nothing into its term's product: its coefficient and power of q are a
-    ``scale`` and a ``shift``.  A side with no terms is the zero series.
+    The side reads its leaves and products from a table (``plan_run``),
+    each made on its first read and dropped after its last.  The side that
+    a running ``shared_products`` block plans next reads the block's table,
+    and so what the block's earlier sides made; any other side is a run of
+    one, with a table of its own.  A one-term side multiplies nothing into
+    its term's product: its coefficient and power of q are a ``scale`` and
+    a ``shift``.  A side with no terms is the zero series.
     """
-    if not side:
-        return TruncatedSeries.zero(order)
-    plan = plan_side(side)
-    reads = _reads(plan, lambda mono: (mono, order) in _RUN and _RUN[mono, order][1] is not None)
-    values = {}
-    for atom in plan.atoms:     # read or not, so that a wrapped constructor sees it
-        series = _atom_series(atom, order)
-        if _leaf(atom) in reads:
-            values[_leaf(atom)] = series
-
-    def make(mono):
-        left, right = plan.steps[mono]
-        return take(left).mul(take(right))
+    if _SIDES and _SIDES[0][:2] == (side, order):
+        plan, table = _SIDES.popleft()[2], _RUN
+    else:
+        run = plan_run([(side, order)])
+        plan, table = run.sides[0][2], run.table
 
     def take(mono):
-        value = values.get(mono)
-        if value is None:
-            value = values[mono] = _share((mono, order), lambda: make(mono))
-        reads[mono] -= 1
-        if not reads[mono]:
-            del values[mono]
-        return value
+        return _take(table, plan.steps, (mono, order))
 
-    total = None
-    for coeff, shift, mono in plan.terms:
-        product = TruncatedSeries.one(order) if mono is None else take(mono)
-        term = product.shift(shift).scale(coeff)
-        total = term if total is None else total.add(term)
+    if not plan.terms:
+        return TruncatedSeries.zero(order)
+    terms = ((TruncatedSeries.one(order) if mono is None else take(mono)).shift(shift).scale(coeff)
+             for coeff, shift, mono in plan.terms)
+    total = reduce(TruncatedSeries.add, terms)
     for mono in plan.common:
         total = total.mul(take(mono))
     for atom, times in plan.divisors:

@@ -351,6 +351,33 @@ def test_verify_all_makes_each_product_of_its_plan_once(monkeypatch):
     assert products._RUN == {}
 
 
+def test_verify_all_expands_each_atom_of_its_plan_once(monkeypatch):
+    # an atom's leaf is an entry of the run's table like a product: while
+    # verify_all evaluates the series equalities' sides, each (atom, order)
+    # that their plan reads is expanded by its constructor once
+    sides = identities.compared_sides(SERIES_EQUALITIES, 1500, DEFAULT_KMAX)
+    table = products.plan_run(sides).table
+    leaves = {(atom, order) for mono, order in table for atom, _ in mono
+              if mono == products._leaf(atom)}
+    current, calls = [], []
+    atom_series, one = products._atom_series, identities.verify
+
+    def verifying(rid, *args):
+        current.append(rid)
+        return one(rid, *args)
+
+    def expanding(atom, order):
+        if current and current[-1] in SERIES_EQUALITIES:
+            calls.append((atom, order))
+        return atom_series(atom, order)
+
+    monkeypatch.setattr(identities, "verify", verifying)
+    monkeypatch.setattr(products, "_atom_series", expanding)
+    assert all(report.ok for report in verify_all("all", 1500))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == leaves
+
+
 @pytest.mark.parametrize("rid", ["dissection.inv_f1_5", "ext.b5.before_last", "thm3.b5_10n"])
 def test_a_lone_verify_plans_only_its_own_sides(monkeypatch, rid):
     # outside verify_all each side is its own run: it makes its products
@@ -363,7 +390,7 @@ def test_a_lone_verify_plans_only_its_own_sides(monkeypatch, rid):
 
 def test_the_run_table_is_empty_after_every_run(monkeypatch):
     assert verify_all("all", 300)
-    assert products._RUN == {}
+    assert products._RUN == {} and not products._SIDES
     # an error partway through, while the table holds products for later
     # records, leaves it empty too
     euler, held = products.euler_f, []
@@ -378,7 +405,7 @@ def test_the_run_table_is_empty_after_every_run(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         verify_all("all", 300)
     assert held[-1] > 0
-    assert products._RUN == {}
+    assert products._RUN == {} and not products._SIDES
 
 
 def test_a_wrong_record_among_records_that_share_its_products(monkeypatch):
@@ -396,8 +423,9 @@ def test_a_wrong_record_among_records_that_share_its_products(monkeypatch):
         if rid == base.id:
             registry[wrong.id] = wrong
     monkeypatch.setattr(identities, "REGISTRY", registry)
-    shared = products.plan_run(identities.compared_sides([base.id, wrong.id], 600, DEFAULT_KMAX))
-    assert max(shared.touches.values()) > 1
+    pairs = identities.compared_sides([base.id, wrong.id], 600, DEFAULT_KMAX)
+    assert products.plan_run(pairs).products < sum(products.plan_run([pair]).products
+                                                   for pair in pairs)
     alone = verify(wrong.id, 600)
     assert not alone.ok and alone.first_bad_index is not None
     reports = [report._replace(elapsed=None) for report in verify_all("all", 600)]

@@ -380,6 +380,33 @@ def test_empty_side_is_zero():
         assert evaluate_side((), order) == TruncatedSeries.zero(order)
 
 
+def test_a_side_the_run_does_not_plan_next_has_a_table_of_its_own(monkeypatch):
+    # a run of f1^2 f5 then f1^2 f10, where the second reads the f1^2 that
+    # the first made.  The first side again in between, as a mismatch is
+    # expanded again, is not the side the run plans next: it makes its
+    # products in a table of its own and leaves the run's table as it was
+    first, second = (P(1, 0, (F(1), 2), F(5)),), (P(1, 0, (F(1), 2), F(10)),)
+    run = [(first, 60), (second, 60)]
+    made = products.plan_run(run).products + products.plan_run(run[:1]).products
+    expected = euler_f(1, 60).pow(2).mul(euler_f(10, 60))
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", counting)
+    with products.shared_products(run):
+        value = evaluate_side(first, 60)
+        held = {key: list(entry) for key, entry in products._RUN.items()}
+        assert evaluate_side(first, 60) == value
+        assert products._RUN == held
+        assert evaluate_side(second, 60) == expected
+        assert products._RUN == {}
+    assert len(calls) == made == 5
+
+
 # -- sequence atoms read any progression ----------------------------------------
 
 
