@@ -1,7 +1,9 @@
 """Uniform verification over the identity registry.
 
 ``verify`` dispatches on the record type and always returns a
-VerificationReport; a mismatch carries the smallest offending index.
+VerificationReport; a mismatch carries the smallest offending index, and a
+plain relation or a census that covers no n is skipped, never an exact
+match.
 Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
 their common denominator so that none divides.  A family, a relation that
@@ -46,6 +48,8 @@ from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
 from .series import first_mismatch
 
 REGISTRY: dict[str, Record] = build_registry()
+
+NOTHING_COVERED = "no n covered"
 
 
 class UnknownIdentity(KeyError):
@@ -172,10 +176,10 @@ def _checks(record: Record, order: int, kmax: int) -> Iterator[tuple]:
 
 
 def _census(record: CensusRecord, order: int) -> VerificationReport:
-    """The record's sign frequencies over n = 1..order against its bounds."""
+    """The record's sign frequencies over n = 1..order against its bounds;
+    skipped below order 1, where there is no n."""
     if order < 1:
-        return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                                  detail="no indices in range (vacuous)")
+        return VerificationReport(record.id, record.kind, order, SKIPPED, detail=NOTHING_COVERED)
     census = sign_census(record.seq, order)
     detail = (f"zero={census.zero} positive={census.positive} "
               f"negative={census.negative} over n=1..{order}")
@@ -194,19 +198,27 @@ def _census(record: CensusRecord, order: int) -> VerificationReport:
 
 
 def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
+    """The record's report at the order.  A family names the k it checked
+    and the k it could not cover; a plain relation that covers no n is
+    skipped."""
     if isinstance(record, CensusRecord):
         return _census(record, order)
     family = isinstance(record, Relation) and record.family
-    checked = []
+    checked, missed = [], []
     for k, sides, top, modulus in _checks(record, order, kmax):
         if top < 0:
+            missed.append(k)
             continue
         bad = _compare(sides, top, modulus)
         if bad is not None:
             return _mismatch(record, order, bad, f"k={k}" if family else "")
         checked.append(k)
-    return VerificationReport(record.id, record.kind, order, EXACT_MATCH,
-                              detail=f"k in {checked}" if family else "")
+    if family:
+        detail = f"k in {checked}" + (f"; {NOTHING_COVERED} at k in {missed}" if missed else "")
+        return VerificationReport(record.id, record.kind, order, EXACT_MATCH, detail=detail)
+    if missed:
+        return VerificationReport(record.id, record.kind, order, SKIPPED, detail=NOTHING_COVERED)
+    return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
 
 def verify(record_id: str, order: int = DEFAULT_ORDER,

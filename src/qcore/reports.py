@@ -16,14 +16,16 @@ class VerificationReport(namedtuple(
     """Outcome of one verification run.
 
     A mismatch always carries the smallest offending index together with
-    the two values seen there; a skip carries its reason in ``detail``.
+    the two values seen there; a skip, a check that covered nothing,
+    carries its reason in ``detail``.
     """
 
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return self.status == EXACT_MATCH
+        """No mismatch: an exact match, or a skip."""
+        return self.status != MISMATCH
 
     def to_line(self, include_elapsed: bool = False) -> str:
         parts = [self.id, self.status, f"N={self.order}"]

@@ -127,57 +127,14 @@ class TruncatedSeries:
         return TruncatedSeries([k * c for c in self.coeffs], self.order)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Exact product, truncated to the smaller order.
+        """Exact product, truncated to the smaller order (``_product``).
 
-        Each factor is read once.  Nonzero counts pick the sparser factor,
-        a, and only its support is listed; ``_period`` finds the gcd G of
-        the denser factor b's nonzero exponents from slices of b.  When
-        g = gcd(G, support of a) > 1, the product is a series in q^g: it is
-        made from ``coeffs[::g]`` at order ``order // g`` and spread back
-        over every g-th slot, which are zero.  A factor still in q^P after
-        that, P > 1, dissects the product (``_dissect``): b's period
-        always, since each pass of the shifted kernel over b gets P times
-        shorter and a packed multiply splits into P smaller ones; a's only
-        when the undissected product is priced packed, since the shifted
-        kernel would make the same passes over b in P pieces.  A square,
-        ``x.mul(x)``, packs its operand once.
-
-        Of the two kernels, ``_convolve_shifted`` costs about one pass over
-        the packed denser factor per nonzero term of the sparser one,
-        ``_convolve_packed`` about one Karatsuba multiply of both packed
-        factors, D^log2(3) for D digits; ``_price`` picks the cheaper.
-        Both are priced at the slot width the kernel packs with, the bits it
-        needs in whole bytes, and ``_widths`` gives both widths from a's
-        nonzero values and max|b|; the chosen kernel takes its width from
-        there rather than sizing its slots itself.
+        A square, ``x.mul(x)``, packs its operand once.
         """
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
         b = a if other is self else other.coeffs[: order + 1]
-        na = len(a) - a.count(0)
-        nb = na if b is a else len(b) - b.count(0)
-        if not na or not nb:
-            return TruncatedSeries.zero(order)
-        if nb < na:
-            a, b, nb = b, a, na
-        ia = _support(a)
-        period = _period(b, nb)
-        g = gcd(period, *ia)
-        sub = order
-        if g > 1:
-            square = b is a
-            a, ia, sub, period = a[::g], [i // g for i in ia], order // g, period // g
-            b = a if square else b[::g]
-        if period > 1:
-            out = _dissect(a, b, period, sub)
-        else:
-            price = _price(a, ia, b, sub + 1)
-            period = 1 if price[0] else gcd(*ia)
-            if period > 1:
-                out = _dissect(b, a, period, sub)
-            else:
-                out = _convolve(a, ia, b, sub, price)
-        return TruncatedSeries(_spread(out, g, order), order)
+        return TruncatedSeries(_product(a, b, order), order)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse: 1 divided by this series."""
@@ -186,10 +143,11 @@ class TruncatedSeries:
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact long division; ``other`` must have unit constant term.
 
-        The quotient solves b_0 out_n = a_n - sum_{k>=1} b_k out_{n-k}.  The
-        numerator's nonzero exponents and the denominator's nonzero
-        exponents k >= 1 share a gcd g; when g > 1 the recurrence runs on
-        every g-th coefficient, as in ``mul``.
+        The quotient solves b_0 out_n = a_n - sum_{k>=1} b_k out_{n-k}
+        (``_divide``).  A divisor in q^P, P > 1, dissects the quotient as
+        a factor's period dissects a product (``_dissect``): each residue
+        class r mod P of the numerator runs its own recurrence over
+        ``b[::P]``, P times shorter, and an empty class runs none.
         """
         b = other.coeffs
         b0 = b[0]
@@ -198,18 +156,17 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         a = self.coeffs[: order + 1]
         b = b[: order + 1]
-        g = gcd(*_support(a), *_support(b)[1:])
-        sub = order
-        if g > 1:
-            a, b, sub = a[::g], b[::g], order // g
-        return TruncatedSeries(_spread(_divide(a, b, sub), g, order), order)
+        period = _period(b, len(b) - b.count(0))
+        out = _dissect(a, b, period, order, _divide) if period > 1 else _divide(a, b, order)
+        return TruncatedSeries(out, order)
 
     def pow(self, k: int) -> "TruncatedSeries":
         """k-th power by binary powering (k >= 0): square, and multiply by
         this series at each 1 bit of k below the leading one.
 
-        Every product goes through ``mul``, so a series in q^g is raised at
-        order N/g and the squarings pack their operand once.
+        Every product goes through ``mul``, so a series in q^g is raised
+        through products dissected by g and the squarings pack their
+        operand once.
         """
         if k < 0:
             raise ValueError("negative powers: use invert() then pow()")
@@ -241,7 +198,9 @@ class TruncatedSeries:
             raise ValueError("requested order exceeds what the source determines exactly")
         if m == 1 and order == self.order:
             return self
-        return TruncatedSeries(_spread(list(self.coeffs[: order // m + 1]), m, order), order)
+        out = [0] * (order + 1)
+        out[::m] = self.coeffs[: order // m + 1]
+        return TruncatedSeries(out, order)
 
     def extract_ap(self, m: int, r: int) -> "TruncatedSeries":
         """Coefficients along the arithmetic progression mn + r, re-indexed to q^n."""
@@ -323,15 +282,6 @@ def _period(b, nb: int) -> int:
         if len(picked) - picked.count(0) == nb:
             return d
     return 1
-
-
-def _spread(vals: list, g: int, order: int) -> list:
-    """Put vals[i] at index g*i of a zero list of order + 1 slots (g <= 1: vals)."""
-    if g <= 1:
-        return vals
-    out = [0] * (order + 1)
-    out[::g] = vals
-    return out
 
 
 def _divide(a, b, order):
@@ -441,7 +391,7 @@ def _unpack(p: int, width: int, count: int) -> list:
 
 def _price(a, ia, b, count: int) -> tuple:
     """(shifted, width) for a * b over count slots, a nonzero at the indices
-    ia: whether the cost model (``TruncatedSeries.mul``) prices
+    ia: whether the cost model (``_product``) prices
     ``_convolve_shifted`` lower than ``_convolve_packed``, and the slot
     width of the one it picks."""
     shifted_width, packed_width = _widths(a, ia, b, count)
@@ -451,30 +401,56 @@ def _price(a, ia, b, count: int) -> tuple:
     return False, packed_width
 
 
-def _dissect(x, y, period: int, order: int) -> list:
-    """x * y to the given order, for y a series in q^period: the product's
-    slots r mod period are ``x[r::period]`` times ``y[::period]``, each at
-    order (order - r) // period.  Each nonempty class of x is listed and
-    priced on its own (``_price``), and its product is written back with a
-    slice."""
+def _product(x, y, order: int) -> list:
+    """x * y to the given order, for x and y of order + 1 slots each (y is
+    x for a square): the one place that decides how a product is made.
+
+    Nonzero counts pick the sparser factor, x, and the denser one, y, and
+    ``_period`` finds y's period P from slices of y.  With P > 1 the
+    product is dissected by P (``_dissect``): each nonempty residue class
+    of x mod P times ``y[::P]``, made by this function again, P times
+    shorter.  That also covers two factors in a common q^g, whose classes
+    off the multiples of g are empty.  With P = 1 the product is a leaf,
+    made by one of two kernels.  ``_convolve_shifted`` costs about one pass
+    over the packed y per nonzero term of x, ``_convolve_packed`` about
+    one Karatsuba multiply of both packed factors, D^log2(3) for D digits;
+    ``_price`` picks the cheaper, and the width its kernel packs with.  A
+    leaf priced packed whose sparser factor x is in q^Q, Q > 1, is
+    dissected by Q instead, one class of y per product, since the shifted
+    kernel would make the same passes over y in Q pieces.
+    """
+    nx = len(x) - x.count(0)
+    ny = nx if y is x else len(y) - y.count(0)
+    if not nx or not ny:
+        return [0] * (order + 1)
+    if ny < nx:
+        x, y, ny = y, x, nx
+    period = _period(y, ny)
+    if period > 1:
+        return _dissect(x, y, period, order, _product)
+    ix = _support(x)
+    shifted, width = _price(x, ix, y, order + 1)
+    if shifted:
+        return _convolve_shifted(x, ix, y, order, width)
+    period = gcd(*ix)
+    if period > 1:
+        return _dissect(y, x, period, order, _product)
+    return _convolve_packed(x, y, order, width)
+
+
+def _dissect(x, y, period: int, order: int, kernel) -> list:
+    """x * y (``_product``) or x / y (``_divide``), as ``kernel``, to the
+    given order, for y a series in q^period: slots r mod period of the
+    result are ``kernel(x[r::period], y[::period])`` at order
+    (order - r) // period, written back with a slice, and zero for an
+    empty class of x.  A square stays a square."""
     out = [0] * (order + 1)
-    y = y[::period]
+    head = y[::period]
     for r in range(min(period, order + 1)):
         part = x[r::period]
-        support = _support(part)
-        if support:
-            head = y[: len(part)]
-            out[r::period] = _convolve(part, support, head, len(part) - 1,
-                                       _price(part, support, head, len(part)))
+        if any(part):
+            out[r::period] = kernel(part, part if x is y else head[: len(part)], len(part) - 1)
     return out
-
-
-def _convolve(a, ia, b, order: int, price: tuple) -> list:
-    """a * b to the given order by the kernel and width of ``_price``."""
-    shifted, width = price
-    if shifted:
-        return _convolve_shifted(a, ia, b, order, width)
-    return _convolve_packed(a, b, order, width)
 
 
 def _convolve_shifted(a, ia, b, order, width):

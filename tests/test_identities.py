@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -529,5 +531,36 @@ def test_consistency_triangle():
 
 
 def test_verify_at_order_zero_is_degenerate_but_legal():
+    # nothing mismatches at order 0; what covers no n there is skipped
     reports = verify_all("core", 0)
-    assert all(r.status in ("exact-match",) for r in reports)
+    assert all(r.ok for r in reports)
+    assert {r.status for r in reports} == {"exact-match", "skipped"}
+    assert all(r.detail == "no n covered" for r in reports if r.status == "skipped")
+
+
+@pytest.mark.parametrize("rid, order", [("thm3.b5_20n_15", 10), ("ext.b25n72", 60),
+                                        ("cor.census", 0)])
+def test_a_check_that_covers_no_n_is_skipped(rid, order):
+    report = verify(rid, order)
+    assert report.to_line() == f"{rid} skipped N={order} [no n covered]"
+    assert report.ok    # a skip is not a mismatch
+
+
+def test_every_plain_relation_covers_an_n_from_order_100():
+    # perfbench/gate.py accepts only exact-match, and verifies at N >= 100
+    for rid, record in REGISTRY.items():
+        if isinstance(record, Relation) and not record.family:
+            assert identities._coverage((record.lhs, record.rhs), 100) >= 0, rid
+
+
+@pytest.mark.parametrize("order, kmax", [(0, 3), (60, 3), (300, 3), (1500, 3), (1500, 5)])
+def test_a_family_reports_every_k_it_was_asked_for(order, kmax):
+    for rid, record in REGISTRY.items():
+        if isinstance(record, Relation) and record.family:
+            report = verify(rid, order, kmax)
+            assert report.status == "exact-match"
+            found = re.fullmatch(r"k in (\[.*?\])(?:; no n covered at k in (\[.*\]))?",
+                                 report.detail)
+            checked, missed = json.loads(found[1]), json.loads(found[2] or "[]")
+            assert sorted(checked + missed) == list(range(2, kmax + 1)), report.to_line()
+    assert verify("cor.b5.mod5k.n18", 1500).detail == "k in [2]; no n covered at k in [3]"

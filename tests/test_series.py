@@ -365,7 +365,7 @@ def test_packed_kernel_squaring_path():
     square = brute.convolve(list(x.coeffs), list(x.coeffs), 299)
     assert list(x.mul(x).coeffs) == square
     assert list(x.pow(2).coeffs) == square
-    y = x.inflate(3)   # squared after deflation to every third coefficient
+    y = x.inflate(3)   # squared on every third coefficient, one class
     assert list(y.mul(y).coeffs) == brute.convolve(list(y.coeffs), list(y.coeffs), y.order)
 
 
@@ -471,7 +471,7 @@ def test_two_dense_factors_take_packed_kernel(monkeypatch, order):
 
 @pytest.mark.parametrize("x", [euler_f(1, 1500), euler_f(1, 1500).invert(),
                                euler_f(1, 750).invert().inflate(2)],
-                         ids=["shifted", "packed", "deflated"])
+                         ids=["shifted", "packed", "dissected"])
 def test_square_packs_its_operand_once(monkeypatch, x):
     packed = []
     pack = series_module._pack
@@ -513,41 +513,21 @@ def _reference_price(a, ia, b, sub):
     return "_convolve_packed", packed_width
 
 
-def _reference_classes(x, y, period, sub):
-    """The choices of x * y, y a series in q^period, one per nonempty
-    residue class of x mod period, at x[r::period] times y[::period] to
-    order (sub - r) // period."""
-    choices = []
-    for r in range(min(period, sub + 1)):
-        part, top = x[r::period], (sub - r) // period
-        support = [(i - r) // period for i in _support(x) if i % period == r]
-        if support:
-            choices.append(_reference_price(part, support, y[::period][: top + 1], top))
-    return choices
+def _reference_product(x, y, sub):
+    """The kernels and slot widths of x * y to order sub, x and y of sub + 1
+    slots (y is x for a square), in the order they run, from both supports
+    and the formulas above; [] when a factor is zero and no kernel runs.
 
-
-def _reference_choice(x, y):
-    """The kernels and slot widths of x * y, in the order they run, from
-    both supports and the formulas above; [] when a factor is zero and no
-    kernel runs.  After deflation by the gcd of both supports, a denser
-    factor b that is still a series in q^G, G > 1, dissects the product by
-    G: one priced call per nonempty residue class of the sparser factor a.
-    Otherwise a sparser factor in q^G, G > 1, dissects it by G, one call
-    per class of b, when the undissected product is priced packed; else it
-    is one priced call."""
-    order = min(x.order, y.order)
-    a = x.coeffs[: order + 1]
-    b = a if y is x else y.coeffs[: order + 1]
+    One recursive rule: with b the denser factor and a the sparser (a stays
+    x on a tie), b in q^G, G > 1, dissects the product by G into one
+    product per nonempty residue class of a, each by this rule again.
+    Otherwise it is one priced call, unless that call is packed and a is
+    in q^G, G > 1: then G dissects it, one product per class of b."""
+    a, b = x, y
     ia = _support(a)
     ib = ia if b is a else _support(b)
     if not ia or not ib:
         return []
-    g = gcd(*ia, *ib)
-    sub = order
-    if g > 1:
-        square = b is a
-        a, ia, sub = a[::g], [i // g for i in ia], order // g
-        b, ib = (a, ia) if square else (b[::g], [i // g for i in ib])
     if len(ib) < len(ia):
         a, ia, b, ib = b, ib, a, ia
     if gcd(*ib) > 1:
@@ -556,6 +536,26 @@ def _reference_choice(x, y):
     if choice[0] == "_convolve_packed" and gcd(*ia) > 1:
         return _reference_classes(b, a, gcd(*ia), sub)
     return [choice]
+
+
+def _reference_classes(x, y, period, sub):
+    """The choices of x * y, y a series in q^period: the products
+    x[r::period] times y[::period] to order (sub - r) // period, for
+    r = 0..period - 1, by ``_reference_product``."""
+    choices = []
+    for r in range(min(period, sub + 1)):
+        part = x[r::period]
+        head = part if x is y else y[::period][: len(part)]
+        choices += _reference_product(part, head, len(part) - 1)
+    return choices
+
+
+def _reference_choice(x, y):
+    """The choices of the series product x * y, truncated to the smaller
+    order."""
+    order = min(x.order, y.order)
+    a = x.coeffs[: order + 1]
+    return _reference_product(a, a if y is x else y.coeffs[: order + 1], order)
 
 
 @st.composite
@@ -608,6 +608,7 @@ def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
     @example((euler_f(1, 150), _DENSE_150))                      # shifted
     @example((euler_f(1, 150).inflate(2, 151), _DENSE_150))      # q^1 in one factor
     @example((S(127, *[1] * 7, *[0] * 33), S(*[127] * 8, *[0] * 33)))   # tie: x stays a, 2 bytes
+    @example((S(0, 0, 1, 0), S(0, 0, 0, 1)))                     # zero at order 3: no kernel
     def check(pair):
         x, y = pair
         ran.clear()
@@ -620,9 +621,9 @@ def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
     check()
 
 
-_DEFLATION_CASES = st.one_of(
+_PERIOD_CASES = st.one_of(
     *_PRICING_CASES.values(),
-    # a constant sparser factor: its support [0] leaves g to the other's
+    # a constant factor, whose period is 0
     st.tuples(st.integers(-9, 9).filter(bool),
               st.sampled_from((1, 2, 3, 5, 6)).flatmap(lambda g: _priced_operand(g=g))).map(
         lambda cy: (TruncatedSeries.monomial(cy[1].order, cy[0]), cy[1])),
@@ -631,25 +632,21 @@ _DEFLATION_CASES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_DEFLATION_CASES)
+@given(_PERIOD_CASES)
 @example((TruncatedSeries.one(40), euler_f(1, 20).inflate(2, 40)))
 @example((euler_f(2, 60).inflate(3, 180), euler_f(1, 30).inflate(6, 180)))
-def test_deflation_is_the_gcd_of_both_supports(pair):
-    # mul's g from the denser factor's period, found by slices, and the
-    # sparser factor's support, for either factor as the denser one
+def test_period_is_the_gcd_of_the_support(pair):
+    # the period that dissects a product, found by slices, for either factor
     x, y = pair
     order = min(x.order, y.order)
-    a, b = x.coeffs[: order + 1], y.coeffs[: order + 1]
-    for a, b in ((a, b), (b, a)):
-        nb = len(b) - b.count(0)
-        assert series_module._period(b, nb) == gcd(*_support(b))
-        assert gcd(series_module._period(b, nb), *_support(a)) == gcd(*_support(a), *_support(b))
+    for b in (x.coeffs[: order + 1], y.coeffs[: order + 1]):
+        assert series_module._period(b, len(b) - b.count(0)) == gcd(*_support(b))
 
 
 # -- a product dissected by a factor's period -----------------------------------
 #
-# After deflation, a factor still in q^P splits the product into P residue
-# classes, each made by its own kernel call.
+# A factor in q^P splits the product into P residue classes, each a product
+# of its own.
 
 # (g, G): one operand in q^g, the other in q^G, g dividing G or not
 _PERIOD_PAIRS = ((1, 2), (1, 5), (1, 25), (2, 5), (3, 4), (4, 6), (5, 2), (10, 25), (3, 25))
@@ -692,9 +689,9 @@ def test_dissection_runs_one_kernel_per_nonempty_class(monkeypatch):
                                                        list(dense_in_q5.coeffs[:61]), 60)
 
 
-# -- deflated operands and the division agree with the naive helpers -----------
+# -- operands in q^g and the division agree with the naive helpers -------------
 #
-# Operands in q^g are multiplied and divided on every g-th coefficient.
+# Operands in q^g are multiplied and divided by residue classes mod g.
 
 STEPS = [2, 3, 5, 10]
 
@@ -745,7 +742,7 @@ def test_pow_of_inflated_series_matches_brute(x, g, extra, k):
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("sub", [65, 100, 128])
 def test_dense_mul_at_small_orders_takes_packed_kernel(monkeypatch, sub, g):
-    # dense factors go to the packed kernel at any order, here at deflated
+    # dense factors go to the packed kernel at any order, here at dissected
     # orders 65..128
     x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(sub + 1)]).inflate(g)
     y = TruncatedSeries([n % 7 - 3 or 5 for n in range(sub + 1)]).inflate(g)
@@ -760,7 +757,7 @@ def test_dense_mul_at_small_orders_takes_packed_kernel(monkeypatch, sub, g):
 
 
 def test_packed_mul_of_inflated_dense_series():
-    # dense factors at a small order after deflation
+    # dense factors at a small order after dissection
     x = TruncatedSeries([((-1) ** n) * (n * n + 1) for n in range(300)])
     y = TruncatedSeries([n % 7 - 3 for n in range(300)])
     for g in STEPS:
@@ -794,6 +791,29 @@ def test_div_by_one_term_past_constant(b0, k, c):
     a = TruncatedSeries([n * n - 5 for n in range(order + 1)])
     assert list(a.div(b).coeffs) == _brute_div(a, b)
     assert list(b.invert().coeffs) == brute.invert(list(b.coeffs), order)
+
+
+def test_quotient_runs_one_recurrence_per_nonempty_class(monkeypatch):
+    orders = []
+    divide = series_module._divide
+    monkeypatch.setattr(series_module, "_divide",
+                        lambda a, b, order: orders.append(order) or divide(a, b, order))
+    # chi(-q) = f(-q) / f(-q^2): each class mod 2 of f(-q) over f(-q^2)[::2]
+    chi = euler_f(1, 2000).div(euler_f(2, 2000))
+    assert orders == [1000, 999]
+    assert list(chi.coeffs[:201]) == _brute_div(euler_f(1, 200), euler_f(2, 200))
+    orders.clear()
+    # a numerator at 0 and 3 mod 5 over a divisor in q^5: three empty classes
+    two_classes = S(*[n % 7 - 3 if n % 5 in (0, 3) else 0 for n in range(301)])
+    assert list(two_classes.div(euler_f(5, 300)).coeffs) == _brute_div(two_classes,
+                                                                       euler_f(5, 300))
+    assert orders == [60, 59]
+    orders.clear()
+    # a divisor of period 1, or a constant one, runs one recurrence
+    assert list(two_classes.div(euler_f(1, 300)).coeffs) == _brute_div(two_classes,
+                                                                       euler_f(1, 300))
+    assert two_classes.div(S(-1, *[0] * 300)) == two_classes.scale(-1)
+    assert orders == [300, 300]
 
 
 def test_constant_and_zero_operands():
