@@ -17,6 +17,7 @@ the t-core oracle only for oracle, and json only for --format json.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import struct
@@ -325,7 +326,24 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The ``qcore`` console script: ``main`` in a one-shot process.
+
+    A command keeps what it builds until the process exits, so the cyclic
+    collector finds next to nothing to free (the argparse parser's few
+    hundred objects) but still walks the growing heap several times while
+    the command runs, and again at interpreter shutdown.  So the
+    collector is off for the command, and ``gc.freeze()`` moves the heap
+    out of the shutdown collections' reach however ``main`` ends: with its
+    exit code, argparse's usage exit or a traceback.  Freezing rather
+    than ``os._exit`` keeps atexit handlers, the flushing of the standard
+    streams and the exit code as they are.  In-process callers of ``main``
+    keep Python's default collector.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -235,6 +235,7 @@ def CHI(sign: int, j: int) -> tuple:
     (-sign*q^j; -sign*q^j)_inf are chi's, its even ones are f(-q^2j).  The
     quotient costs one division by a sparse Euler product, O(order^1.5).
     """
+    _theta_step(sign, j)
     return ((F(j, sign), 1), (F(2 * j), -1))
 
 

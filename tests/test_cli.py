@@ -271,6 +271,19 @@ def test_malformed_input_is_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["f:0", "phi:+:0", "R:0", "chi:+:0", "chi:-:0"])
+@pytest.mark.parametrize("command", ["expand {name} 5", "bfile export {name} {path} -N 5"],
+                         ids=["expand", "bfile-export"])
+def test_theta_step_zero_is_usage_error(tmp_path, capsys, command, name):
+    # chi:-:0 is f(-q^0) / f(-q^0), whose two equal atoms would cancel to 1
+    path = tmp_path / "b.txt"
+    code, out, err = run_cli(capsys, *command.format(name=name, path=path).split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot expand {name!r}: j must be >= 1\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     "verify all -N {N}",
     "verify lemma.A4B -N {N}",

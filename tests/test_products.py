@@ -255,10 +255,13 @@ def test_named_thetas_match_their_own_sums(sign):
 
 
 def test_named_thetas_reject_bad_arguments():
-    for call in (lambda: euler_f(0, 5), lambda: phi(1, 0, 5), lambda: psi(-1, -2, 5)):
+    # CHI(-1, j) is f(-q^j) / f(-q^2j): at j = 0 its two atoms would cancel
+    for call in (lambda: euler_f(0, 5), lambda: phi(1, 0, 5), lambda: psi(-1, -2, 5),
+                 lambda: CHI(-1, 0), lambda: CHI(1, -1)):
         with pytest.raises(ValueError, match="j must be >= 1"):
             call()
-    for call in (lambda: euler_f(1, 5, 0), lambda: phi(2, 1, 5), lambda: psi(0, 1, 5)):
+    for call in (lambda: euler_f(1, 5, 0), lambda: phi(2, 1, 5), lambda: psi(0, 1, 5),
+                 lambda: CHI(0, 1)):
         with pytest.raises(ValueError, match="sign must be"):
             call()
 

@@ -15,12 +15,31 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` and qcore on the path."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+
+
 def fresh(code: str) -> str:
     """Run ``code`` in a new interpreter with qcore on the path; its stdout."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    proc = interpreter("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# Counts the collections a process makes and, at exit, prints the collector's
+# state when ``mark()`` was called, the collections made since, and whether
+# the heap is frozen.  atexit handlers run before the shutdown collections.
+COLLECTOR_PROBE = (
+    "import atexit, gc\n"
+    "starts, marks = [], []\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+    "def mark():\n"
+    "    marks.append((gc.isenabled(), len(starts)))\n"
+    "atexit.register(lambda: print(marks[0][0], len(starts) - marks[0][1],\n"
+    "                              gc.get_freeze_count() > 0))\n"
+)
 
 
 def test_import_qcore_loads_no_submodule():
@@ -106,6 +125,23 @@ def test_no_module_imports_dataclasses_or_typing():
                 assert name.split(".")[0] not in ("dataclasses", "typing"), (path.name, name)
 
 
+def test_only_the_process_entry_touches_the_collector():
+    # library code runs under the caller's collector policy; only the entry
+    # points of a one-shot process (cli.run and python -m qcore) set their own
+    users = set()
+    for path in sorted((SRC / "qcore").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> the innermost function around it (ast.walk is outer first)
+        for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            owner.update((id(n), func.name) for n in ast.walk(func))
+        users |= {(path.name, owner.get(id(n)), n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "gc"}
+        assert not any(isinstance(n, ast.ImportFrom) and n.module == "gc"
+                       for n in ast.walk(tree)), path.name
+    assert users == {("cli.py", "run", "disable"), ("cli.py", "run", "freeze"),
+                     ("__main__.py", None, "disable")}
+
+
 def test_only_the_series_defines_equality_or_hashing():
     # value types are named tuples, compared and hashed by the tuple in C
     for path in sorted((SRC / "qcore").glob("*.py")):
@@ -133,3 +169,62 @@ def test_public_names_are_the_module_objects():
     assert set(qcore.__all__) <= set(dir(qcore))
     with pytest.raises(AttributeError, match="no_such_name"):
         qcore.no_such_name
+
+
+def test_main_in_process_leaves_the_collector_as_it_found_it(capsys):
+    import gc
+
+    from qcore import cli
+
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["expand", "f", "5"]) == 0
+    assert cli.main(["verify", "lemma.c5n4", "-N", "10"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert capsys.readouterr().out.splitlines()[0] == "1 -1 -1 0 0 1"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["verify", "lemma.c5n4", "-N", "10"], 0,
+     "lemma.c5n4 exact-match N=10\n1 records: 1 exact-match, 0 mismatch, 0 skipped\n", ""),
+    (["expand", "prod:1//2", "4"], 2,
+     "", "error: bad product factor '1//2'; expected '[-]E/M[^Z]'\n"),
+], ids=["verify", "malformed-expand"])
+def test_python_m_qcore_output_and_exit_code(argv, code, out, err):
+    proc = interpreter("-m", "qcore", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["verify", "lemma.c5n4", "-N", "10"], 0,
+     ["lemma.c5n4 exact-match N=10", "1 records: 1 exact-match, 0 mismatch, 0 skipped"]),
+    (["expand", "c5", "-5"], 2, []),  # argparse's usage exit
+], ids=["returns", "usage-exit"])
+def test_run_turns_the_collector_off_for_the_command_and_freezes_at_exit(argv, code, out):
+    proc = interpreter("-c", COLLECTOR_PROBE + (
+        "import sys\n"
+        "from qcore import cli\n"
+        "main = cli.main\n"
+        "def spy(argv=None):\n"
+        "    mark()\n"
+        "    return main(argv)\n"
+        "cli.main = spy\n"
+        f"sys.argv = ['qcore', *{argv!r}]\n"
+        "cli.run()\n"
+    ))
+    assert (proc.returncode, proc.stdout.splitlines()) == (code, [*out, "False 0 True"])
+
+
+def test_python_m_qcore_imports_the_cli_without_the_collector():
+    # runpy runs qcore/__main__.py as ``python -m qcore`` does; the finder
+    # marks the moment qcore.cli is first looked up, before it is compiled
+    out = fresh(COLLECTOR_PROBE + (
+        "import runpy, sys\n"
+        "class Mark:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'qcore.cli':\n"
+        "            mark()\n"
+        "sys.meta_path.insert(0, Mark())\n"
+        "sys.argv = ['qcore', 'expand', 'f', '5']\n"
+        "runpy.run_module('qcore', run_name='__main__', alter_sys=True)\n"
+    ))
+    assert out.splitlines() == ["1 -1 -1 0 0 1", "False 0 True"]
