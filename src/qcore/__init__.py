@@ -27,19 +27,15 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("BFile", "BFileParseError", "first_discrepancy", "format_bfile",
-                     "parse_bfile"), "bfile"),
-    **dict.fromkeys(("Dissection", "dissect"), "dissection"),
-    **dict.fromkeys(("DEFAULT_KMAX", "DEFAULT_ORDER", "UnknownIdentity", "check_congruence",
-                     "record_ids", "register", "summarize", "unregister", "verify",
-                     "verify_all"), "identities"),
+    **dict.fromkeys(("BFileParseError", "first_discrepancy", "format_bfile", "parse_bfile"),
+                    "bfile"),
+    **dict.fromkeys(("dissect",), "dissection"),
+    **dict.fromkeys(("UnknownIdentity", "record_ids", "summarize", "verify", "verify_all",
+                     "verify_record"), "identities"),
     **dict.fromkeys(("Partition", "count_t_cores", "t_cores"), "partitions"),
-    **dict.fromkeys(("CensusResult", "PochhammerFactor", "ThetaSpec", "UnknownSequence",
-                     "euler_f", "evaluate_side", "expand_pochhammer", "gen_a5bar", "gen_b5bar",
-                     "gen_c5", "phi", "psi", "sequence", "sign_census", "theta_general"),
-                    "products"),
-    **dict.fromkeys(("CORE", "EXTENDED", "Record"), "registry"),
-    **dict.fromkeys(("EXACT_MATCH", "MISMATCH", "SKIPPED", "VerificationReport"), "reports"),
+    **dict.fromkeys(("PochhammerFactor", "ThetaSpec", "euler_f", "evaluate_side",
+                     "expand_pochhammer", "gen_a5bar", "gen_b5bar", "gen_c5", "phi", "psi",
+                     "sign_census", "theta_general"), "products"),
     **dict.fromkeys(("NonUnitConstantTerm", "TruncatedSeries", "first_mismatch"), "series"),
 }
 

@@ -35,4 +35,5 @@ def dissect(a: TruncatedSeries, m: int) -> Dissection:
         raise ValueError("modulus must be >= 1")
     if a.order < m - 1:
         raise ValueError("series order too small for every residue class")
-    return Dissection(m, tuple(a.extract_ap(m, r) for r in range(m)))
+    return Dissection(m, tuple(TruncatedSeries(a.coeffs[r::m], (a.order - r) // m)
+                              for r in range(m)))

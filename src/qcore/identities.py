@@ -1,9 +1,10 @@
 """Uniform verification over the identity registry.
 
-``verify`` dispatches on the record type and always returns a
-VerificationReport; a mismatch carries the smallest offending index, and a
-plain relation or a census that covers no n is skipped, never an exact
-match.
+``verify_record`` is the one call that verifies a record, registered or
+not; ``verify`` looks a record up by id in ``REGISTRY`` and calls it.  It
+dispatches on the record type and always returns a VerificationReport; a
+mismatch carries the smallest offending index, and a plain relation or a
+census that covers no n is skipped, never an exact match.
 Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
 their common denominator so that none divides.  A family, a relation that
@@ -31,7 +32,6 @@ from .products import (
     SEQUENCES,
     P,
     evaluate_side,
-    sequence,
     shared_products,
     sign_census,
 )
@@ -40,8 +40,6 @@ from .registry import (
     Record,
     Relation,
     SeriesEquality,
-    T,
-    add_record,
     build_registry,
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
@@ -54,15 +52,6 @@ NOTHING_COVERED = "no n covered"
 
 class UnknownIdentity(KeyError):
     """No record with the requested id."""
-
-
-def register(record: Record) -> None:
-    """Add a record (used by self-tests to inject deliberate faults)."""
-    add_record(REGISTRY, record)
-
-
-def unregister(record_id: str) -> None:
-    REGISTRY.pop(record_id, None)
 
 
 def record_ids(tier: str = "all") -> list[str]:
@@ -221,6 +210,15 @@ def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
     return VerificationReport(record.id, record.kind, order, EXACT_MATCH)
 
 
+def verify_record(record: Record, order: int = DEFAULT_ORDER,
+                  kmax: int = DEFAULT_KMAX) -> VerificationReport:
+    """Verify a record, registered or not, at the given working order; the
+    report carries the elapsed seconds."""
+    start = time.perf_counter()
+    report = _verify_record(record, order, kmax)
+    return report._replace(elapsed=time.perf_counter() - start)
+
+
 def verify(record_id: str, order: int = DEFAULT_ORDER,
            kmax: int = DEFAULT_KMAX) -> VerificationReport:
     """Verify one registered identity at the given working order."""
@@ -228,14 +226,7 @@ def verify(record_id: str, order: int = DEFAULT_ORDER,
         record = REGISTRY[record_id]
     except KeyError:
         raise UnknownIdentity(record_id) from None
-    return _timed(record, order, kmax)
-
-
-def _timed(record: Record, order: int, kmax: int) -> VerificationReport:
-    """``_verify_record``, with its elapsed seconds on the report."""
-    start = time.perf_counter()
-    report = _verify_record(record, order, kmax)
-    return report._replace(elapsed=time.perf_counter() - start)
+    return verify_record(record, order, kmax)
 
 
 def largest_index(ids: Iterable[str], order: int) -> int:
@@ -284,8 +275,8 @@ def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
     ext.b25n72 would take b5(25n + 72) from thm2.recurrence's slice of the
     prefix, not from the b5(25n + 22) that ext.b5.before_last evaluates."""
     ids = record_ids(tier)
-    for name in SEQUENCES:
-        sequence(name, order)
+    for gen in SEQUENCES.values():
+        gen(order)
     equalities = [rid for rid in ids if isinstance(REGISTRY[rid], SeriesEquality)]
     with shared_products(compared_sides(equalities, order, kmax)):
         return [verify(rid, order, kmax) for rid in ids]
@@ -298,18 +289,3 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
     skipped = sum(1 for r in reports if r.status == SKIPPED)
     return (f"{total} records: {matched} exact-match, "
             f"{mismatched} mismatch, {skipped} skipped")
-
-
-# -- spec-level convenience operations ----------------------------------------
-
-
-def check_congruence(seq_name: str, modulus: int, ap: tuple[int, int],
-                     order: int = DEFAULT_ORDER) -> VerificationReport:
-    """Check seq(m*n + r) == 0 (mod modulus) for all indices up to order."""
-    m, r = ap
-    record = Relation(
-        f"congruence.{seq_name}.{m}n+{r}.mod{modulus}", "adhoc",
-        f"{seq_name}({m}n+{r}) == 0 (mod {modulus})",
-        (T(seq_name, m, r),), modulus=modulus,
-    )
-    return _timed(record, order, DEFAULT_KMAX)

@@ -22,19 +22,18 @@ so equal specs of the two kinds are equal; their atoms stay distinct by
 their heads, ``"theta_general"`` and ``"expand_pochhammer"``.
 
 The three sequences are sums of Eisenstein divisor sums (``FORMS``), and
-only they keep their results past a call.  ``_closed_form`` evaluates a sequence on any
-progression m*n + r with 0 <= r < m, the prefix being m = 1, r = 0.  One
-cache, keyed by (name, m, r), holds the longest evaluation of each and
-serves every lower order by truncation, which gives the same coefficients
-as a fresh build; a progression inside the cached prefix is a slice of it,
-and a deeper one is evaluated on its own n, through U_5 where m and the
-argument's offset share a power of 5: b5(25n + 22) costs what the prefix
-b5(n) to the same order costs.  Every
-read goes through the constructors in ``SEQUENCES``, which give the prefix
-or, with a modulus m, the terms at exponents r mod m alone.  Series are
-immutable, so sharing them across callers is safe.  ``sequence`` reads one
-of them by name, and ``sign_census`` counts its signs, so a census needs no
-registry.
+only they keep their results past a call.  ``_closed_form`` evaluates a
+sequence on any progression m*n + r with 0 <= r < m, the prefix being
+m = 1, r = 0.  One cache holds the longest prefix of each sequence, keyed
+by its name, and serves every lower order, and every progression inside
+it, by slicing, which gives the same coefficients as a fresh build.  A
+deeper progression is evaluated on its own n and not kept, through U_5
+where m and the argument's offset share a power of 5: b5(25n + 22) costs
+what the prefix b5(n) to the same order costs.  Every read goes through
+the constructors in ``SEQUENCES``, which give the prefix or, with a
+modulus m, the terms at exponents r mod m alone.  Series are immutable, so
+sharing them across callers is safe.  ``sign_census`` counts a sequence's
+signs, so a census needs no registry.
 """
 
 from __future__ import annotations
@@ -586,25 +585,24 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
     return TruncatedSeries(map(floordiv, acc, repeat(big * form.divisor)), order)
 
 
-# (name, m, r) -> the longest progression name(m*n + r) evaluated so far, the
-# prefix being (name, 1, 0); a lower order is read off by truncation
+# name -> the longest prefix of the sequence evaluated so far; a lower order
+# and a progression inside it are read off by slicing
 _EXPANSIONS: dict = {}
 
 
 def _expansion(name: str, m: int, r: int, order: int) -> TruncatedSeries:
-    """name(m*n + r) for n = 0..order, 0 <= r < m: the cache entry (name, m, r)
-    when it reaches the order, else a slice of the cached prefix when that
-    reaches m*order + r, else ``_closed_form``'s evaluation, cached.  The
-    own entry comes first, so a read at a lower order, as when a mismatch
-    is expanded again, comes from the same source as the one it truncates."""
-    longest = _EXPANSIONS.get((name, m, r))
-    if longest is not None and longest.order >= order:
-        return longest.truncate(order)
-    prefix = _EXPANSIONS.get((name, 1, 0))
+    """name(m*n + r) for n = 0..order, 0 <= r < m: a slice of the cached
+    prefix when that reaches m*order + r, else ``_closed_form``'s
+    evaluation, cached when it is the prefix (m = 1)."""
+    prefix = _EXPANSIONS.get(name)
     if prefix is not None and prefix.order >= m * order + r:
-        return TruncatedSeries(prefix.coeffs[r::m], order)
-    longest = _EXPANSIONS[name, m, r] = _closed_form(FORMS[name], m, r, order)
-    return longest
+        if m == 1:
+            return prefix.truncate(order)
+        return TruncatedSeries(prefix.coeffs[r:m * order + r + 1:m], order)
+    series = _closed_form(FORMS[name], m, r, order)
+    if m == 1:
+        _EXPANSIONS[name] = series
+    return series
 
 
 def _part(name: str, order: int, m: int, r: int) -> TruncatedSeries:
@@ -640,18 +638,6 @@ def gen_b5bar(order: int, m: int = 1, r: int = 0) -> TruncatedSeries:
 SEQUENCES = {"c5": gen_c5, "a5": gen_a5bar, "b5": gen_b5bar}
 
 
-class UnknownSequence(KeyError):
-    """No named coefficient sequence with the requested name."""
-
-
-def sequence(name: str, order: int) -> TruncatedSeries:
-    try:
-        builder = SEQUENCES[name]
-    except KeyError:
-        raise UnknownSequence(name) from None
-    return builder(order)
-
-
 # Exact sign frequencies of a sequence over indices 1..order.
 CensusResult = namedtuple("CensusResult", "seq order zero positive negative")
 
@@ -667,7 +653,7 @@ def sign_census(seq_name: str, order: int) -> CensusResult:
 
     if order < 1:
         raise ValueError("census needs order >= 1")
-    coeffs = sequence(seq_name, order).coeffs[1:]
+    coeffs = SEQUENCES[seq_name](order).coeffs[1:]
     zero = coeffs.count(0)
     positive = sum(c > 0 for c in coeffs)
     return CensusResult(seq_name, order, Fraction(zero, order), Fraction(positive, order),

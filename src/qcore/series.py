@@ -103,9 +103,6 @@ class TruncatedSeries:
         body = " ".join(terms) if terms else "0"
         return f"TruncatedSeries({body}; order={self.order})"
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above ``order`` (which must not exceed self.order)."""
         if order > self.order:
@@ -201,18 +198,6 @@ class TruncatedSeries:
         out = [0] * (order + 1)
         out[::m] = self.coeffs[: order // m + 1]
         return TruncatedSeries(out, order)
-
-    def extract_ap(self, m: int, r: int) -> "TruncatedSeries":
-        """Coefficients along the arithmetic progression mn + r, re-indexed to q^n."""
-        if m < 1:
-            raise ValueError("progression step must be >= 1")
-        if not 0 <= r < m:
-            raise ValueError("residue must satisfy 0 <= r < m")
-        if self.order < r:
-            raise ValueError("series order too small to contain residue class")
-        if m == 1:
-            return self
-        return TruncatedSeries(self.coeffs[r::m], (self.order - r) // m)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k; order is preserved, the top k coefficients fall off."""

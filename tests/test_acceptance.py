@@ -30,13 +30,12 @@ from qcore import (
     gen_a5bar,
     gen_b5bar,
     gen_c5,
+    identities,
     phi,
     psi,
-    register,
     sign_census,
     summarize,
     theta_general,
-    unregister,
     verify,
     verify_all,
 )
@@ -174,18 +173,15 @@ def test_criterion_9_extended_tier():
     _passed(9, f"extended tier: {summarize(reports)} at N=500")
 
 
-def test_criterion_10_fault_injection(capsys):
-    register(SeriesEquality(
+def test_criterion_10_fault_injection(capsys, monkeypatch):
+    monkeypatch.setitem(identities.REGISTRY, "selftest.acceptance.corrupt", SeriesEquality(
         "selftest.acceptance.corrupt", "selftest", "rhs perturbed at q^12",
         ((P(1, 0, SEQ("c5")),), (P(1, 0, SEQ("c5")), P(1, 12))),
     ))
-    try:
-        code = cli_main(["verify", "selftest.acceptance.corrupt", "--order", "100"])
-        out = capsys.readouterr().out
-        assert code == EXIT_MISMATCH
-        assert "mismatch" in out and "index=12" in out
-    finally:
-        unregister("selftest.acceptance.corrupt")
+    code = cli_main(["verify", "selftest.acceptance.corrupt", "--order", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_MISMATCH
+    assert "mismatch" in out and "index=12" in out
     _passed(10, "corrupted registry entry reports first bad index, exit code nonzero")
 
 

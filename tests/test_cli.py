@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import _brute as brute
-from qcore import cli, products, register, unregister
+from qcore import cli, identities, products
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
 
@@ -123,17 +123,14 @@ def test_verify_json_format(capsys, rid, kind, extra):
     }]
 
 
-def test_verify_corrupt_record_exits_nonzero(capsys):
-    register(SeriesEquality(
+def test_verify_corrupt_record_exits_nonzero(capsys, monkeypatch):
+    monkeypatch.setitem(identities.REGISTRY, "selftest.cli.bad", SeriesEquality(
         "selftest.cli.bad", "selftest", "deliberately corrupted",
         ((P(1, 0),), (P(1, 0), P(1, 5))),
     ))
-    try:
-        code, out, _ = run_cli(capsys, "verify", "selftest.cli.bad", "--order", "50")
-        assert code == EXIT_MISMATCH
-        assert "mismatch" in out and "index=5" in out
-    finally:
-        unregister("selftest.cli.bad")
+    code, out, _ = run_cli(capsys, "verify", "selftest.cli.bad", "--order", "50")
+    assert code == EXIT_MISMATCH
+    assert "mismatch" in out and "index=5" in out
 
 
 def test_oracle_agreement(capsys):
@@ -184,6 +181,15 @@ def test_census_json(capsys):
     code, out, _ = run_cli(capsys, "census", "c5", "-N", "50", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["zero"] == "0"
+
+
+@pytest.mark.parametrize("name", ["d7", "a5"])
+def test_census_of_an_unknown_sequence_is_usage_error(capsys, name):
+    # census takes the CLI's names: a5 is the library's name for a5bar
+    code, out, err = run_cli(capsys, "census", name, "-N", "10")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: unknown sequence {name!r}; choose from a5bar, b5bar, c5\n")
 
 
 def test_bfile_round_trip(tmp_path, capsys):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcore import evaluate_side, products, verify_all
+from qcore import evaluate_side, products, verify, verify_all
+from qcore.identities import REGISTRY
 from qcore.products import FORMS, SEQ, SEQUENCES, F, P
 
 LEGENDRE_5 = (0, 1, -1, -1, 1)
@@ -258,8 +259,11 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
 def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
     # b5(25n + 22) is evaluated on its own n, not sliced from a prefix: one
     # wrong value there, b5(197), fails exactly the records that read it
-    # after the evaluation: the two that read b5(25n + 22), at n = 7, and
-    # ext.b25n72, whose b5(25n + 72) is read from the same entry, at n = 5
+    # when each is verified alone, from an empty cache: the two that read
+    # b5(25n + 22), at n = 7, and the three whose b5(25n + 72) reads it, at
+    # n = 5.  Under verify_all the prefix to N is built first, so the
+    # comparator's second read of b5(197), at the mismatch index, is a slice
+    # of the prefix, which is right: it raises, and reports no exact match
     closed = products._closed_form
 
     def corrupted(form, m, r, order):
@@ -272,5 +276,14 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
 
     monkeypatch.setattr(products, "_EXPANSIONS", {})
     monkeypatch.setattr(products, "_closed_form", corrupted)
-    mismatches = {r.id: r.first_bad_index for r in verify_all("all", 300) if not r.ok}
-    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}
+    mismatches = {}
+    for rid in REGISTRY:
+        products._EXPANSIONS.clear()
+        report = verify(rid, 300)
+        if not report.ok:
+            mismatches[rid] = report.first_bad_index
+    assert mismatches == {"thm2.recurrence": 5, "cor.b5.mod5k.rec": 5,
+                          "ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}
+    products._EXPANSIONS.clear()
+    with pytest.raises(ArithmeticError, match="differ first at n=7"):
+        verify_all("all", 300)

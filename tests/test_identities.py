@@ -7,22 +7,20 @@ import pytest
 from qcore import (
     UnknownIdentity,
     evaluate_side,
-    UnknownSequence,
-    check_congruence,
+    gen_a5bar,
+    gen_b5bar,
     record_ids,
-    register,
-    sequence,
     sign_census,
     summarize,
-    unregister,
     verify,
     verify_all,
+    verify_record,
 )
 from qcore import NonUnitConstantTerm, identities, products
 from qcore.cli import resolve_series
 from qcore.defaults import DEFAULT_KMAX
 from qcore.identities import REGISTRY
-from qcore.registry import SEQ, F, K, P, Relation, SeriesEquality, T
+from qcore.registry import SEQ, F, K, P, Relation, SeriesEquality, T, add_record
 from qcore.series import TruncatedSeries
 
 SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
@@ -36,9 +34,7 @@ def test_registry_shape():
 
 
 def test_sequence_access():
-    assert sequence("c5", 4).coeffs == (1, 1, 2, 3, 5)
-    with pytest.raises(UnknownSequence):
-        sequence("d7", 10)
+    assert products.SEQUENCES["c5"](4).coeffs == (1, 1, 2, 3, 5)
 
 
 def test_verify_single_relation():
@@ -54,58 +50,69 @@ def test_verify_unknown_identity():
 
 def test_perturbed_relation_mismatch_at_zero():
     # same relation with the factor 4 replaced by 3
-    register(Relation(
+    report = verify_record(Relation(
         "selftest.a5n2.bad", "selftest", "a5(5n+2) = 3 c5(5n+1)",
         (T("a5", 5, 2),), (T("c5", 5, 1, 3),),
-    ))
-    try:
-        report = verify("selftest.a5n2.bad", 200)
-        assert not report.ok
-        assert report.first_bad_index == 0
-        assert report.lhs_value == 4
-        assert report.rhs_value == 3
-    finally:
-        unregister("selftest.a5n2.bad")
+    ), 200)
+    assert not report.ok
+    assert report.first_bad_index == 0
+    assert report.lhs_value == 4
+    assert report.rhs_value == 3
 
 
 def test_corrupted_series_recipe_names_first_index():
     lhs, rhs = REGISTRY["lemma.phimodeq"].sides
-    register(SeriesEquality("selftest.phimodeq.bad", "selftest",
-                            "phimodeq with rhs bumped at q^7", (lhs, rhs + (P(1, 7),))))
-    try:
-        report = verify("selftest.phimodeq.bad", 60)
-        assert not report.ok
-        assert report.first_bad_index == 7
-    finally:
-        unregister("selftest.phimodeq.bad")
+    report = verify_record(SeriesEquality("selftest.phimodeq.bad", "selftest",
+                                          "phimodeq with rhs bumped at q^7",
+                                          (lhs, rhs + (P(1, 7),))), 60)
+    assert not report.ok
+    assert report.first_bad_index == 7
 
 
 def test_negative_index_case_is_not_clamped():
     # differs from a true relation only at n = 0, where an index is negative
-    register(Relation(
+    report = verify_record(Relation(
         "selftest.neg_index", "selftest", "b5(4n+1) = 3 c5(n) - 2 b5(2n-1)",
         (T("b5", 4, 1),), (T("c5", 1, 0, 3), T("b5", 2, -1, -2)),
-    ))
-    try:
-        report = verify("selftest.neg_index", 200)
-        assert not report.ok
-        assert report.first_bad_index == 0
-    finally:
-        unregister("selftest.neg_index")
+    ), 200)
+    assert not report.ok
+    assert report.first_bad_index == 0
 
 
 def test_register_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register(REGISTRY["thm1.a5n2"])
+    registry = {}
+    add_record(registry, REGISTRY["thm1.a5n2"])
+    with pytest.raises(ValueError, match="duplicate identity id thm1.a5n2"):
+        add_record(registry, REGISTRY["thm1.a5n2"])
+    assert registry == {"thm1.a5n2": REGISTRY["thm1.a5n2"]}
 
 
 def test_register_rejects_repeated_sides():
     # the same sides under a new id would check nothing new
     base = REGISTRY["ext.b5.rec_start"]
-    with pytest.raises(ValueError):
-        register(SeriesEquality("selftest.rec_start.copy", "selftest", base.statement,
-                                base.sides))
-    assert "selftest.rec_start.copy" not in REGISTRY
+    registry = {base.id: base}
+    with pytest.raises(ValueError, match="repeats the sides of ext.b5.rec_start"):
+        add_record(registry, SeriesEquality("selftest.rec_start.copy", "selftest",
+                                            base.statement, base.sides))
+    assert list(registry) == [base.id]
+
+
+def test_verify_record_leaves_the_registry_as_it_was():
+    # a record that is not registered is verified without entering REGISTRY
+    before = dict(REGISTRY)
+    record = Relation("selftest.unregistered", "selftest", "a5(5n+2) = 4 c5(5n+1)",
+                      (T("a5", 5, 2),), (T("c5", 5, 1, 4),))
+    assert verify_record(record, 200).ok
+    assert list(REGISTRY) == list(before)
+    assert all(REGISTRY[rid] is registered for rid, registered in before.items())
+
+
+@pytest.mark.parametrize("rid", ["lemma.A4B", "thm1.a5n2", "thm2.recurrence", "cor1.mod5k",
+                                 "thm3.b5_20n_15", "cor.census", "ext.b5.before_last"])
+def test_verify_record_reports_what_verify_reports(rid):
+    # verify is the registry lookup in front of verify_record
+    for order in (0, 60, 300):
+        assert verify_record(REGISTRY[rid], order).to_line() == verify(rid, order).to_line()
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 61])
@@ -119,24 +126,35 @@ def test_series_equalities_at_small_orders(order):
         assert report.status == "exact-match", report.to_line()
 
 
+def _recording_closed_forms(monkeypatch) -> list:
+    """Start from an empty cache and record each ``_closed_form`` call as
+    ((name, m, r), order)."""
+    names = {id(form): name for name, form in products.FORMS.items()}
+    closed_form, builds = products._closed_form, []
+
+    def recording(form, m, r, order):
+        builds.append(((names[id(form)], m, r), order))
+        return closed_form(form, m, r, order)
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", recording)
+    return builds
+
+
 def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
     # relations read each sequence to N, and series equalities also read
     # a5(5n), b5(5n+2) and b5(25n+22) for n <= N: verify_all first builds
     # each prefix to N, so it is built once, and every lower order is served
-    # by truncation; each deeper progression is evaluated once, at its own
-    # N+1 points, not as a prefix to 5N or 25N+22
-    class Recording(dict):
-        def __setitem__(self, key, series):
-            builds.append((key, series.order))
-            super().__setitem__(key, series)
-
-    builds = []
-    monkeypatch.setattr(products, "_EXPANSIONS", Recording())
+    # by slicing; each deeper progression is evaluated once, at its own
+    # N+1 points, not as a prefix to 5N or 25N+22, and only the prefixes
+    # are kept
+    builds = _recording_closed_forms(monkeypatch)
     verify_all("all", 300)
     assert sorted(builds) == [(("a5", 1, 0), 300), (("a5", 5, 0), 300),
                               (("b5", 1, 0), 300), (("b5", 5, 2), 300),
                               (("b5", 25, 22), 300), (("c5", 1, 0), 300)]
-    assert sorted(products._EXPANSIONS) == sorted(key for key, _ in builds)
+    assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
+    assert all(series.order == 300 for series in products._EXPANSIONS.values())
 
 
 @pytest.mark.parametrize("rid, order, builds", [
@@ -147,19 +165,27 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
 def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds):
     # a lone record builds only the progressions it reads, each once.  At
     # N = 300 the family covers n <= 9 at k = 2, reading b5(25n+72), b5(5n+12)
-    # and b5(n), and nothing at k = 3: b5(25n+72) is the entry (b5, 25, 22)
-    # to n = 11 and b5(5n+12) the entry (b5, 5, 2) to n = 11.  before_last
-    # reads b5(25n+22) and b5(5n+2) for n <= N and no prefix.  b5(20n+15)
-    # covers no n <= 10, so reads nothing and builds nothing
-    class Recording(dict):
-        def __setitem__(self, key, series):
-            built.append((key, series.order))
-            super().__setitem__(key, series)
-
-    built = []
-    monkeypatch.setattr(products, "_EXPANSIONS", Recording())
+    # and b5(n), and nothing at k = 3: b5(25n+72) is b5(25n+22) to n = 11
+    # and b5(5n+12) is b5(5n+2) to n = 11.  before_last reads b5(25n+22)
+    # and b5(5n+2) for n <= N and no prefix.  b5(20n+15) covers no n <= 10,
+    # so reads nothing and builds nothing.  Only a prefix is kept
+    built = _recording_closed_forms(monkeypatch)
     assert verify(rid, order).ok
     assert built == builds
+    assert list(products._EXPANSIONS) == [key[0] for key, _ in builds if key[1:] == (1, 0)]
+
+
+def test_every_record_verified_alone_builds_what_it_reads(monkeypatch):
+    # each record verified alone, from an empty cache, at the orders of the
+    # benchmark's small requests: 148 verify calls evaluate 266 prefixes and
+    # progressions in all, as many as a cache that also kept every
+    # progression evaluated
+    builds = _recording_closed_forms(monkeypatch)
+    for order in (100, 600):
+        for rid in REGISTRY:
+            products._EXPANSIONS.clear()
+            assert verify(rid, order).ok, rid
+    assert len(builds) == 266
 
 
 def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeypatch):
@@ -184,11 +210,17 @@ def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeyp
     assert not report.ok and report.first_bad_index == 11
 
 
+def _congruence(seq, m, r, modulus):
+    """seq(m*n + r) == 0 (mod modulus), a record that is not registered."""
+    return Relation(f"selftest.{seq}.{m}n+{r}.mod{modulus}", "selftest",
+                    f"{seq}({m}n+{r}) == 0 (mod {modulus})", (T(seq, m, r),), modulus=modulus)
+
+
 def test_check_congruence_families():
-    assert check_congruence("a5", 10, (20, 6), 600).ok
-    assert check_congruence("a5", 10, (20, 14), 600).ok
-    assert check_congruence("a5", 5, (20, 6), 600).ok  # weaker modulus
-    assert not check_congruence("a5", 3, (20, 6), 600).ok
+    assert verify_record(_congruence("a5", 20, 6, 10), 600).ok
+    assert verify_record(_congruence("a5", 20, 14, 10), 600).ok
+    assert verify_record(_congruence("a5", 20, 6, 5), 600).ok  # weaker modulus
+    assert not verify_record(_congruence("a5", 20, 6, 3), 600).ok
 
 
 def test_recurrence_checks():
@@ -299,11 +331,7 @@ def _fractional_phimodeqfora5():
 ], ids=["series-bumped", "series-fraction", "relation", "congruence", "congruence-integral",
         "recurrence-family", "congruence-family"])
 def test_mismatch_report_shapes(record, line):
-    register(record)
-    try:
-        assert verify(record.id, 800).to_line() == line
-    finally:
-        unregister(record.id)
+    assert verify_record(record, 800).to_line() == line
 
 
 def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
@@ -316,12 +344,7 @@ def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
         return evaluate_side(side, order)
 
     monkeypatch.setattr(identities, "evaluate_side", recording)
-    record = _bumped_a4b()
-    register(record)
-    try:
-        assert verify(record.id, 800).first_bad_index == 1
-    finally:
-        unregister(record.id)
+    assert verify_record(_bumped_a4b(), 800).first_bad_index == 1
     assert orders == [800, 800, 1, 1]
 
 
@@ -473,21 +496,18 @@ def test_cleared_mismatch_that_vanishes_as_written_raises(monkeypatch):
 def test_sequence_denominator_is_not_cleared():
     # 1/c5(5n+4) = 1/(5 c5(n)) holds times c5(5n+4) c5(n), but c5(5n+4) has
     # constant term 5, so the side as written cannot be expanded
-    register(SeriesEquality(
+    record = SeriesEquality(
         "selftest.seq_den", "selftest", "1/c5(5n+4) = 1/(5 c5(n))",
-        ([P(1, 0, (SEQ("c5", 5, 4), -1))], [P(Fraction(1, 5), 0, (SEQ("c5"), -1))])))
-    try:
-        with pytest.raises(NonUnitConstantTerm):
-            verify("selftest.seq_den", 50)
-    finally:
-        unregister("selftest.seq_den")
+        ([P(1, 0, (SEQ("c5", 5, 4), -1))], [P(Fraction(1, 5), 0, (SEQ("c5"), -1))]))
+    with pytest.raises(NonUnitConstantTerm):
+        verify_record(record, 50)
 
 
 def test_recurrence_spot_values():
-    a5 = sequence("a5", 30)
+    a5 = gen_a5bar(30)
     assert a5[25] == 6 * a5[5] - 5 * a5[1]
     assert a5[25] == 74
-    b5 = sequence("b5", 80)
+    b5 = gen_b5bar(80)
     assert b5[72] == 6 * b5[12] - 5 * b5[0]
 
 

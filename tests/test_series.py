@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import series_strategy, unit_series_strategy
 
 import _brute as brute
-from qcore import NonUnitConstantTerm, TruncatedSeries, first_mismatch
+from qcore import NonUnitConstantTerm, TruncatedSeries, dissect, first_mismatch
 from qcore import series as series_module
 from qcore.products import euler_f, phi
 from qcore.series import (_CODES, _NATIVE, _convolve_packed, _convolve_shifted, _pack,
@@ -163,23 +163,9 @@ def test_inflate_respects_exactness_cap():
         a.inflate(3, 6)  # q^6 coefficient would need a[2]
 
 
-def test_extract_ap_identity():
-    a = S(5, 6, 7, 8)
-    assert a.extract_ap(1, 0) == a
-
-
 def test_extract_inflate_round_trip():
     a = S(3, -1, 4, 1, -5, 9)
-    assert a.inflate(4).extract_ap(4, 0) == a
-
-
-def test_extract_ap_a5bar_example():
-    from qcore.products import gen_a5bar, gen_c5
-
-    comp = gen_a5bar(7).extract_ap(5, 2)
-    assert comp.coeffs == (4, 24)
-    c5 = gen_c5(6)
-    assert comp.coeffs == (4 * c5[1], 4 * c5[6])
+    assert dissect(a.inflate(4), 4).components[0] == a
 
 
 def test_shift():
@@ -206,8 +192,7 @@ def test_dissection_reassembly(a, m):
     if a.order < m - 1:
         a = TruncatedSeries(a.coeffs, m - 1)
     total = TruncatedSeries.zero(a.order)
-    for r in range(m):
-        comp = a.extract_ap(m, r)
+    for r, comp in enumerate(dissect(a, m).components):
         piece = comp.inflate(m, min(a.order, comp.order * m + m - 1)).shift(r)
         total = TruncatedSeries(
             [total.coeffs[i] + (piece.coeffs[i] if i <= piece.order else 0)
@@ -220,7 +205,7 @@ def test_dissection_reassembly(a, m):
 def test_alternate_even_part_unchanged(a):
     if a.order < 2:
         a = TruncatedSeries(a.coeffs, 2)
-    assert a.alternate().extract_ap(2, 0) == a.extract_ap(2, 0)
+    assert dissect(a.alternate(), 2).components[0] == dissect(a, 2).components[0]
 
 
 # -- ring axioms ----------------------------------------------------------------
