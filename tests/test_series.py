@@ -163,9 +163,23 @@ def test_inflate_respects_exactness_cap():
         a.inflate(3, 6)  # q^6 coefficient would need a[2]
 
 
+def test_extract_ap_identity():
+    a = S(5, 6, 7, 8)
+    assert dissect(a, 1).components == (a,)
+
+
 def test_extract_inflate_round_trip():
     a = S(3, -1, 4, 1, -5, 9)
     assert dissect(a.inflate(4), 4).components[0] == a
+
+
+def test_extract_ap_a5bar_example():
+    from qcore.products import gen_a5bar, gen_c5
+
+    comp = dissect(gen_a5bar(7), 5).components[2]
+    assert comp.coeffs == (4, 24)
+    c5 = gen_c5(6)
+    assert comp.coeffs == (4 * c5[1], 4 * c5[6])
 
 
 def test_shift():
