@@ -11,7 +11,9 @@ their common denominator so that none divides.  A family, a relation that
 holds a K, is the same check at each k = 2..kmax.  A census record reads
 ``products.sign_census``.  ``verify_all`` first builds each sequence's
 prefix to the order, once, where every later read at or below the order is
-a slice; a lone record builds only the progressions it reads.
+a slice; a lone record builds only the progressions it reads, and holds
+them until it ends (``products.held_progressions``), as ``verify_all``
+does for all its records.
 ``verify_all`` also plans every side of a series equality that it will
 compare (``compared_sides``) and runs its records with one run-scoped
 table (``products.shared_products``): an atom or product that several
@@ -32,6 +34,7 @@ from .products import (
     SEQUENCES,
     P,
     evaluate_side,
+    held_progressions,
     shared_products,
     sign_census,
 )
@@ -215,7 +218,8 @@ def verify_record(record: Record, order: int = DEFAULT_ORDER,
     """Verify a record, registered or not, at the given working order; the
     report carries the elapsed seconds."""
     start = time.perf_counter()
-    report = _verify_record(record, order, kmax)
+    with held_progressions():
+        report = _verify_record(record, order, kmax)
     return report._replace(elapsed=time.perf_counter() - start)
 
 
@@ -271,14 +275,12 @@ def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
     elapsed time counts a shared series only in the record that made it.
 
     Relations stay out, each side a run of one: a term is one sequence
-    atom, with no product to share, and its read is the check.  Shared,
-    ext.b25n72 would take b5(25n + 72) from thm2.recurrence's slice of the
-    prefix, not from the b5(25n + 22) that ext.b5.before_last evaluates."""
+    atom, with no product to share, and its read is the check."""
     ids = record_ids(tier)
     for gen in SEQUENCES.values():
         gen(order)
     equalities = [rid for rid in ids if isinstance(REGISTRY[rid], SeriesEquality)]
-    with shared_products(compared_sides(equalities, order, kmax)):
+    with held_progressions(), shared_products(compared_sides(equalities, order, kmax)):
         return [verify(rid, order, kmax) for rid in ids]
 
 

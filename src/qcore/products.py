@@ -27,10 +27,11 @@ sequence on any progression m*n + r with 0 <= r < m, the prefix being
 m = 1, r = 0.  One cache holds the longest prefix of each sequence, keyed
 by its name, and serves every lower order, and every progression inside
 it, by slicing, which gives the same coefficients as a fresh build.  A
-deeper progression is evaluated on its own n and not kept, through U_5
-where m and the argument's offset share a power of 5: b5(25n + 22) costs
-what the prefix b5(n) to the same order costs.  Every read goes through
-the constructors in ``SEQUENCES``, which give the prefix or, with a
+deeper progression is evaluated on its own n, through U_5 where m and the
+argument's offset share a power of 5: b5(25n + 22) costs what the prefix
+b5(n) to the same order costs.  A ``held_progressions`` block, which
+each verification runs in, keeps it and reads it first until the block
+ends.  Every read goes through the constructors in ``SEQUENCES``, which give the prefix or, with a
 modulus m, the terms at exponents r mod m alone.  Series are immutable, so
 sharing them across callers is safe.  ``sign_census`` counts a sequence's
 signs, so a census needs no registry.
@@ -589,11 +590,37 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
 # and a progression inside it are read off by slicing
 _EXPANSIONS: dict = {}
 
+# (name, m, r) -> the longest progression m*n + r, m > 1, evaluated in the
+# running held_progressions block; None outside one
+_HELD: dict | None = None
+
+
+@contextmanager
+def held_progressions():
+    """Run the block keeping each progression that ``_expansion`` evaluates,
+    and reading it first, so that a later read at a lower order, as when a
+    mismatch is expanded again, comes from the same evaluation.  An inner
+    block runs in the outer one's table."""
+    global _HELD
+    if _HELD is not None:
+        yield
+        return
+    _HELD = {}
+    try:
+        yield
+    finally:
+        _HELD = None
+
 
 def _expansion(name: str, m: int, r: int, order: int) -> TruncatedSeries:
-    """name(m*n + r) for n = 0..order, 0 <= r < m: a slice of the cached
-    prefix when that reaches m*order + r, else ``_closed_form``'s
-    evaluation, cached when it is the prefix (m = 1)."""
+    """name(m*n + r) for n = 0..order, 0 <= r < m: the progression held by
+    the running ``held_progressions`` block when it reaches the order, else
+    a slice of the cached prefix when that reaches m*order + r, else
+    ``_closed_form``'s evaluation, cached when it is the prefix (m = 1),
+    else held."""
+    held = (_HELD or {}).get((name, m, r))
+    if held is not None and held.order >= order:
+        return held.truncate(order)
     prefix = _EXPANSIONS.get(name)
     if prefix is not None and prefix.order >= m * order + r:
         if m == 1:
@@ -602,6 +629,8 @@ def _expansion(name: str, m: int, r: int, order: int) -> TruncatedSeries:
     series = _closed_form(FORMS[name], m, r, order)
     if m == 1:
         _EXPANSIONS[name] = series
+    elif _HELD is not None:
+        _HELD[name, m, r] = series
     return series
 
 

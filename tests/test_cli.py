@@ -133,6 +133,28 @@ def test_verify_corrupt_record_exits_nonzero(capsys, monkeypatch):
     assert "mismatch" in out and "index=5" in out
 
 
+def test_verify_all_with_a_wrong_progression_value_names_its_records(capsys, monkeypatch):
+    # a wrong b5(197) where b5(25n + 22) is evaluated on its own n: verify
+    # all reports each record that reads it as a mismatch, and exits so
+    closed = products._closed_form
+
+    def corrupted(form, m, r, order):
+        series = closed(form, m, r, order)
+        if form is not products.FORMS["b5"] or (m, r) != (25, 22) or order < 7:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[7] += 1
+        return type(series)(coeffs, order)
+
+    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(products, "_closed_form", corrupted)
+    code, out, err = run_cli(capsys, "verify", "all", "-N", "300")
+    assert code == EXIT_MISMATCH and err == ""
+    bad = sorted(line.split()[0] for line in out.splitlines() if " mismatch " in line)
+    assert bad == ["ext.b25n72", "ext.b5.before_last", "ext.b5.eliminate_2"], out
+    assert "3 mismatch" in out
+
+
 def test_oracle_agreement(capsys):
     code, out, _ = run_cli(capsys, "oracle", "4", "5")
     assert code == EXIT_OK

@@ -256,14 +256,9 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
     assert record in mismatches, mismatches
 
 
-def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
-    # b5(25n + 22) is evaluated on its own n, not sliced from a prefix: one
-    # wrong value there, b5(197), fails exactly the records that read it
-    # when each is verified alone, from an empty cache: the two that read
-    # b5(25n + 22), at n = 7, and the three whose b5(25n + 72) reads it, at
-    # n = 5.  Under verify_all the prefix to N is built first, so the
-    # comparator's second read of b5(197), at the mismatch index, is a slice
-    # of the prefix, which is right: it raises, and reports no exact match
+def _wrong_b5_197(monkeypatch):
+    """Start from an empty cache with b5(197) = b5(25*7 + 22) off by one
+    where ``_closed_form`` evaluates b5(25n + 22), and right elsewhere."""
     closed = products._closed_form
 
     def corrupted(form, m, r, order):
@@ -276,6 +271,20 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
 
     monkeypatch.setattr(products, "_EXPANSIONS", {})
     monkeypatch.setattr(products, "_closed_form", corrupted)
+
+
+def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
+    # b5(25n + 22) is evaluated on its own n, not sliced from a prefix, and
+    # held until the verification ends: one wrong value there, b5(197),
+    # fails exactly the records that read it from that evaluation.  Under
+    # verify_all these are the two that read b5(25n + 22), at n = 7, and
+    # ext.b25n72, whose b5(25n + 72) is read from the same evaluation, at
+    # n = 5; the records before them slice b5(197) from the prefix.  Each
+    # record verified alone, from an empty cache, evaluates what it reads,
+    # so thm2.recurrence and cor.b5.mod5k.rec fail at n = 5 as well
+    _wrong_b5_197(monkeypatch)
+    mismatches = {r.id: r.first_bad_index for r in verify_all("all", 300) if not r.ok}
+    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}
     mismatches = {}
     for rid in REGISTRY:
         products._EXPANSIONS.clear()
@@ -284,6 +293,14 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
             mismatches[rid] = report.first_bad_index
     assert mismatches == {"thm2.recurrence": 5, "cor.b5.mod5k.rec": 5,
                           "ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}
-    products._EXPANSIONS.clear()
-    with pytest.raises(ArithmeticError, match="differ first at n=7"):
-        verify_all("all", 300)
+
+
+def test_a_wrong_progression_value_is_reported_over_a_longer_prefix(monkeypatch):
+    # a prefix already cached past b5(197) does not serve the second read of
+    # a mismatch, to its index: that comes from the evaluation the first
+    # read truncates, so the record reports the mismatch rather than raising
+    _wrong_b5_197(monkeypatch)
+    SEQUENCES["b5"](300)
+    report = verify("ext.b5.before_last", 300)
+    assert not report.ok and report.first_bad_index == 7
+    assert products._HELD is None

@@ -147,7 +147,7 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
     # each prefix to N, so it is built once, and every lower order is served
     # by slicing; each deeper progression is evaluated once, at its own
     # N+1 points, not as a prefix to 5N or 25N+22, and only the prefixes
-    # are kept
+    # are kept past the call
     builds = _recording_closed_forms(monkeypatch)
     verify_all("all", 300)
     assert sorted(builds) == [(("a5", 1, 0), 300), (("a5", 5, 0), 300),
@@ -155,6 +155,7 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
                               (("b5", 25, 22), 300), (("c5", 1, 0), 300)]
     assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
     assert all(series.order == 300 for series in products._EXPANSIONS.values())
+    assert products._HELD is None
 
 
 @pytest.mark.parametrize("rid, order, builds", [
