@@ -1,11 +1,25 @@
 """Small, deliberately naive helpers used to derive expected test values.
 
-Nothing here imports the package under test, but for the triple product:
-straight loops over plain coefficient lists, so these stay an independent
-cross-check.  ``triple_product`` is the reference for ``theta_general``'s
-bilateral sum: the Jacobi triple product, a side of the package's
-Pochhammer atoms.
+Nothing here imports the package under test, but for the triple product
+and the command-line parser: straight loops over plain coefficient lists,
+so these stay an independent cross-check.  ``triple_product`` is the
+reference for ``theta_general``'s bilateral sum: the Jacobi triple product,
+a side of the package's Pochhammer atoms.  ``build_parser`` is the argparse
+parser that ``qcore.cli`` once used, the reference for its table parser.
 """
+
+import argparse
+
+from qcore.cli import (
+    DEFAULT_CENSUS_ORDER,
+    DEFAULT_EXPAND_ORDER,
+    _cmd_bfile,
+    _cmd_census,
+    _cmd_expand,
+    _cmd_oracle,
+    _cmd_verify,
+)
+from qcore.defaults import DEFAULT_KMAX, DEFAULT_ORDER
 
 
 def convolve(a, b, order):
@@ -146,3 +160,69 @@ def triple_product(spec, order):
         + _poch_factors_for(ab_sign, ab_exp, ab_sign, ab_exp)
     )
     return evaluate_side((P(1, 0, *factors),), order)
+
+
+# -- the command line: the argparse parser, as qcore.cli had it ----------------
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qcore",
+        description="Exact q-series expansions and identity verification "
+                    "for 5-core partition counts and their theta-quotient analogs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_expand = sub.add_parser("expand", help="print coefficients 0..N of a named series")
+    p_expand.add_argument("name", help="c5 | a5bar | b5bar | f[:J] | R[:J] | "
+                                       "phi[:SIGN[:J]] | psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC")
+    expand_order = p_expand.add_mutually_exclusive_group()
+    expand_order.add_argument("positional_order", nargs="?", type=_at_least(0), metavar="N",
+                              help=f"truncation order (default {DEFAULT_EXPAND_ORDER})")
+    expand_order.add_argument("-N", "--order", type=_at_least(0), help="the same as N")
+    p_expand.add_argument("--format", choices=("text", "json"), default="text")
+    p_expand.set_defaults(func=_cmd_expand)
+
+    p_verify = sub.add_parser("verify", help="verify registered identities")
+    p_verify.add_argument("selector", nargs="?", default="all",
+                          help="identity id, 'core', 'extended', or 'all' (the default)")
+    p_verify.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_ORDER)
+    p_verify.add_argument("--kmax", type=_at_least(2), default=DEFAULT_KMAX)
+    p_verify.add_argument("--jobs", type=int, choices=[1], default=1,
+                          help="records are verified serially; only 1 is accepted")
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.add_argument("--timing", action="store_true",
+                          help="include elapsed seconds in the report")
+    p_verify.set_defaults(func=_cmd_verify)
+
+    p_oracle = sub.add_parser("oracle", help="count t-cores of n as lattice vectors "
+                                             "(Garvan-Kim-Stanton)")
+    p_oracle.add_argument("n", type=_at_least(0))
+    p_oracle.add_argument("t", type=_at_least(1))
+    p_oracle.add_argument("--list", action="store_true", help="list the t-cores")
+    p_oracle.set_defaults(func=_cmd_oracle)
+
+    p_census = sub.add_parser("census", help="exact sign frequencies of a sequence")
+    p_census.add_argument("name", help="c5 | a5bar | b5bar")
+    p_census.add_argument("-N", "--order", type=_at_least(1), default=DEFAULT_CENSUS_ORDER)
+    p_census.add_argument("--format", choices=("text", "json"), default="text")
+    p_census.set_defaults(func=_cmd_census)
+
+    p_bfile = sub.add_parser("bfile", help="export or check an OEIS-style b-file")
+    p_bfile.add_argument("direction", choices=("export", "check"))
+    p_bfile.add_argument("name")
+    p_bfile.add_argument("path")
+    p_bfile.add_argument("-N", "--order", type=_at_least(0), default=DEFAULT_ORDER)
+    p_bfile.set_defaults(func=_cmd_bfile)
+
+    return parser

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,9 @@ import _brute as brute
 from qcore import cli, identities, products
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -184,13 +188,10 @@ def test_oracle_agrees_past_sixty(capsys, n):
 @pytest.mark.parametrize("argv", [["c5", "10", "-N", "5"], ["-N", "100", "c5", "100"],
                                   ["c5", "7", "--order", "100"]])
 def test_expand_given_the_order_twice_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(["expand", *argv])
-    assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "not allowed with argument" in errors[0]
+    code, out, err = run_cli(capsys, "expand", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "not allowed with argument" in err
 
 
 def test_census_text(capsys):
@@ -272,10 +273,10 @@ def test_bfile_non_ascii_file_is_io_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["expand"])  # missing series name
-    assert exc.value.code == EXIT_USAGE
+def test_usage_error_exit_code(capsys):
+    code, out, err = run_cli(capsys, "expand")  # missing series name
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: the following arguments are required: name\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,10 +294,26 @@ def test_usage_error_exit_code():
     "verify all --jobs 2 -N 1",
 ])
 def test_malformed_input_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv.split())
-    assert exc.value.code == EXIT_USAGE
-    assert "Traceback" not in capsys.readouterr().err
+    # one error: line, as for every other usage error
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    ("-h", "usage: qcore [-h/--help] {expand,verify,oracle,census,bfile} ..."),
+    ("--help", "usage: qcore [-h/--help] {expand,verify,oracle,census,bfile} ..."),
+    ("expand --help", "usage: qcore expand [-h/--help] [-N/--order ORDER] "
+                      "[--format {text,json}] name [N]"),
+    ("verify lemma.c5n4 -h", "usage: qcore verify "),
+    ("oracle --he", "usage: qcore oracle [-h/--help] [--list] n t"),
+    ("census -h", "usage: qcore census "),
+    ("bfile -h", "usage: qcore bfile [-h/--help] [-N/--order ORDER] {export,check} name path"),
+], ids=["-h", "--help", "expand", "verify", "oracle-prefix", "census", "bfile"])
+def test_help_prints_the_usage_and_exits_0(capsys, argv, usage):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0].startswith(usage), out
 
 
 @pytest.mark.parametrize("name", ["f:0", "phi:+:0", "R:0", "chi:+:0", "chi:-:0"])
@@ -367,7 +384,7 @@ def test_out_of_memory_is_usage_error_without_traceback(tmp_path, monkeypatch, c
 def test_closed_stdout_is_io_error_without_traceback():
     # the coefficients of c5 to q^20000 fill more than a pipe buffer, so the
     # write hits the closed pipe after the reader has taken 20 bytes
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     proc = subprocess.Popen([sys.executable, "-m", "qcore", "expand", "c5", "20000"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=str(src)))
@@ -377,3 +394,99 @@ def test_closed_stdout_is_io_error_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_IO
     assert err == ""
+
+
+# -- the table parser against the argparse reference ----------------------------
+
+
+def table_outcome(argv):
+    """What ``cli.parse_args`` makes of a command line: the handler and its
+    arguments, EXIT_OK for help or EXIT_USAGE for a refusal."""
+    try:
+        handler, args = cli.parse_args(argv)
+    except cli.UsageError:
+        return EXIT_USAGE
+    return EXIT_OK if handler is cli._print_help else (handler, args)
+
+
+def reference_outcome(argv):
+    """The same from the argparse parser: its exit code, or its handler and
+    the namespace's other fields."""
+    try:
+        namespace = brute.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    args = vars(namespace)
+    del args["command"]
+    return args.pop("func"), args
+
+
+def readme_command_lines():
+    """The command lines of the README's example block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("qcore ")]
+
+
+def workload_command_lines():
+    """Every argument list the benchmark's workloads send, for three seeds."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    requests = [*workloads.verify_all_pass(), *workloads.expand_sequences_pass(),
+                *workloads.KNOWN_DEFECTS]
+    for seed in (777, 31337, 5):
+        blocks = workloads.cli_mix_blocks(seed, identities.record_ids("all"))
+        requests += [r for _ in range(5) for r in next(blocks)]
+    return sorted({argv for r in requests for argv in r.argvs})
+
+
+MALFORMED = [argv.split() for argv in (
+    "expand a5bar -N -5", "expand phi -N -5", "expand prod:1/5,4/5 -N -5", "expand c5 -5",
+    "verify lemma.A4B -N -5", "oracle 5 0", "oracle -1 5", "census b5bar -N 0",
+    "bfile export c5 unused.txt -N -1", "verify thm1.recurrence --kmax -3 -N 10",
+    "verify thm1.recurrence --kmax 1 -N 10", "verify all --jobs 2 -N 1",
+)]
+
+SPELLINGS = [argv.split() for argv in (
+    # the accepted spellings of an option and its value
+    "expand c5 --order=5", "expand c5 -N5", "expand c5 -N=5", "expand c5 --ord 5",
+    "expand c5 --o=5", "expand c5 --form json", "expand -N 5 c5", "expand --format=json c5 5",
+    "expand c5 -N 5 -N 6", "expand c5 -N 1_0", "verify --timing lemma.c5n4",
+    "verify -N 10 lemma.c5n4 --tim --jobs 01 --km 4", "verify", "verify --jobs=1",
+    "oracle 9 6 --list", "oracle --list 9 6", "census c5", "bfile export -N 9 c5 b.txt",
+    "bfile check c5 -N 9 b.txt",
+    # -- ends the options
+    "expand -- c5 5", "expand c5 -- 5", "expand -- -5", "verify -N 10 -- lemma.c5n4",
+    "bfile export c5 -- -b.txt", "expand c5 -N -- 5",
+    # refused: a positional too many or too few, an unknown option or value
+    "expand c5 5 6", "expand", "oracle 9", "bfile export c5", "verify a b", "census",
+    "expand c5 --fmt json", "expand c5 -x", "verify --jobs 2", "verify --jobs x",
+    "expand c5 --format xml", "expand c5 --format=", "expand c5 -N", "expand c5 -N x",
+    "expand c5 -N=", "verify --timing=yes", "bfile move c5 b.txt", "oracle 1.5 5",
+    "oracle -1.5 5", "frobnicate", "", "--", "-x expand c5", "-- expand c5 5",
+    "expand c5 -N 5 7", "expand -N 5 c5 7", "expand c5 --order 5 -N 6 7",
+    # help
+    "-h", "--help", "--he", "expand -h", "verify all --help", "oracle -h 9",
+)]
+
+
+@pytest.mark.parametrize("argv", [*readme_command_lines(), *workload_command_lines(),
+                                  *MALFORMED, *SPELLINGS], ids=" ".join)
+def test_the_table_parser_reads_a_command_line_as_argparse_did(capsys, argv):
+    assert table_outcome(list(argv)) == reference_outcome(list(argv))
+
+
+def test_n_after_an_option_is_read_where_argparse_refused_it(capsys):
+    # argparse gives expand's N its default when an option follows the name,
+    # and then refuses the N after the option as an unrecognized argument
+    argv = ["expand", "c5", "--format", "json", "10"]
+    assert reference_outcome(argv) == EXIT_USAGE
+    assert table_outcome(argv) == (cli._cmd_expand, {"name": "c5", "positional_order": 10,
+                                                     "order": None, "format": "json"})

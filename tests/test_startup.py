@@ -112,6 +112,43 @@ def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     assert out.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["expand", "f", "5"], 0),
+    (["verify", "lemma.c5n4", "-N", "10"], 0),
+    (["census", "b5bar", "-N", "10"], 0),
+    (["oracle", "9", "5"], 0),
+    (["bfile", "export", "c5", "{path}", "-N", "10"], 0),
+    (["expand", "c5", "-N", "-5"], 2),
+], ids=["expand", "verify", "census", "oracle", "bfile-export", "rejected"])
+def test_commands_load_no_argument_parser(tmp_path, argv, code):
+    # argparse costs its import and gettext's, and building a parser looks up
+    # translations through locale
+    argv = [arg.format(path=tmp_path / "b_c5.txt") for arg in argv]
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    assert out.splitlines()[-1] == f"{code} []"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "9", "3"], 0),
+    (["expand", "no_such_series", "5"], 2),
+    (["expand", "f:x", "5"], 2),
+    (["expand", "c5", "-N", "-5"], 2),
+], ids=["oracle-t3", "unknown-series", "bad-step", "negative-order"])
+def test_commands_that_evaluate_no_series_load_no_series_engine(argv, code):
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('qcore.products', 'qcore.series') if m in sys.modules])\n"
+    )
+    assert out.splitlines()[-1] == f"{code} []"
+
+
 def test_no_module_imports_dataclasses_or_typing():
     for path in sorted((SRC / "qcore").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -197,7 +234,7 @@ def test_python_m_qcore_output_and_exit_code(argv, code, out, err):
 @pytest.mark.parametrize("argv, code, out", [
     (["verify", "lemma.c5n4", "-N", "10"], 0,
      ["lemma.c5n4 exact-match N=10", "1 records: 1 exact-match, 0 mismatch, 0 skipped"]),
-    (["expand", "c5", "-5"], 2, []),  # argparse's usage exit
+    (["expand", "c5", "-5"], 2, []),  # a malformed command line
 ], ids=["returns", "usage-exit"])
 def test_run_turns_the_collector_off_for_the_command_and_freezes_at_exit(argv, code, out):
     proc = interpreter("-c", COLLECTOR_PROBE + (
