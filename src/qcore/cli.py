@@ -153,8 +153,7 @@ def _cmd_verify(args: dict) -> int:
     order, selector = args["order"], args["selector"]
     tier = selector in ("all", "core", "extended")
     if not (tier or selector in identities.REGISTRY):
-        print(f"unknown identity or tier: {selector!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown identity or tier: {selector!r}")
     ids = identities.record_ids(selector) if tier else [selector]
     _check_order(order, identities.largest_index(ids, order))
     reports = (identities.verify_all(selector, order, args["kmax"]) if tier

@@ -7,13 +7,12 @@ mismatch carries the smallest offending index, and a plain relation or a
 census that covers no n is skipped, never an exact match.
 Series equalities and relations share one comparator over their sides,
 ``_compare``, which multiplies the sides of a series identity through by
-their common denominator so that none divides.  A family, a relation that
-holds a K, is the same check at each k = 2..kmax.  A census record reads
+their common denominator D so that none divides, and takes a mismatch's
+values from that one evaluation.  A family, a relation that holds a K, is
+the same check at each k = 2..kmax.  A census record reads
 ``products.sign_census``.  ``verify_all`` first builds each sequence's
 prefix to the order, once, where every later read at or below the order is
-a slice; a lone record builds only the progressions it reads, and holds
-them until it ends (``products.held_progressions``), as ``verify_all``
-does for all its records.
+a slice; a lone record builds only the progressions it reads.
 ``verify_all`` also plans every side of a series equality that it will
 compare (``compared_sides``) and runs its records with one run-scoped
 table (``products.shared_products``): an atom or product that several
@@ -28,13 +27,13 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from operator import mul
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
 from .products import (
     SEQUENCES,
     P,
     evaluate_side,
-    held_progressions,
     shared_products,
     sign_census,
 )
@@ -69,10 +68,10 @@ def _plain(num: int, den: int):
     return value.numerator if value.denominator == 1 else value
 
 
-def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
-    """The sides times D, the product of every atom's most negative exponent
-    over all terms, so that no side divides; the sides themselves when none
-    does.
+def _cleared(sides: Sequence[tuple]) -> tuple[Sequence[tuple], list]:
+    """(the sides times D, clear): D the product of the (atom, e) pairs of
+    clear, each atom's most negative exponent over all terms negated, so
+    that no side divides; the sides themselves and no pairs when none does.
 
     Theta, Euler and Pochhammer atoms have constant term 1, so D has
     constant term 1 and (lhs - rhs) * D first differs from 0 where
@@ -85,21 +84,21 @@ def _cleared(sides: Sequence[tuple]) -> Sequence[tuple]:
                 if e < low.get(atom, 0) and atom[0] not in SEQUENCES:
                     low[atom] = e
     if not low:
-        return sides
+        return sides, []
     clear = [(atom, -e) for atom, e in low.items()]
     return [tuple(P(coeff, shift, *factors, *clear) for coeff, shift, factors in side)
-            for side in sides]
+            for side in sides], clear
 
 
-def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple], Sequence[tuple]]:
-    """(den, the sides times den, those sides cleared): den the lcm of the
+def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple], list]:
+    """(den, the sides times den and cleared, clear): den the lcm of the
     denominators of the sides' coefficients, so that every coefficient is an
-    integer, and the cleared sides those that ``_compare`` expands."""
+    integer, and the cleared sides, with the pairs of D, from ``_cleared``."""
     den = math.lcm(*(coeff.denominator for side in sides for coeff, _, _ in side))
     if den > 1:
         sides = [tuple((int(coeff * den), shift, factors) for coeff, shift, factors in side)
                  for side in sides]
-    return den, sides, _cleared(sides)
+    return (den, *_cleared(sides))
 
 
 def _compare(sides: Sequence[tuple], order: int,
@@ -111,22 +110,22 @@ def _compare(sides: Sequence[tuple], order: int,
     Sides are expanded times the lcm of their coefficients' denominators, so
     the series stay integral; values are reported as reduced fractions.
     They are compared with their denominators cleared (``_cleared``), which
-    finds the same first n without a division; on a mismatch the two sides
-    involved are expanded again as written, to the mismatch index, for the
-    values at n."""
-    den, sides, cleared = _integral(sides)
+    finds the same first n without a division.  A mismatch's values come
+    from the same evaluation: the two cleared sides' coefficients at n,
+    each convolved with 1/D to n when D is not 1, where 1/D is the one side
+    expanded after the comparison, and reads no sequence."""
+    den, cleared, clear = _integral(sides)
     step = den * modulus
     reference, *others = [evaluate_side(side, order) for side in cleared]
-    for i, other in enumerate(others, 1):
+    for other in others:
         bad = first_mismatch(reference, other, step)
         if bad is None:
             continue
-        n = bad[0]
-        bad = first_mismatch(*(evaluate_side(sides[j], n) for j in (0, i)), step)
-        if bad is None or bad[0] != n:
-            raise ArithmeticError(f"sides differ first at n={n} with denominators cleared "
-                                  "but not as written")
-        _, lhs, rhs = bad
+        n, lhs, rhs = bad
+        if clear:
+            inverse = evaluate_side((P(1, 0, *((atom, -e) for atom, e in clear)),), n)
+            lhs, rhs = (sum(map(mul, series.coeffs, reversed(inverse.coeffs)))
+                        for series in (reference, other))
         if modulus:
             return n, _plain(lhs - rhs, den), f"0 (mod {modulus})"
         return n, _plain(lhs, den), _plain(rhs, den)
@@ -218,8 +217,7 @@ def verify_record(record: Record, order: int = DEFAULT_ORDER,
     """Verify a record, registered or not, at the given working order; the
     report carries the elapsed seconds."""
     start = time.perf_counter()
-    with held_progressions():
-        report = _verify_record(record, order, kmax)
+    report = _verify_record(record, order, kmax)
     return report._replace(elapsed=time.perf_counter() - start)
 
 
@@ -258,7 +256,7 @@ def compared_sides(ids: Iterable[str], order: int, kmax: int) -> list[tuple]:
     cleared."""
     return [(side, top) for rid in ids if not isinstance(REGISTRY[rid], CensusRecord)
             for _, sides, top, _ in _checks(REGISTRY[rid], order, kmax) if top >= 0
-            for side in _integral(sides)[2]]
+            for side in _integral(sides)[1]]
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
@@ -280,7 +278,7 @@ def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,
     for gen in SEQUENCES.values():
         gen(order)
     equalities = [rid for rid in ids if isinstance(REGISTRY[rid], SeriesEquality)]
-    with held_progressions(), shared_products(compared_sides(equalities, order, kmax)):
+    with shared_products(compared_sides(equalities, order, kmax)):
         return [verify(rid, order, kmax) for rid in ids]
 
 

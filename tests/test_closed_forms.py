@@ -274,17 +274,16 @@ def _wrong_b5_197(monkeypatch):
 
 
 def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
-    # b5(25n + 22) is evaluated on its own n, not sliced from a prefix, and
-    # held until the verification ends: one wrong value there, b5(197),
-    # fails exactly the records that read it from that evaluation.  Under
-    # verify_all these are the two that read b5(25n + 22), at n = 7, and
-    # ext.b25n72, whose b5(25n + 72) is read from the same evaluation, at
-    # n = 5; the records before them slice b5(197) from the prefix.  Each
-    # record verified alone, from an empty cache, evaluates what it reads,
-    # so thm2.recurrence and cor.b5.mod5k.rec fail at n = 5 as well
+    # b5(25n + 22) is evaluated on its own n, not sliced from a prefix: one
+    # wrong value there, b5(197), fails exactly the records that read it
+    # from that evaluation.  Under verify_all these are the two that read
+    # b5(25n + 22) to n = 300, at n = 7; every other record reads b5(197)
+    # from the prefix, built to 300 first.  Each record verified alone, from
+    # an empty cache, evaluates what it reads, so thm2.recurrence,
+    # cor.b5.mod5k.rec and ext.b25n72 fail at n = 5 as well
     _wrong_b5_197(monkeypatch)
     mismatches = {r.id: r.first_bad_index for r in verify_all("all", 300) if not r.ok}
-    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7, "ext.b25n72": 5}
+    assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7}
     mismatches = {}
     for rid in REGISTRY:
         products._EXPANSIONS.clear()
@@ -296,11 +295,10 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
 
 
 def test_a_wrong_progression_value_is_reported_over_a_longer_prefix(monkeypatch):
-    # a prefix already cached past b5(197) does not serve the second read of
-    # a mismatch, to its index: that comes from the evaluation the first
-    # read truncates, so the record reports the mismatch rather than raising
+    # a prefix already cached past b5(197) does not reach b5(25n + 22) for
+    # n <= 300, so the record evaluates that progression, b5(197) wrong in
+    # it, and reports the mismatch its own comparison found
     _wrong_b5_197(monkeypatch)
     SEQUENCES["b5"](300)
     report = verify("ext.b5.before_last", 300)
     assert not report.ok and report.first_bad_index == 7
-    assert products._HELD is None

@@ -21,7 +21,7 @@ from qcore.cli import resolve_series
 from qcore.defaults import DEFAULT_KMAX
 from qcore.identities import REGISTRY
 from qcore.registry import SEQ, F, K, P, Relation, SeriesEquality, T, add_record
-from qcore.series import TruncatedSeries
+from qcore.series import TruncatedSeries, first_mismatch
 
 SERIES_EQUALITIES = [rid for rid, rec in REGISTRY.items() if rec.kind == "series-equality"]
 
@@ -155,7 +155,6 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
                               (("b5", 25, 22), 300), (("c5", 1, 0), 300)]
     assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
     assert all(series.order == 300 for series in products._EXPANSIONS.values())
-    assert products._HELD is None
 
 
 @pytest.mark.parametrize("rid, order, builds", [
@@ -335,9 +334,10 @@ def test_mismatch_report_shapes(record, line):
     assert verify_record(record, 800).to_line() == line
 
 
-def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
-    # the cleared sides are expanded to N once; then only the two sides that
-    # differ are expanded as written, and only to the first differing index
+def test_a_mismatch_expands_only_one_over_d_to_its_index(monkeypatch):
+    # the cleared sides are expanded to N once, and no side again: the
+    # mismatch's values come from them and from 1/D, expanded only to the
+    # first differing index
     orders = []
 
     def recording(side, order):
@@ -346,7 +346,7 @@ def test_a_mismatch_expands_two_sides_as_written_to_its_index(monkeypatch):
 
     monkeypatch.setattr(identities, "evaluate_side", recording)
     assert verify_record(_bumped_a4b(), 800).first_bad_index == 1
-    assert orders == [800, 800, 1, 1]
+    assert orders == [800, 800, 1]
 
 
 # -- one run-scoped table of products -------------------------------------------
@@ -480,18 +480,40 @@ def test_series_equalities_divide_only_to_build_sequences(monkeypatch):
     assert run() == expected
 
 
-def test_cleared_mismatch_that_vanishes_as_written_raises(monkeypatch):
-    # a cleared route that finds a difference the sides as written lack is a
-    # fault in the comparator, never an exact match
+def test_a_fault_in_clearing_is_reported_as_a_mismatch(monkeypatch):
+    # q^3 added to the cleared lhs, which the sides as written lack, is a
+    # mismatch at n = 3, never an exact match: times 1/D, whose constant term
+    # is 1, the lhs there is one more than the rhs
     clear = identities._cleared
 
     def bumped(sides):
-        cleared = clear(sides)
-        return [cleared[0] + (P(1, 3),), *cleared[1:]]
+        cleared, pairs = clear(sides)
+        return [cleared[0] + (P(1, 3),), *cleared[1:]], pairs
 
     monkeypatch.setattr(identities, "_cleared", bumped)
-    with pytest.raises(ArithmeticError):
-        verify("lemma.A4B", 50)
+    report = verify("lemma.A4B", 50)
+    assert not report.ok and report.first_bad_index == 3
+    assert report.lhs_value == report.rhs_value + 1
+
+
+CLEARED = [rid for rid in SERIES_EQUALITIES if identities._cleared(REGISTRY[rid].sides)[1]]
+
+
+@pytest.mark.parametrize("rid", CLEARED)
+def test_a_cleared_mismatch_reports_the_values_of_the_sides_as_written(rid):
+    # the sides as written, each expanded to N with its divisions, are the
+    # oracle: each +1 coefficient mutant of a term reports the first side and
+    # the first other side that differs from it at their first differing n
+    record = REGISTRY[rid]
+    for s, side in enumerate(record.sides):
+        for t, (coeff, shift, factors) in enumerate(side):
+            sides = list(record.sides)
+            sides[s] = side[:t] + ((coeff + 1, shift, factors),) + side[t + 1:]
+            report = verify_record(SeriesEquality(rid, "selftest", "", sides), 60)
+            reference, *others = (evaluate_side(mutated, 60) for mutated in sides)
+            n, lhs, rhs = next(bad for other in others
+                               if (bad := first_mismatch(reference, other)) is not None)
+            assert (report.first_bad_index, report.lhs_value, report.rhs_value) == (n, lhs, rhs)
 
 
 def test_sequence_denominator_is_not_cleared():

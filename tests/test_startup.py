@@ -179,6 +179,42 @@ def test_only_the_process_entry_touches_the_collector():
                      ("__main__.py", None, "disable")}
 
 
+def _empty(node) -> bool:
+    """Whether an expression is {}, [], set(), dict(), list(), deque() or None."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    return (isinstance(node, ast.Call) and not node.args and not node.keywords
+            and getattr(node.func, "id", None) in ("dict", "list", "set", "deque"))
+
+
+def test_the_only_module_state_is_the_prefix_cache_and_the_run_table():
+    # one cache: the prefix per sequence, plus the table and plans of the
+    # running shared_products block; any other module-level name bound to an
+    # empty container or None would be a second store of results
+    state = set()
+    for path in sorted((SRC / "qcore").glob("*.py")):
+        stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            stack += (child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if _empty(value):
+                state |= {(path.name, t.id) for t in targets if isinstance(t, ast.Name)}
+    assert state == {("products.py", "_EXPANSIONS"), ("products.py", "_RUN"),
+                     ("products.py", "_SIDES")}
+
+
 def test_only_the_series_defines_equality_or_hashing():
     # value types are named tuples, compared and hashed by the tuple in C
     for path in sorted((SRC / "qcore").glob("*.py")):
