@@ -12,7 +12,10 @@ with their kinds and defaults, its help line and its handler; ``parse_args``
 reads a command line against it.  Every parameter has one spelling with its
 default in the table, but for expand's order: N or -N, never both, and
 DEFAULT_EXPAND_ORDER without one.  A malformed command line is one
-``error:`` line and exit 2, like every other usage error.
+``error:`` line and exit 2, like every other usage error.  A ``prod:``
+factor and a negative number are read with ``str`` methods, so no command
+imports or compiles ``re``; they accept exactly what the patterns kept in
+``tests/_brute.py`` accept, Unicode decimal digits included.
 
 A subcommand imports what it runs when it runs: the series engine
 (``products`` and ``series``) only to evaluate a series, so not for a
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import gc
 import os
-import re
 import struct
 import sys
 
@@ -58,9 +60,6 @@ def _check_order(order: int, top: int) -> None:
         raise UsageError(f"order {order} is too large: no list can hold index {top}")
 
 
-_FACTOR_RE = re.compile(r"^(-?)(\d+)/(\d+)(?:\^(-?\d+))?$")
-
-
 def _parse_product_spec(text: str) -> list:
     """Inline product syntax: comma-separated factors '[-]E/M[^Z]', each
     read as the (sign, offset, modulus, exponent) of one POCH atom.
@@ -71,12 +70,15 @@ def _parse_product_spec(text: str) -> list:
     factors = []
     for part in text.split(","):
         part = part.strip()
-        m = _FACTOR_RE.match(part)
-        if not m:
+        negative = part[:1] == "-"
+        head, caret, power = (part[1:] if negative else part).partition("^")
+        offset, slash, modulus = head.partition("/")
+        if not (slash and offset.isdecimal() and modulus.isdecimal()
+                and (not caret or (power[1:] if power[:1] == "-" else power).isdecimal())):
             raise UsageError(f"bad product factor {part!r}; expected '[-]E/M[^Z]'")
-        sign = -1 if m.group(1) else 1
-        offset, modulus = int(m.group(2)), int(m.group(3))
-        exponent = int(m.group(4)) if m.group(4) else 1
+        sign = -1 if negative else 1
+        offset, modulus = int(offset), int(modulus)
+        exponent = int(power) if caret else 1
         if offset < 1 or modulus < 1:
             raise UsageError(f"factor {part!r} needs E >= 1 and M >= 1")
         factors.append((sign, offset, modulus, exponent))
@@ -139,11 +141,10 @@ def _cmd_expand(args: dict) -> int:
     series = resolve_series(args["name"], order)
     if args["format"] == "json":
         import json
-        print(json.dumps(
-            {"name": args["name"], "order": order, "coefficients": list(series.coeffs)},
-            sort_keys=True))
-    else:
-        print(" ".join(map(str, series.coeffs)))
+        print(json.dumps({"name": args["name"], "order": order, "coefficients": series.coeffs},
+                         sort_keys=True))
+    else:   # one formatting call for the row; %d writes an int as str does
+        print(" ".join(["%d"] * len(series.coeffs)) % series.coeffs)
     return EXIT_OK
 
 
@@ -313,8 +314,17 @@ _COMMANDS = {
     ), {}),
 }
 
-# A negative number is a value, not an option.
-_NEGATIVE_RE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+def _negative_number(token: str) -> bool:
+    """Whether token is a negative number, a value rather than an option:
+    '-' and decimal digits, which may hold one '.' with a digit after it and
+    be followed by one newline."""
+    if token[:1] != "-":
+        return False
+    whole, dot, fraction = (token[1:-1] if token.endswith("\n") else token[1:]).partition(".")
+    if dot:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
 def _option(token: str, options) -> tuple | None:
@@ -334,7 +344,7 @@ def _option(token: str, options) -> tuple | None:
         attached = attached[1:] if attached[:1] == "=" else attached or None
     if len(found) == 1:
         return found[0], attached
-    if _NEGATIVE_RE.match(token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     raise UsageError(f"unrecognized option {token!r}")
 

@@ -548,7 +548,14 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
     m/gcd(d, m), so a residue class of e adds one arithmetic progression to
     one slice of the accumulator.  That is O(order log x) element
     operations in C and at most 5*big Python steps per d <= sqrt(x), for x
-    up to m*order + offset.  x = 0 is E15's constant term -1/5 alone."""
+    up to m*order + offset.  x = 0 is E15's constant term -1/5 alone.
+
+    Every x >= 1 has d = 1, so the classes of d = 1 meet each slot from the
+    first x > 0 on exactly once: they write their progressions into the
+    zero slots rather than add them, and each d's (d, d) correction follows
+    its classes.  A class with c0 = c1 = 0 is skipped and one with c1 = 0
+    adds the constant c0.  For c5, big times the divisor is 1 and the
+    accumulator is the sequence itself, with nothing to divide."""
     m, offset, weight = _u5(m, r + form.shift)      # x = m*n + offset
     big = max(t for _, t, _ in form.terms)
     period = 5 * big
@@ -573,16 +580,26 @@ def _closed_form(form: ModularForm, m: int, r: int, order: int) -> TruncatedSeri
             lift = -((e - d) // de)
             n, e = n + lift * step, e + lift * de
         chi_d, a_d, b_d = _LEGENDRE_5[d % 5], d * alpha[d % big], beta[d % big]
-        if e == d and n <= order:       # (d, d) is one pair, added twice below
-            acc[n] -= chi_d * (a_d + d * b_d)
+        square = e == d and n <= order  # (d, d) is one pair, added twice below
         stride = period * step
         for start in range(n, min(n + stride, order + 1), step):
             chi_e = _LEGENDRE_5[e % 5]
             c0 = chi_e * a_d + chi_d * d * beta[e % big]
             c1 = chi_d * alpha[e % big] + chi_e * b_d
-            acc[start::stride] = map(add, acc[start::stride],
-                                     count(c0 + c1 * e, period * de * c1))
+            v, inc = c0 + c1 * e, period * de * c1
             e += de
+            if not (c0 or c1):
+                continue                # the class adds nothing
+            if d == 1:                  # the first to reach these slots: they hold 0
+                k = (order - start) // stride + 1
+                acc[start::stride] = range(v, v + k * inc, inc) if inc else [v] * k
+            else:
+                acc[start::stride] = map(add, acc[start::stride],
+                                         count(v, inc) if inc else repeat(v))
+        if square:
+            acc[n] -= chi_d * (a_d + d * b_d)
+    if big * form.divisor == 1:         # acc is the series itself
+        return TruncatedSeries(acc, order)
     return TruncatedSeries(map(floordiv, acc, repeat(big * form.divisor)), order)
 
 

@@ -5,10 +5,13 @@ and the command-line parser: straight loops over plain coefficient lists,
 so these stay an independent cross-check.  ``triple_product`` is the
 reference for ``theta_general``'s bilateral sum: the Jacobi triple product,
 a side of the package's Pochhammer atoms.  ``build_parser`` is the argparse
-parser that ``qcore.cli`` once used, the reference for its table parser.
+parser that ``qcore.cli`` once used, the reference for its table parser, and
+``FACTOR_RE`` and ``NEGATIVE_RE`` are the patterns it read a ``prod:`` factor
+and a negative number with, the reference for the string methods it uses now.
 """
 
 import argparse
+import re
 
 from qcore.cli import (
     DEFAULT_CENSUS_ORDER,
@@ -163,6 +166,20 @@ def triple_product(spec, order):
 
 
 # -- the command line: the argparse parser, as qcore.cli had it ----------------
+
+
+FACTOR_RE = re.compile(r"^(-?)(\d+)/(\d+)(?:\^(-?\d+))?$")
+NEGATIVE_RE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def product_factor(part: str):
+    """The (sign, offset, modulus, exponent) that ``FACTOR_RE`` reads from one
+    stripped factor, or None when it does not match."""
+    m = FACTOR_RE.match(part)
+    if not m:
+        return None
+    return (-1 if m.group(1) else 1, int(m.group(2)), int(m.group(3)),
+            int(m.group(4)) if m.group(4) else 1)
 
 
 def _at_least(minimum: int):

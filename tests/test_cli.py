@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute as brute
 from qcore import cli, identities, products
@@ -77,12 +80,87 @@ def test_expand_bad_product_spec(capsys):
     assert "factor" in err
 
 
+# -- prod: factors and negative numbers against the patterns once used ---------
+
+# decimal digits in three scripts, a digit that is not decimal (superscript
+# two), the syntax's own characters, the whitespace strip() and $ treat
+# apart, and a letter
+TOKEN_CHARS = "07\u0663\U0001d7d7\u00b2-/^.\n\r x"
+
+
+def factor_outcome(part):
+    """What ``_parse_product_spec`` makes of one factor: its factor list or
+    the refusal's text."""
+    try:
+        return cli._parse_product_spec(part)
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def reference_factor_outcome(part):
+    """The same through ``FACTOR_RE``."""
+    part = part.strip()
+    factor = brute.product_factor(part)
+    if factor is None:
+        return f"bad product factor {part!r}; expected '[-]E/M[^Z]'"
+    if factor[1] < 1 or factor[2] < 1:
+        return f"factor {part!r} needs E >= 1 and M >= 1"
+    return [factor]
+
+
+def assert_token_read_as_the_patterns_read_it(token):
+    assert cli._negative_number(token) == bool(brute.NEGATIVE_RE.match(token)), repr(token)
+    assert factor_outcome(token) == reference_factor_outcome(token), repr(token)
+
+
+def test_short_tokens_are_read_as_the_patterns_read_them():
+    # every token of up to four characters over TOKEN_CHARS (30941 tokens)
+    for size in range(5):
+        for chars in itertools.product(TOKEN_CHARS, repeat=size):
+            assert_token_read_as_the_patterns_read_it("".join(chars))
+
+
+@pytest.mark.parametrize("token", [
+    "1/1", "-1/2", "1/1^-1", "12/5^05", "\u0663/\u0663^-\U0001d7d7", " 1/2 \n", "1/2\n^3",
+    "-1/2^--1", "1/2^", "1/2^-", "1//2", "1/2/3", "1/2^3^4", "0/1", "1/0", "+1/2", "1/\u00b2",
+    "-5", "-5\n", "-5\n\n", "-1.5", "-.5", "-1.5\n", "-1.", "-.", "-1.5.5", "--5", "-\n",
+    "- 5", "-\u0663.\u0663", "-5\r",
+])
+def test_chosen_tokens_are_read_as_the_patterns_read_them(token):
+    assert_token_read_as_the_patterns_read_it(token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(TOKEN_CHARS, max_size=12))
+def test_generated_tokens_are_read_as_the_patterns_read_them(token):
+    assert_token_read_as_the_patterns_read_it(token)
+
+
 def test_expand_json_format(capsys):
     code, out, _ = run_cli(capsys, "expand", "c5", "4", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["coefficients"] == [1, 1, 2, 3, 5]
     assert payload["order"] == 4
+
+
+# one instance of each name shape the README lists, b5bar's negatives and
+# zeros among them
+README_SERIES = ["c5", "a5bar", "b5bar", "f", "f:3", "R", "R:2", "phi", "phi:+", "phi:-:5",
+                 "psi", "psi:+:2", "chi", "chi:-:3", "prod:1/1^-1", "prod:-1/2,1/5^5"]
+
+
+@pytest.mark.parametrize("name, order", [*((n, o) for n in README_SERIES for o in (0, 2000)),
+                                         ("c5", 30000), ("a5bar", 30000), ("b5bar", 30000)])
+def test_expand_prints_the_coefficients_of_the_resolved_series(capsys, name, order):
+    coeffs = cli.resolve_series(name, order).coeffs
+    assert run_cli(capsys, "expand", name, str(order)) == (
+        EXIT_OK, " ".join(map(str, coeffs)) + "\n", "")
+    assert run_cli(capsys, "expand", name, str(order), "--format", "json") == (
+        EXIT_OK, json.dumps({"name": name, "order": order, "coefficients": list(coeffs)},
+                            sort_keys=True) + "\n", "")
+    if name == "b5bar" and order:
+        assert {0, -1} <= set(coeffs)
 
 
 def test_verify_single_id(capsys):

@@ -149,6 +149,23 @@ def test_commands_that_evaluate_no_series_load_no_series_engine(argv, code):
     assert out.splitlines()[-1] == f"{code} []"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["expand", "c5", "10"], 0),
+    (["oracle", "9", "3"], 0),
+    (["expand", "f:x", "5"], 2),
+], ids=["expand", "oracle-t3", "bad-step"])
+def test_commands_load_no_regular_expressions(argv, code):
+    # -S keeps out site, which on some hosts imports re through a .pth file
+    proc = interpreter("-S", "-c", (
+        "import sys\n"
+        "from qcore import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, [m for m in ('re', '_sre') if m in sys.modules])\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} []"
+
+
 def test_no_module_imports_dataclasses_or_typing():
     for path in sorted((SRC / "qcore").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
