@@ -34,8 +34,12 @@ class BFile(namedtuple("BFile", "entries")):
 
 
 def parse_bfile(text: str) -> BFile:
+    """The entries of a b-file's text, whose lines end at "\n", "\r\n" or
+    "\r" alone: any other character that ``str.splitlines`` breaks at, such
+    as a form feed, is inside a line, where it separates fields."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -6,13 +6,15 @@ dispatches on the record type and always returns a VerificationReport; a
 mismatch carries the smallest offending index, and a plain relation or a
 census that covers no n is skipped, never an exact match.
 Series equalities and relations share one comparator over their sides,
-``_compare``, which multiplies the sides of a series identity through by
-their common denominator D so that none divides, and takes a mismatch's
-values from that one evaluation.  A family, a relation that holds a K, is
-the same check at each k = 2..kmax.  A census record reads
-``products.sign_census``.  ``verify_all`` first builds each sequence's
-prefix to the order, once, where every later read at or below the order is
-a slice; a lone record builds only the progressions it reads.
+``_compare``.  ``_checks`` describes each comparison once, with the sides
+of a series identity multiplied through by their common denominator D so
+that none divides: ``_compare`` runs it, taking a mismatch's values from
+that one evaluation, and ``compared_sides`` plans its products.  A
+family, a relation that holds a K, is the same check at each
+k = 2..kmax.  A census record reads ``products.sign_census``.
+``verify_all`` first builds each sequence's prefix to the order, once,
+where every later read at or below the order is a slice; a lone record
+builds only the progressions it reads.
 ``verify_all`` also plans every side of a series equality that it will
 compare (``compared_sides``) and runs its records with one run-scoped
 table (``products.shared_products``): an atom or product that several
@@ -101,22 +103,22 @@ def _integral(sides: Sequence[tuple]) -> tuple[int, Sequence[tuple], list]:
     return (den, *_cleared(sides))
 
 
-def _compare(sides: Sequence[tuple], order: int,
-             modulus: int = 0) -> tuple[int, object, object] | None:
+def _compare(den: int, sides: Sequence[tuple], clear: list, order: int,
+             modulus: int) -> tuple[int, object, object] | None:
     """The first n <= order where a side differs from the first, as
     (n, lhs, rhs), or None.  With a modulus m, two sides differ where
     lhs - rhs is not a multiple of m, reported as (n, lhs - rhs, "0 (mod m)").
 
-    Sides are expanded times the lcm of their coefficients' denominators, so
-    the series stay integral; values are reported as reduced fractions.
-    They are compared with their denominators cleared (``_cleared``), which
-    finds the same first n without a division.  A mismatch's values come
-    from the same evaluation: the two cleared sides' coefficients at n,
-    each convolved with 1/D to n when D is not 1, where 1/D is the one side
-    expanded after the comparison, and reads no sequence."""
-    den, cleared, clear = _integral(sides)
+    den, sides and clear are ``_integral``'s, as ``_checks`` gives them:
+    the sides as written times den, so that the series stay integral, and
+    times D, the product of the pairs of clear, which finds the same first
+    n without a division.  Values are reported as reduced fractions.  A
+    mismatch's values come from the same evaluation: the two cleared sides'
+    coefficients at n, each convolved with 1/D to n when D is not 1, where
+    1/D is the one side expanded after the comparison, and reads no
+    sequence."""
     step = den * modulus
-    reference, *others = [evaluate_side(side, order) for side in cleared]
+    reference, *others = [evaluate_side(side, order) for side in sides]
     for other in others:
         bad = first_mismatch(reference, other, step)
         if bad is None:
@@ -150,18 +152,20 @@ def _mismatch(record: Record, order: int, bad: tuple[int, object, object] | None
 
 
 def _checks(record: Record, order: int, kmax: int) -> Iterator[tuple]:
-    """(k, sides, top, modulus) for each comparison that verifying the record
-    at the order makes, to n = top: a series equality's sides to the order,
-    and a relation's, at each k = 2..kmax for a family, to its coverage."""
+    """(k, top, modulus, den, sides, clear) for each comparison that
+    verifying the record at the order makes, to n = top, with den, sides
+    and clear from ``_integral``: a series equality's to the order, and a
+    relation's, at each k = 2..kmax for a family, to its coverage.  A plain
+    record has one comparison, with k None."""
     if isinstance(record, SeriesEquality):
-        yield None, record.sides, order, 0
+        yield None, order, 0, *_integral(record.sides)
     elif isinstance(record, Relation):
         if record.family and kmax < 2:
             raise ValueError("kmax must be >= 2")
         for k in range(2, kmax + 1) if record.family else [None]:
             instance = record.at(k)
             sides = (instance.lhs, instance.rhs)
-            yield k, sides, _coverage(sides, order), instance.modulus
+            yield k, _coverage(sides, order), instance.modulus, *_integral(sides)
     else:
         raise TypeError(f"unhandled record type {type(record)!r}")
 
@@ -189,22 +193,21 @@ def _census(record: CensusRecord, order: int) -> VerificationReport:
 
 
 def _verify_record(record: Record, order: int, kmax: int) -> VerificationReport:
-    """The record's report at the order.  A family names the k it checked
-    and the k it could not cover; a plain relation that covers no n is
-    skipped."""
+    """The record's report at the order.  A family, whose comparisons each
+    have a k, names the k it checked and the k it could not cover; a plain
+    relation that covers no n is skipped."""
     if isinstance(record, CensusRecord):
         return _census(record, order)
-    family = isinstance(record, Relation) and record.family
     checked, missed = [], []
-    for k, sides, top, modulus in _checks(record, order, kmax):
+    for k, top, modulus, den, sides, clear in _checks(record, order, kmax):
         if top < 0:
             missed.append(k)
             continue
-        bad = _compare(sides, top, modulus)
+        bad = _compare(den, sides, clear, top, modulus)
         if bad is not None:
-            return _mismatch(record, order, bad, f"k={k}" if family else "")
+            return _mismatch(record, order, bad, "" if k is None else f"k={k}")
         checked.append(k)
-    if family:
+    if k is not None:
         detail = f"k in {checked}" + (f"; {NOTHING_COVERED} at k in {missed}" if missed else "")
         return VerificationReport(record.id, record.kind, order, EXACT_MATCH, detail=detail)
     if missed:
@@ -252,11 +255,10 @@ def largest_index(ids: Iterable[str], order: int) -> int:
 def compared_sides(ids: Iterable[str], order: int, kmax: int) -> list[tuple]:
     """(side, n) for each side that verifying the records at the order
     expands, to n, in the order ``_compare`` expands them: the sides of each
-    comparison of ``_checks``, with the denominators multiplied through and
-    cleared."""
+    comparison of ``_checks``."""
     return [(side, top) for rid in ids if not isinstance(REGISTRY[rid], CensusRecord)
-            for _, sides, top, _ in _checks(REGISTRY[rid], order, kmax) if top >= 0
-            for side in _integral(sides)[1]]
+            for _, top, _, _, sides, _ in _checks(REGISTRY[rid], order, kmax) if top >= 0
+            for side in sides]
 
 
 def verify_all(tier: str = "all", order: int = DEFAULT_ORDER,

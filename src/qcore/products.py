@@ -8,12 +8,13 @@ exponents fit under the truncation order; there are no heuristic cutoffs.
 ``euler_f``, ``phi`` and ``psi`` are its specializations.
 
 Every named series is a side: a sum of product terms over atoms, which
-``evaluate_side`` expands by running the side's plan (``plan_side``), its
-products as (monomial, left, right) steps, through one table of the atoms
-and products it reads (``plan_run``).  A ``shared_products`` block, as in
-``identities.verify_all``, has one table for all of its sides, so that a
-series several of them read is made once; any other side is a run of one.
-The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
+``evaluate_side`` expands by running the side's plan (``plan_side``)
+through one table of the atoms and products it reads (``plan_run``).  A
+product's monomial names its atoms in the order the side first names them,
+and that order is its recipe (``_factors``).  A ``shared_products`` block,
+as in ``identities.verify_all``, has one table for all of its sides, so
+that a series several of them read is made once; any other side is a run
+of one.  The helpers ``F``, ``PHI``, ``PSI``, ``THETA``,
 ``SEQ``, ``POCH``, ``CHI``, ``R`` and ``P`` spell sides out; chi and the
 Rogers-Ramanujan quotient R are quotients of atoms, not atoms.  A product
 of Pochhammer factors, such as the Jacobi triple product, is a side of
@@ -301,15 +302,33 @@ def _atom_series(atom: tuple, order: int) -> TruncatedSeries:
 
 # -- evaluating a side: a plan of products ------------------------------------
 #
-# A monomial is a product of atom powers, the frozenset of its (atom, e)
-# pairs, one pair per atom.  An atom's own monomial, {(atom, 1)}, is a leaf:
-# the atom's series, from its constructor.
+# A monomial is a product of atom powers, the tuple of its (atom, e) pairs,
+# one pair per atom, in the order its side first names the atoms; () is 1.
+# That order is its recipe (``_factors``).  The run table keys a monomial by
+# the set of its pairs, so that sides naming the same atoms in other orders
+# read one entry.  An atom's own monomial, ((atom, 1),), is a leaf: the
+# atom's series, from its constructor.
 
-Plan = namedtuple("Plan", "steps terms common divisors")
+Plan = namedtuple("Plan", "terms common divisors")
 
 
-def _leaf(atom: tuple) -> frozenset:
-    return frozenset(((atom, 1),))
+def _leaf(atom: tuple) -> tuple:
+    return ((atom, 1),)
+
+
+def _factors(mono: tuple) -> tuple | None:
+    """The two monomials whose ``mul`` makes mono, or None for a leaf: a
+    power of an atom by squaring, x^2k = x^k * x^k and x^(k+1) = x^k * x,
+    and a product of powers as all its pairs but the last times the last."""
+    if len(mono) > 1:
+        return mono[:-1], mono[-1:]
+    (atom, e), = mono
+    if e == 1:
+        return None
+    if e % 2:
+        return ((atom, e - 1),), _leaf(atom)
+    half = ((atom, e // 2),)
+    return half, half
 
 
 def plan_side(side: tuple) -> Plan:
@@ -318,62 +337,34 @@ def plan_side(side: tuple) -> Plan:
     Each atom's lowest exponent over the terms (0 where a term lacks it) is
     factored out of the sum, except that a one-term side keeps its positive
     exponents.  ``terms`` holds each term as (coeff, shift, monomial), the
-    monomial of its remaining exponents or None for 1.  ``common`` lists
-    the power of each atom factored out of several terms, which multiplies
-    the sum, one at a time.  ``divisors`` lists each atom divided by, with
-    how many times.
-    ``steps`` maps each monomial that is a product to its (left, right)
-    factors, a factor before the product it makes: a power of an atom by
-    squaring, x^2k = x^k * x^k and x^(k+1) = x^k * x, and a product of
-    powers by chaining them in the order the atoms are first seen in the
-    side.
+    monomial of its remaining exponents, () for 1.  ``common`` lists the
+    power of each atom factored out of several terms, which multiplies the
+    sum, one at a time.  ``divisors`` lists each atom divided by, with how
+    many times.  Every monomial names its atoms in the order the side first
+    names them, and ``_factors`` makes it from that order.
     """
     exponents = [dict(factors) for _, _, factors in side]
     atoms = tuple(dict.fromkeys(atom for term in exponents for atom in term))
     low = {atom: min(term.get(atom, 0) for term in exponents) for atom in atoms}
     if len(side) == 1:
         low = {atom: min(e, 0) for atom, e in low.items()}
-    steps = {}
-
-    def power(atom, e):
-        mono = frozenset(((atom, e),))
-        if e > 1 and mono not in steps:
-            if e % 2:
-                left, right = power(atom, e - 1), power(atom, 1)
-            else:
-                left = right = power(atom, e // 2)
-            steps[mono] = left, right
-        return mono
-
-    def product(pairs):
-        mono = None
-        for atom, e in pairs:
-            if e:
-                factor = power(atom, e)
-                if mono is None:
-                    mono = factor
-                else:
-                    left, mono = mono, mono | factor
-                    steps.setdefault(mono, (left, factor))
-        return mono
-
-    terms = tuple((coeff, shift, product((atom, term.get(atom, 0) - low[atom]) for atom in atoms))
+    terms = tuple((coeff, shift, tuple((atom, e) for atom in atoms
+                                       if (e := term.get(atom, 0) - low[atom])))
                   for (coeff, shift, _), term in zip(side, exponents))
-    common = tuple(power(atom, e) for atom, e in low.items() if e > 0)
+    common = tuple(((atom, e),) for atom, e in low.items() if e > 0)
     divisors = tuple((atom, -e) for atom, e in low.items() if e < 0)
-    return Plan(steps, terms, common, divisors)
+    return Plan(terms, common, divisors)
 
 
-def _read(table: dict, key: tuple, steps: dict) -> int:
-    """Count one read of key, a (monomial, order), into the table and, when
-    it is the key's first, one read of each factor that ``steps`` makes
-    the product from; the number of products read for the first time."""
-    entry = table.setdefault(key, [0, None])
+def _read(table: dict, mono: tuple, order: int) -> int:
+    """Count one read of (mono, order) into the table and, when it is the
+    entry's first, one read of each of its ``_factors``; the number of
+    products read for the first time."""
+    entry = table.setdefault((frozenset(mono), order), [0, None])
     entry[0] += 1
-    mono, order = key
-    if entry[0] > 1 or mono not in steps:
+    if entry[0] > 1 or (factors := _factors(mono)) is None:
         return 0
-    return 1 + sum(_read(table, (factor, order), steps) for factor in steps[mono])
+    return 1 + sum(_read(table, factor, order) for factor in factors)
 
 
 RunPlan = namedtuple("RunPlan", "table sides products")
@@ -382,21 +373,21 @@ RunPlan = namedtuple("RunPlan", "table sides products")
 def plan_run(sides: Iterable[tuple]) -> RunPlan:
     """The table for evaluating each (side, order) of ``sides`` in turn.
 
-    ``table`` maps each (monomial, order) that the run reads, leaves and
-    products alike, to [how many times it is read, None].  A side reads the
-    monomial of each term, each entry of its ``common`` and each divisor's
-    leaf; the first side to read a product makes it, and so also reads its
-    two factors, and a later side reads the product alone.  ``sides`` lists
+    ``table`` maps each (set of a monomial's pairs, order) that the run
+    reads, leaves and products alike, to [how many times it is read, None].
+    A side reads the monomial of each term, each entry of its ``common`` and
+    each divisor's leaf; the first side to read a product makes it, and so
+    also reads its two ``_factors``, and a later side reads the product
+    alone, whatever order it names the atoms in.  ``sides`` lists
     each (side, order, plan), the plan from ``plan_side``; ``products``
     counts the ``mul`` calls of the whole run, one per product in the table
     and one per entry of a side's ``common``."""
     table, planned, products = {}, [], 0
     for side, order in sides:
         plan = plan_side(side)
-        reads = [mono for _, _, mono in plan.terms if mono is not None] + list(plan.common)
+        reads = [mono for _, _, mono in plan.terms if mono] + list(plan.common)
         reads += (_leaf(atom) for atom, _ in plan.divisors)
-        products += len(plan.common) + sum(_read(table, (mono, order), plan.steps)
-                                           for mono in reads)
+        products += len(plan.common) + sum(_read(table, mono, order) for mono in reads)
         planned.append((side, order, plan))
     return RunPlan(table, planned, products)
 
@@ -424,19 +415,20 @@ def shared_products(sides: Iterable[tuple]):
         _SIDES.clear()
 
 
-def _take(table: dict, steps: dict, key: tuple) -> TruncatedSeries:
-    """Read key, a (monomial, order), from the table: its series, made on
-    the first read, a leaf by its atom's constructor and a product by one
-    ``mul`` of the factors in ``steps``, and dropped after the last."""
+def _take(table: dict, mono: tuple, order: int) -> TruncatedSeries:
+    """Read (mono, order) from the table: its series, made on the first
+    read, a leaf by its atom's constructor and a product by one ``mul`` of
+    its ``_factors``, and dropped after the last."""
+    key = frozenset(mono), order
     entry = table[key]
     if entry[1] is None:
-        mono, order = key
-        if mono in steps:
-            left, right = steps[mono]
-            entry[1] = _take(table, steps, (left, order)).mul(_take(table, steps, (right, order)))
-        else:
+        factors = _factors(mono)
+        if factors is None:
             (atom, _), = mono
             entry[1] = _atom_series(atom, order)
+        else:
+            left, right = factors
+            entry[1] = _take(table, left, order).mul(_take(table, right, order))
     entry[0] -= 1
     if not entry[0]:
         del table[key]
@@ -472,18 +464,15 @@ def evaluate_side(side: tuple, order: int) -> TruncatedSeries:
         run = plan_run([(side, order)])
         plan, table = run.sides[0][2], run.table
 
-    def take(mono):
-        return _take(table, plan.steps, (mono, order))
-
     if not plan.terms:
         return TruncatedSeries.zero(order)
-    terms = ((TruncatedSeries.one(order) if mono is None else take(mono)).shift(shift).scale(coeff)
-             for coeff, shift, mono in plan.terms)
+    terms = ((_take(table, mono, order) if mono else TruncatedSeries.one(order))
+             .shift(shift).scale(coeff) for coeff, shift, mono in plan.terms)
     total = reduce(TruncatedSeries.add, terms)
     for mono in plan.common:
-        total = total.mul(take(mono))
+        total = total.mul(_take(table, mono, order))
     for atom, times in plan.divisors:
-        x = take(_leaf(atom))
+        x = _take(table, _leaf(atom), order)
         for _ in range(times):
             total = total.div(x)
     return total

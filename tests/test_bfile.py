@@ -64,3 +64,22 @@ def test_negative_index_rejected():
 def test_empty_file_rejected():
     with pytest.raises(BFileParseError):
         parse_bfile("# only a comment\n")
+
+
+@pytest.mark.parametrize("text", ["0 1\x0c1 1\n", "0 1\x0b1 1\n2 x\n", "0 1\x1c1 1\n"])
+def test_only_a_line_break_ends_a_line(text):
+    # a form feed, vertical tab or separator character is whitespace inside
+    # a line, so the first line has four fields
+    with pytest.raises(BFileParseError) as err:
+        parse_bfile(text)
+    assert err.value.lineno == 1
+    assert "expected 'index value'" in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_line_breaks_parse(newline):
+    text = newline.join(["# header", "0 1", "", "1 -2", "2 3"]) + newline
+    assert parse_bfile(text).entries == ((0, 1), (1, -2), (2, 3))
+    with pytest.raises(BFileParseError) as err:
+        parse_bfile(newline.join(["0 1", "1 2", "x 3"]))
+    assert err.value.lineno == 3

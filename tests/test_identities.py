@@ -384,7 +384,7 @@ def test_verify_all_expands_each_atom_of_its_plan_once(monkeypatch):
     sides = identities.compared_sides(SERIES_EQUALITIES, 1500, DEFAULT_KMAX)
     table = products.plan_run(sides).table
     leaves = {(atom, order) for mono, order in table for atom, _ in mono
-              if mono == products._leaf(atom)}
+              if mono == frozenset(products._leaf(atom))}
     current, calls = [], []
     atom_series, one = products._atom_series, identities.verify
 

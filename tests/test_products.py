@@ -410,6 +410,26 @@ def test_a_side_the_run_does_not_plan_next_has_a_table_of_its_own(monkeypatch):
     assert len(calls) == made == 5
 
 
+def test_sides_naming_the_same_atoms_in_either_order_share_their_product(monkeypatch):
+    # f1 f5 and f5 f1 are one product: the first side makes it, in the order
+    # it names the atoms, and the second reads it
+    first, second = (P(1, 0, F(1), F(5)),), (P(1, 0, F(5), F(1)),)
+    run = [(first, 60), (second, 60)]
+    expected = euler_f(1, 60).mul(euler_f(5, 60))
+    calls = []
+    mul = TruncatedSeries.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "mul", counting)
+    assert products.plan_run(run).products == 1
+    with products.shared_products(run):
+        assert evaluate_side(first, 60) == evaluate_side(second, 60) == expected
+    assert len(calls) == 1
+
+
 # -- sequence atoms read any progression ----------------------------------------
 
 
