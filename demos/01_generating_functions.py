@@ -12,7 +12,7 @@ Everything is exact integer arithmetic.
 """
 
 from qcore import count_t_cores, evaluate_side, gen_a5bar, gen_b5bar, gen_c5
-from qcore.products import FORMS
+from qcore.sequences import FORMS
 
 N = 30
 

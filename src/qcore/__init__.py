@@ -4,11 +4,14 @@
 The building blocks:
 
 - ``series``: exact truncated power series over Python integers.
-- ``products``: Pochhammer factors, Euler products, theta functions, the
+- ``kernels``: the product and quotient kernels behind ``series``, loaded
+  at the first product or quotient.
+- ``sequences``: the three generating functions, from their Eisenstein
+  divisor-sum closed forms, with no series arithmetic, and the sequences'
+  sign census.
+- ``products``: Pochhammer factors, Euler products, theta functions and the
   evaluator for sums of quotients of them (chi, the Rogers-Ramanujan
-  quotient, products of Pochhammer factors), the three generating
-  functions, from their Eisenstein divisor-sum closed forms, and the
-  sequences' sign census.
+  quotient, products of Pochhammer factors).
 - ``partitions``: the t-core oracle, a lattice-vector search free of
   series arithmetic, and partitions with their hook numbers.
 - ``dissection``: residue-class dissections.
@@ -34,8 +37,8 @@ _EXPORTS = {
                      "verify_record"), "identities"),
     **dict.fromkeys(("Partition", "count_t_cores", "t_cores"), "partitions"),
     **dict.fromkeys(("PochhammerFactor", "ThetaSpec", "euler_f", "evaluate_side",
-                     "expand_pochhammer", "gen_a5bar", "gen_b5bar", "gen_c5", "phi", "psi",
-                     "sign_census", "theta_general"), "products"),
+                     "expand_pochhammer", "phi", "psi", "theta_general"), "products"),
+    **dict.fromkeys(("gen_a5bar", "gen_b5bar", "gen_c5", "sign_census"), "sequences"),
     **dict.fromkeys(("NonUnitConstantTerm", "TruncatedSeries", "first_mismatch"), "series"),
 }
 

@@ -17,11 +17,13 @@ factor and a negative number are read with ``str`` methods, so no command
 imports or compiles ``re``; they accept exactly what the patterns kept in
 ``tests/_brute.py`` accept, Unicode decimal digits included.
 
-A subcommand imports what it runs when it runs: the series engine
-(``products`` and ``series``) only to evaluate a series, so not for a
-name, sign, factor or option it refuses, nor for oracle at t != 5; the
-registry and the evaluator only for verify, the b-file module only for
-bfile, the t-core oracle only for oracle, and json only for --format json.
+A subcommand imports what it runs when it runs: ``sequences`` and
+``series`` only to evaluate a series, so not for a name, sign, factor or
+option it refuses, nor for oracle at t != 5; ``products`` only for a name
+other than c5, a5bar and b5bar, and the kernels only at the first product
+or quotient; the registry and the evaluator only for verify, the b-file
+module only for bfile, the t-core oracle only for oracle, and json only for
+--format json.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ def _parse_sign(token: str) -> int:
     raise UsageError(f"sign must be '+' or '-', got {token!r}")
 
 
-# A series name other than prod:SPEC maps its head to the parsers of the
-# ':'-separated fields it may give and to the factors those fields give,
-# built from the ``products`` module once every field has parsed.
+# A series name other than a sequence or prod:SPEC maps its head to the
+# parsers of the ':'-separated fields it may give and to the factors those
+# fields give, built from the ``products`` module once every field has parsed.
 _SIDE_NAMES = {
-    **{alias: ((), lambda p, seq=seq: (p.SEQ(seq),)) for alias, seq in _SEQ_ALIASES.items()},
     "f": ((int,), lambda p, j=1: (p.F(j),)),
     "R": ((int,), lambda p, j=1: p.R(j)),
     "phi": ((_parse_sign, int), lambda p, s=-1, j=1: (p.PHI(s, j),)),
@@ -113,8 +114,14 @@ def resolve_series(name: str, order: int):
     psi[:SIGN[:J]] | chi[:SIGN[:J]] | prod:SPEC (inline Pochhammer product).
     Each is a one-term side; a malformed prod:SPEC factor is reported as
     such, any other bad name as an unknown series or one that cannot expand.
+    A sequence is read from its constructor in ``sequences.SEQUENCES``,
+    which is what its side, P(1, 0, SEQ(seq)), reads in ``evaluate_side``.
     """
     _check_order(order, order)
+    seq = _SEQ_ALIASES.get(name)
+    if seq is not None:
+        from .sequences import SEQUENCES
+        return SEQUENCES[seq](order)
     if name.startswith("prod:"):
         factors = _parse_product_spec(name[5:])
         from . import products
@@ -180,7 +187,7 @@ def _cmd_oracle(args: dict) -> int:
         for p in t_cores(n, t):
             print("  " + (",".join(map(str, p.parts)) or "(empty)"))
     if t == 5:
-        from .products import gen_c5
+        from .sequences import gen_c5
 
         coeff = gen_c5(n)[n]
         status = "agrees" if coeff == count else f"DISAGREES (series says {coeff})"
@@ -197,7 +204,7 @@ def _cmd_census(args: dict) -> int:
         raise UsageError(f"unknown sequence {name!r}; choose from "
                          + ", ".join(sorted(_SEQ_ALIASES)))
     _check_order(order, order)
-    from .products import sign_census
+    from .sequences import sign_census
 
     census = sign_census(seq, order)
     payload = {

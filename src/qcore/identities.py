@@ -11,7 +11,7 @@ of a series identity multiplied through by their common denominator D so
 that none divides: ``_compare`` runs it, taking a mismatch's values from
 that one evaluation, and ``compared_sides`` plans its products.  A
 family, a relation that holds a K, is the same check at each
-k = 2..kmax.  A census record reads ``products.sign_census``.
+k = 2..kmax.  A census record reads ``sequences.sign_census``.
 ``verify_all`` first builds each sequence's prefix to the order, once,
 where every later read at or below the order is a slice; a lone record
 builds only the progressions it reads.
@@ -32,13 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .defaults import DEFAULT_KMAX, DEFAULT_ORDER
-from .products import (
-    SEQUENCES,
-    P,
-    evaluate_side,
-    shared_products,
-    sign_census,
-)
+from .products import P, evaluate_side, shared_products
 from .registry import (
     CensusRecord,
     Record,
@@ -47,6 +41,7 @@ from .registry import (
     build_registry,
 )
 from .reports import EXACT_MATCH, MISMATCH, SKIPPED, VerificationReport
+from .sequences import SEQUENCES, sign_census
 from .series import first_mismatch
 
 REGISTRY: dict[str, Record] = build_registry()

@@ -6,8 +6,8 @@ psi(-q^5)^5/psi(-q)), or one series identity among the theta/eta products.
 Records are named tuples of plain data plus a human-readable statement, in
 one term language: every side is a sum of product terms that
 ``products.evaluate_side`` expands, written with the side helpers F, PHI,
-PSI, THETA, SEQ, CHI, R and P that ``products`` defines and this module
-re-exports.  A SeriesEquality lists sides that agree coefficient by
+PSI, THETA, SEQ, CHI, R and P that ``products`` names (``sequences``
+defines F, PHI, PSI and P) and this module re-exports.  A SeriesEquality lists sides that agree coefficient by
 coefficient; a Relation says sum(lhs) = sum(rhs) over sequence terms at
 every covered n (or, with a modulus m, sum(lhs) - sum(rhs) == 0 (mod m));
 a CensusRecord bounds sign frequencies.  The evaluator in ``identities``

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute as brute
-from qcore import cli, identities, products
+from qcore import cli, identities, products, sequences
 from qcore.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from qcore.registry import P, SeriesEquality
 
@@ -163,6 +163,29 @@ def test_expand_prints_the_coefficients_of_the_resolved_series(capsys, name, ord
         assert {0, -1} <= set(coeffs)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 50, 2000])
+@pytest.mark.parametrize("name, seq", [("c5", "c5"), ("a5bar", "a5"), ("b5bar", "b5")])
+def test_a_sequence_name_reads_what_its_one_term_side_reads(name, seq, order):
+    # cli reads the constructor in sequences.SEQUENCES directly; the side
+    # P(1, 0, SEQ(seq)) reaches the same constructor through evaluate_side
+    side = (products.P(1, 0, products.SEQ(seq)),)
+    assert cli.resolve_series(name, order) == products.evaluate_side(side, order)
+
+
+def test_an_expanded_sequence_is_the_prefix_that_products_reads(capsys, monkeypatch):
+    # one evaluator and one cache: after expand c5 2000, the constructor
+    # products names is the one cli read, and a lower order is a slice
+    closed, calls = sequences._closed_form, []
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form",
+                        lambda *args: calls.append(args[1:]) or closed(*args))
+    assert run_cli(capsys, "expand", "c5", "2000")[0] == EXIT_OK
+    assert calls == [(1, 0, 2000)]
+    assert products.gen_c5 is sequences.gen_c5
+    assert products.gen_c5(1000) == sequences.SEQUENCES["c5"](2000).truncate(1000)
+    assert calls == [(1, 0, 2000)]
+
+
 def test_verify_single_id(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm3.b5_20n_15", "--order", "400")
     assert code == EXIT_OK
@@ -219,18 +242,18 @@ def test_verify_all_with_a_wrong_progression_value_names_its_records(capsys, mon
     # a wrong b5(197) where b5(25n + 22) is evaluated on its own n: verify
     # all reports each record that reads that evaluation as a mismatch, and
     # exits so; the records that read b5(197) from the prefix pass
-    closed = products._closed_form
+    closed = sequences._closed_form
 
     def corrupted(form, m, r, order):
         series = closed(form, m, r, order)
-        if form is not products.FORMS["b5"] or (m, r) != (25, 22) or order < 7:
+        if form is not sequences.FORMS["b5"] or (m, r) != (25, 22) or order < 7:
             return series
         coeffs = list(series.coeffs)
         coeffs[7] += 1
         return type(series)(coeffs, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", corrupted)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", corrupted)
     code, out, err = run_cli(capsys, "verify", "all", "-N", "300")
     assert code == EXIT_MISMATCH and err == ""
     bad = sorted(line.split()[0] for line in out.splitlines() if " mismatch " in line)
@@ -450,8 +473,8 @@ def test_out_of_memory_is_usage_error_without_traceback(tmp_path, monkeypatch, c
     def no_memory(form, m, r, order):
         raise MemoryError
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", no_memory)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", no_memory)
     path = tmp_path / "b.txt"
     code, out, err = run_cli(capsys, *argv.format(path=path).split())
     assert code == EXIT_USAGE

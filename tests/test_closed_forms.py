@@ -1,7 +1,7 @@
 """The closed forms of c5, a5 and b5 and their certificates.
 
 Each sequence's generating function is a weight-2 eta quotient, recorded in
-``products.FORMS`` with its level, character, Sturm bound and Eisenstein
+``sequences.FORMS`` with its level, character, Sturm bound and Eisenstein
 terms.  Ligozat's criteria, checked here in exact arithmetic, make the
 quotient a holomorphic modular form on Gamma0(level) with character (5/.);
 each Eisenstein term is one on the same group, so by Sturm the closed form
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcore import evaluate_side, products, verify, verify_all
+from qcore import evaluate_side, sequences, verify, verify_all
 from qcore.identities import REGISTRY
-from qcore.products import FORMS, SEQ, SEQUENCES, F, P
+from qcore.products import SEQ, F, P
+from qcore.sequences import FORMS, SEQUENCES
 
 LEGENDRE_5 = (0, 1, -1, -1, 1)
 
@@ -131,7 +132,7 @@ def test_a_wrong_exponent_or_term_fails_the_certificate(name, changes, failing):
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_evaluator_matches_the_divisor_sum_definitions(name):
     form = FORMS[name]
-    series = products._closed_form(form, 1, 0, 300)
+    series = sequences._closed_form(form, 1, 0, 300)
     assert all(series[n] == closed_form(form, n + form.shift) for n in range(301))
 
 
@@ -141,7 +142,7 @@ DEEPEST = 130 * 300 + 1000
 
 @cache
 def prefix(name: str) -> tuple:
-    return products._closed_form(FORMS[name], 1, 0, DEEPEST).coeffs
+    return sequences._closed_form(FORMS[name], 1, 0, DEEPEST).coeffs
 
 
 def test_the_prefix_is_the_divisor_sum_sieve():
@@ -176,7 +177,7 @@ def test_a_progression_is_the_slice_of_the_prefix(name, m, r, order):
     # so through the one evaluator at its own progression, against the
     # evaluator's prefix (m = 1, r = 0), which the tests above pin to the
     # divisor sums and the product side; a negative index is 0
-    with patch.dict(products._EXPANSIONS, clear=True):
+    with patch.dict(sequences._EXPANSIONS, clear=True):
         series = evaluate_side((P(1, 0, SEQ(name, m, r)),), order)
     expected = [prefix(name)[m * n + r] if m * n + r >= 0 else 0 for n in range(order + 1)]
     assert series.order == order and list(series.coeffs) == expected
@@ -193,9 +194,9 @@ def u5_mismatches(name: str, m: int) -> list:
     m*n + r to order K differs from the m = 1 prefix, which ``_u5`` leaves
     undivided, to m*K + r sliced at [r::m]."""
     form = FORMS[name]
-    prefix = products._closed_form(form, 1, 0, m * max(U5_ORDERS) + m - 1).coeffs
+    prefix = sequences._closed_form(form, 1, 0, m * max(U5_ORDERS) + m - 1).coeffs
     return [(r, order) for r in range(m) for order in U5_ORDERS
-            if products._closed_form(form, m, r, order).coeffs
+            if sequences._closed_form(form, m, r, order).coeffs
             != prefix[r: m * order + r + 1: m]]
 
 
@@ -208,15 +209,15 @@ def test_a_progression_divided_by_a_power_of_5_is_the_slice_of_the_prefix(name, 
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_a_wrong_u5_weight_is_caught(name, monkeypatch):
     # with the weight 5^w replaced by 1, every step has a wrong progression
-    u5 = products._u5
-    monkeypatch.setattr(products, "_u5", lambda m, offset: u5(m, offset)[:2] + (1,))
+    u5 = sequences._u5
+    monkeypatch.setattr(sequences, "_u5", lambda m, offset: u5(m, offset)[:2] + (1,))
     assert all(u5_mismatches(name, m) for m in U5_STEPS)
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_closed_forms_match_the_product_definitions(name, monkeypatch):
     # every n <= 5000, against the product side expanded as a side
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
     assert SEQUENCES[name](5000) == evaluate_side(FORMS[name].side, 5000)
 
 
@@ -224,12 +225,12 @@ def test_closed_forms_match_the_product_definitions(name, monkeypatch):
 def test_closed_forms_at_the_smallest_orders(order, monkeypatch):
     # a5(0) = 1 is E15's constant term; b5 reads its divisor sums at n + 3
     for name, gen in SEQUENCES.items():
-        monkeypatch.setattr(products, "_EXPANSIONS", {})
+        monkeypatch.setattr(sequences, "_EXPANSIONS", {})
         series = gen(order)
         assert series.order == order
         assert series == evaluate_side(FORMS[name].side, order), (name, order)
-    assert products._closed_form(FORMS["a5"], 1, 0, order)[0] == 1
-    assert list(products._closed_form(FORMS["b5"], 1, 0, order).coeffs) == [1, 1, 1, 2, 3][
+    assert sequences._closed_form(FORMS["a5"], 1, 0, order)[0] == 1
+    assert list(sequences._closed_form(FORMS["b5"], 1, 0, order).coeffs) == [1, 1, 1, 2, 3][
         :order + 1]
 
 
@@ -240,7 +241,7 @@ def test_closed_forms_at_the_smallest_orders(order, monkeypatch):
 ])
 def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeypatch):
     # the registry ties each sequence to products in every run
-    closed = products._closed_form
+    closed = sequences._closed_form
 
     def corrupted(form, m, r, order):
         series = closed(form, m, r, order)
@@ -250,8 +251,8 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
         coeffs[100] += 1
         return type(series)(coeffs, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", corrupted)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", corrupted)
     mismatches = [r.id for r in verify_all("all", 300) if not r.ok]
     assert record in mismatches, mismatches
 
@@ -259,7 +260,7 @@ def test_a_wrong_closed_form_coefficient_is_caught_by_name(name, record, monkeyp
 def _wrong_b5_197(monkeypatch):
     """Start from an empty cache with b5(197) = b5(25*7 + 22) off by one
     where ``_closed_form`` evaluates b5(25n + 22), and right elsewhere."""
-    closed = products._closed_form
+    closed = sequences._closed_form
 
     def corrupted(form, m, r, order):
         series = closed(form, m, r, order)
@@ -269,8 +270,8 @@ def _wrong_b5_197(monkeypatch):
         coeffs[7] += 1
         return type(series)(coeffs, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", corrupted)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", corrupted)
 
 
 def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
@@ -286,7 +287,7 @@ def test_a_wrong_progression_value_is_caught_by_name(monkeypatch):
     assert mismatches == {"ext.b5.before_last": 7, "ext.b5.eliminate_2": 7}
     mismatches = {}
     for rid in REGISTRY:
-        products._EXPANSIONS.clear()
+        sequences._EXPANSIONS.clear()
         report = verify(rid, 300)
         if not report.ok:
             mismatches[rid] = report.first_bad_index

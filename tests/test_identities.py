@@ -16,7 +16,7 @@ from qcore import (
     verify_all,
     verify_record,
 )
-from qcore import NonUnitConstantTerm, identities, products
+from qcore import NonUnitConstantTerm, identities, products, sequences
 from qcore.cli import resolve_series
 from qcore.defaults import DEFAULT_KMAX
 from qcore.identities import REGISTRY
@@ -34,7 +34,7 @@ def test_registry_shape():
 
 
 def test_sequence_access():
-    assert products.SEQUENCES["c5"](4).coeffs == (1, 1, 2, 3, 5)
+    assert sequences.SEQUENCES["c5"](4).coeffs == (1, 1, 2, 3, 5)
 
 
 def test_verify_single_relation():
@@ -129,15 +129,15 @@ def test_series_equalities_at_small_orders(order):
 def _recording_closed_forms(monkeypatch) -> list:
     """Start from an empty cache and record each ``_closed_form`` call as
     ((name, m, r), order)."""
-    names = {id(form): name for name, form in products.FORMS.items()}
-    closed_form, builds = products._closed_form, []
+    names = {id(form): name for name, form in sequences.FORMS.items()}
+    closed_form, builds = sequences._closed_form, []
 
     def recording(form, m, r, order):
         builds.append(((names[id(form)], m, r), order))
         return closed_form(form, m, r, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", recording)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", recording)
     return builds
 
 
@@ -153,8 +153,8 @@ def test_verify_all_builds_each_sequence_at_its_rising_orders(monkeypatch):
     assert sorted(builds) == [(("a5", 1, 0), 300), (("a5", 5, 0), 300),
                               (("b5", 1, 0), 300), (("b5", 5, 2), 300),
                               (("b5", 25, 22), 300), (("c5", 1, 0), 300)]
-    assert sorted(products._EXPANSIONS) == ["a5", "b5", "c5"]
-    assert all(series.order == 300 for series in products._EXPANSIONS.values())
+    assert sorted(sequences._EXPANSIONS) == ["a5", "b5", "c5"]
+    assert all(series.order == 300 for series in sequences._EXPANSIONS.values())
 
 
 @pytest.mark.parametrize("rid, order, builds", [
@@ -172,7 +172,7 @@ def test_a_lone_verify_builds_each_sequence_once(monkeypatch, rid, order, builds
     built = _recording_closed_forms(monkeypatch)
     assert verify(rid, order).ok
     assert built == builds
-    assert list(products._EXPANSIONS) == [key[0] for key, _ in builds if key[1:] == (1, 0)]
+    assert list(sequences._EXPANSIONS) == [key[0] for key, _ in builds if key[1:] == (1, 0)]
 
 
 def test_every_record_verified_alone_builds_what_it_reads(monkeypatch):
@@ -183,7 +183,7 @@ def test_every_record_verified_alone_builds_what_it_reads(monkeypatch):
     builds = _recording_closed_forms(monkeypatch)
     for order in (100, 600):
         for rid in REGISTRY:
-            products._EXPANSIONS.clear()
+            sequences._EXPANSIONS.clear()
             assert verify(rid, order).ok, rid
     assert len(builds) == 266
 
@@ -193,7 +193,7 @@ def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeyp
     # its own index: one wrong b5(297) = b5(25*11 + 22) = b5(5*59 + 2) in
     # what gen_b5bar returns fails ext.b5.before_last at N = 100, at n = 11,
     # though no b5 prefix is built
-    gen = products.gen_b5bar
+    gen = sequences.gen_b5bar
 
     def corrupted(order, m=1, r=0):
         series = gen(order, m, r)
@@ -203,9 +203,9 @@ def test_a_wrong_value_from_a_constructor_fails_the_record_that_reads_it(monkeyp
         coeffs[297] += 1
         return TruncatedSeries(coeffs, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "gen_b5bar", corrupted)
-    monkeypatch.setitem(products.SEQUENCES, "b5", corrupted)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "gen_b5bar", corrupted)
+    monkeypatch.setitem(sequences.SEQUENCES, "b5", corrupted)
     report = verify("ext.b5.before_last", 100)
     assert not report.ok and report.first_bad_index == 11
 
@@ -464,7 +464,7 @@ def test_series_equalities_divide_only_to_build_sequences(monkeypatch):
     # the sequences, built from their closed forms, do not divide either, so
     # every record at N = 1500 and the sequences at 30000 come out the same
     def run():
-        monkeypatch.setattr(products, "_EXPANSIONS", {})
+        monkeypatch.setattr(sequences, "_EXPANSIONS", {})
         reports = [report._replace(elapsed=None) for report in verify_all("all", 1500)]
         assert len(reports) == 74
         return reports, [resolve_series(name, 30000) for name in ("c5", "a5bar", "b5bar")]
@@ -474,7 +474,7 @@ def test_series_equalities_divide_only_to_build_sequences(monkeypatch):
 
     expected = run()
     monkeypatch.setattr(TruncatedSeries, "div", no_division)
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
     for rid in SERIES_EQUALITIES:
         assert verify(rid, 300).ok, rid
     assert run() == expected

@@ -5,7 +5,7 @@ import pytest
 
 import _brute as brute
 from qcore import Partition, count_t_cores, evaluate_side, t_cores
-from qcore.products import FORMS
+from qcore.sequences import FORMS
 
 
 def flat_hooks(p):

@@ -18,7 +18,7 @@ from qcore import (
     psi,
     theta_general,
 )
-from qcore import products
+from qcore import products, sequences
 from qcore.products import CHI, PHI, POCH, PSI, SEQ, THETA, F, P, R
 from qcore.registry import T
 
@@ -117,11 +117,11 @@ def test_equal_specs_stay_distinct_atoms_by_their_head():
 def test_equal_sides_share_one_prefix_cache_entry(monkeypatch):
     # a sequence atom in equal but distinct sides and the sequence's
     # constructor find its one cache entry
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
     first = evaluate_side((P(1, 0, SEQ("b5")),), 40)
     again = evaluate_side((P(1, 0, SEQ("b5")),), 30)
     assert again == first.truncate(30) and gen_b5bar(40) is first
-    assert list(products._EXPANSIONS) == ["b5"]
+    assert list(sequences._EXPANSIONS) == ["b5"]
 
 
 @pytest.mark.parametrize("m, r, order", [
@@ -133,18 +133,18 @@ def test_a_constructor_with_a_modulus_keeps_the_terms_at_that_residue(monkeypatc
     # exponent is not r mod m set to 0, whether the terms are evaluated on
     # their own or sliced from a cached prefix that reaches M; the cache
     # keeps the prefix alone, so terms evaluated on their own leave it empty
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
     for gen, name in ((gen_c5, "c5"), (gen_a5bar, "a5"), (gen_b5bar, "b5")):
         full = gen(order)
         expected = [c if x % m == r % m else 0 for x, c in enumerate(full.coeffs)]
-        products._EXPANSIONS.clear()
+        sequences._EXPANSIONS.clear()
         if source == "sliced":
             gen(order)
         part = gen(order, m, r)
         assert part.order == order and list(part.coeffs) == expected, name
         keys = {"sliced": [name], "evaluated": []}[source]
-        assert list(products._EXPANSIONS) == keys
-        products._EXPANSIONS.clear()
+        assert list(sequences._EXPANSIONS) == keys
+        sequences._EXPANSIONS.clear()
 
 
 # -- Euler products --------------------------------------------------------------
@@ -513,14 +513,14 @@ def test_named_constructors_memoize(monkeypatch):
     # one cache: rising orders build once each; a lower order builds
     # nothing and equals a fresh build
     builds = []
-    closed_form = products._closed_form
+    closed_form = sequences._closed_form
 
     def counting(form, m, r, order):
         builds.append(order)
         return closed_form(form, m, r, order)
 
-    monkeypatch.setattr(products, "_EXPANSIONS", {})
-    monkeypatch.setattr(products, "_closed_form", counting)
+    monkeypatch.setattr(sequences, "_EXPANSIONS", {})
+    monkeypatch.setattr(sequences, "_closed_form", counting)
     for gen in (gen_c5, gen_a5bar, gen_b5bar):
         builds.clear()
         for order in (10, 40, 90):
@@ -529,10 +529,10 @@ def test_named_constructors_memoize(monkeypatch):
         served = {order: gen(order) for order in (0, 7, 10, 40, 89, 90)}
         assert builds == [10, 40, 90]
         assert gen(90) is served[90]
-        products._EXPANSIONS.clear()
+        sequences._EXPANSIONS.clear()
         for order, series in served.items():
             assert series == gen(order) and series.order == order
-            products._EXPANSIONS.clear()
+            sequences._EXPANSIONS.clear()
         assert builds == [10, 40, 90, 0, 7, 10, 40, 89, 90]
     # the plain sequence atom is the cached expansion itself, not a copy
     gen_c5(90)

@@ -10,10 +10,10 @@ from conftest import series_strategy, unit_series_strategy
 
 import _brute as brute
 from qcore import NonUnitConstantTerm, TruncatedSeries, dissect, first_mismatch
-from qcore import series as series_module
+from qcore import kernels
 from qcore.products import euler_f, phi
-from qcore.series import (_CODES, _NATIVE, _convolve_packed, _convolve_shifted, _pack,
-                          _slot_width, _unpack, _widths)
+from qcore.kernels import (_CODES, _NATIVE, _convolve_packed, _convolve_shifted, _pack,
+                           _slot_width, _unpack, _widths)
 
 # frozen via the naive helpers in _brute.py
 PENTAGONAL_16 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1, 0]
@@ -395,10 +395,10 @@ def _kernels_run(monkeypatch):
     """Record the name of each multiply kernel that runs, in order."""
     ran = []
     for name in ("_convolve_shifted", "_convolve_packed"):
-        def record(*args, _name=name, _kernel=getattr(series_module, name)):
+        def record(*args, _name=name, _kernel=getattr(kernels, name)):
             ran.append(_name)
             return _kernel(*args)
-        monkeypatch.setattr(series_module, name, record)
+        monkeypatch.setattr(kernels, name, record)
     return ran
 
 
@@ -473,8 +473,8 @@ def test_two_dense_factors_take_packed_kernel(monkeypatch, order):
                          ids=["shifted", "packed", "dissected"])
 def test_square_packs_its_operand_once(monkeypatch, x):
     packed = []
-    pack = series_module._pack
-    monkeypatch.setattr(series_module, "_pack",
+    pack = kernels._pack
+    monkeypatch.setattr(kernels, "_pack",
                         lambda vals, *args: packed.append(vals) or pack(vals, *args))
     square = x.mul(x)
     assert len(packed) == 1
@@ -596,10 +596,10 @@ _DENSE_150 = TruncatedSeries([n % 7 - 3 or 9 for n in range(151)])
 def test_mul_prices_as_the_reference_and_matches_brute(monkeypatch, case):
     ran = []
     for name in ("_convolve_shifted", "_convolve_packed"):
-        def record(*args, _name=name, _kernel=getattr(series_module, name)):
+        def record(*args, _name=name, _kernel=getattr(kernels, name)):
             ran.append((_name, args[-1]))
             return _kernel(*args)
-        monkeypatch.setattr(series_module, name, record)
+        monkeypatch.setattr(kernels, name, record)
 
     @settings(max_examples=25, deadline=None)
     @given(_PRICING_CASES[case])
@@ -639,7 +639,7 @@ def test_period_is_the_gcd_of_the_support(pair):
     x, y = pair
     order = min(x.order, y.order)
     for b in (x.coeffs[: order + 1], y.coeffs[: order + 1]):
-        assert series_module._period(b, len(b) - b.count(0)) == gcd(*_support(b))
+        assert kernels._period(b, len(b) - b.count(0)) == gcd(*_support(b))
 
 
 # -- a product dissected by a factor's period -----------------------------------
@@ -750,7 +750,7 @@ def test_dense_mul_at_small_orders_takes_packed_kernel(monkeypatch, sub, g):
     def no_shifted(*args):
         raise AssertionError("dense operands took the shifted kernel")
 
-    monkeypatch.setattr(series_module, "_convolve_shifted", no_shifted)
+    monkeypatch.setattr(kernels, "_convolve_shifted", no_shifted)
     assert list(x.mul(y).coeffs) == expected
     assert list(x.mul(x).coeffs) == brute.convolve(list(x.coeffs), list(x.coeffs), x.order)
 
@@ -794,8 +794,8 @@ def test_div_by_one_term_past_constant(b0, k, c):
 
 def test_quotient_runs_one_recurrence_per_nonempty_class(monkeypatch):
     orders = []
-    divide = series_module._divide
-    monkeypatch.setattr(series_module, "_divide",
+    divide = kernels._divide
+    monkeypatch.setattr(kernels, "_divide",
                         lambda a, b, order: orders.append(order) or divide(a, b, order))
     # chi(-q) = f(-q) / f(-q^2): each class mod 2 of f(-q) over f(-q^2)[::2]
     chi = euler_f(1, 2000).div(euler_f(2, 2000))

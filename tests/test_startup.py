@@ -69,7 +69,7 @@ def test_oracle_loads_the_search_and_the_c5_series_only():
         "      'dataclasses' in sys.modules)\n"
     )
     assert out.splitlines()[-1] == (
-        "0 ['qcore.cli', 'qcore.defaults', 'qcore.partitions', 'qcore.products', "
+        "0 ['qcore.cli', 'qcore.defaults', 'qcore.partitions', 'qcore.sequences', "
         "'qcore.series'] False")
 
 
@@ -82,8 +82,40 @@ def test_census_loads_neither_the_registry_nor_the_evaluator():
     )
     assert out.splitlines() == [
         "b5bar sign census over n=1..10: zero 1/5, positive 3/5, negative 1/5",
-        "0 ['qcore.cli', 'qcore.defaults', 'qcore.products', 'qcore.series']",
+        "0 ['qcore.cli', 'qcore.defaults', 'qcore.sequences', 'qcore.series']",
     ]
+
+
+SEQUENCE_MODULES = ["qcore.cli", "qcore.defaults", "qcore.sequences", "qcore.series"]
+ATOM_MODULES = sorted(SEQUENCE_MODULES + ["qcore.products"])
+PRODUCT_MODULES = sorted(ATOM_MODULES + ["qcore.kernels"])
+VERIFY_MODULES = ["qcore.identities", "qcore.registry", "qcore.reports"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["expand", "c5", "10"], SEQUENCE_MODULES),
+    (["expand", "a5bar", "10"], SEQUENCE_MODULES),
+    (["expand", "b5bar", "10"], SEQUENCE_MODULES),
+    (["bfile", "export", "c5", "{path}", "-N", "10"], sorted(SEQUENCE_MODULES + ["qcore.bfile"])),
+    (["expand", "f", "5"], ATOM_MODULES),
+    (["expand", "phi:-:5", "5"], ATOM_MODULES),
+    (["expand", "R", "5"], PRODUCT_MODULES),
+    (["verify", "lemma.c5n4", "-N", "10"], sorted(ATOM_MODULES + VERIFY_MODULES)),
+    (["verify", "lemma.A4B", "-N", "10"], sorted(PRODUCT_MODULES + VERIFY_MODULES)),
+], ids=["c5", "a5bar", "b5bar", "bfile-c5", "f", "phi", "R", "verify-congruence",
+        "verify-equality"])
+def test_each_command_loads_the_series_modules_it_runs(tmp_path, argv, modules):
+    # a sequence is its closed form, with neither products nor the kernels;
+    # one atom is products without the kernels, and so is a congruence on a
+    # sequence's progression; a product loads the kernels
+    argv = [arg.format(path=tmp_path / "b_c5.txt") for arg in argv]
+    out = fresh(
+        "import sys\n"
+        "from qcore import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('qcore.')))\n"
+    )
+    assert out.splitlines()[-1] == f"0 {modules}"
 
 
 def test_verify_one_record_from_a_fresh_interpreter():
@@ -228,7 +260,7 @@ def test_the_only_module_state_is_the_prefix_cache_and_the_run_table():
                 continue
             if _empty(value):
                 state |= {(path.name, t.id) for t in targets if isinstance(t, ast.Name)}
-    assert state == {("products.py", "_EXPANSIONS"), ("products.py", "_RUN"),
+    assert state == {("sequences.py", "_EXPANSIONS"), ("products.py", "_RUN"),
                      ("products.py", "_SIDES")}
 
 
