@@ -136,6 +136,20 @@ def test_evaluator_matches_the_divisor_sum_definitions(name):
     assert all(series[n] == closed_form(form, n + form.shift) for n in range(301))
 
 
+def test_a_term_whose_t_does_not_divide_4_is_refused():
+    # the evaluator's factors at 2 read t as 1, 2 or 4
+    form = FORMS["a5"]._replace(terms=FORMS["a5"].terms + (("s51", 3, 1),))
+    with pytest.raises(ValueError, match=r"\('s51', 3, 1\)"):
+        sequences._closed_form(form, 1, 0, 10)
+
+
+@pytest.mark.parametrize("m, r", [(0, 0), (-2, 1)])
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_a_constructor_refuses_a_modulus_below_1(name, m, r):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        SEQUENCES[name](5, m, r)
+
+
 # the deepest index the progressions below read
 DEEPEST = 130 * 300 + 1000
 

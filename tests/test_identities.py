@@ -541,6 +541,11 @@ def test_sign_census_small_prefix():
     assert census.negative == Fraction(1, 5)
 
 
+def test_sign_census_refuses_an_unknown_sequence():
+    with pytest.raises(ValueError, match="unknown sequence 'x'; known: c5, a5, b5"):
+        sign_census("x", 5)
+
+
 def test_sign_census_c5_has_no_zeros():
     assert sign_census("c5", 500).zero == 0
 
